@@ -4,7 +4,8 @@ Rational functions are written in a small expression grammar, e.g.
 ``(2*t^2+2*t+1)/(t^3+5)`` or ``t^2-3``; implicit polynomials for ``verify``
 use the same term syntax in x and y.  Exit codes: 0 success, 1 input/parse
 error, 2 degenerate input, 3 cross-method disagreement (bench), 4 failed
-verification (verify).
+verification (verify), 5 internal consistency failure (a bug, not bad
+input).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .polycore import BiPoly, RatParam, UniPoly, poly_gcd, substitute_check
+from .polycore import BiPoly, RatParam, UniPoly, lowest_terms, substitute_check
 from .structmat import DegenerateParametrizationError
 from .implicitize import (
     METHOD_DUAL_VANDERMONDE,
@@ -27,6 +28,7 @@ from .implicitize import (
     METHOD_UNSTRUCTURED,
     DegenerateInputError,
     ImplicitResult,
+    InternalConsistencyError,
     MethodConfig,
     implicitize,
     method_dual_vandermonde,
@@ -50,6 +52,11 @@ class ParseError(ValueError):
 
 
 # --- tokenizer / parsers ---------------------------------------------------
+
+#: Largest exponent of one variable in a term.  It bounds the degrees an
+#: input can reach, and with them the work of every method and of the
+#: verification proof.
+MAX_EXPONENT = 64
 
 _OPS = set("^*/+-()")
 
@@ -104,18 +111,24 @@ class _TokenStream:
         return self.tokens[self.pos][2]
 
 
-def _parse_varfactor(ts: _TokenStream, variables: frozenset[str]) -> tuple[str, int]:
+def _parse_varfactor(
+    ts: _TokenStream, variables: frozenset[str], exps: dict[str, int]
+) -> None:
+    """Parse ``var`` or ``var^INT`` and add its exponent to ``exps``."""
     tok = ts.take()
     if tok[0] != "name":
         raise ParseError("expected a variable", tok[2])
     if tok[1] not in variables:
         raise ParseError(f"unknown variable {tok[1]!r}", tok[2])
-    exp = 1
+    exp, where = 1, tok[2]
     if ts.peek() == "^":
         ts.take()
         etok = ts.expect("int", "an integer exponent")
-        exp = int(etok[1])
-    return tok[1], exp
+        exp, where = int(etok[1]), etok[2]
+    total = exps.get(tok[1], 0) + exp
+    if total > MAX_EXPONENT:
+        raise ParseError(f"exponent exceeds the maximum {MAX_EXPONENT}", where)
+    exps[tok[1]] = total
 
 
 def _parse_term(
@@ -136,16 +149,13 @@ def _parse_term(
             coef = Fraction(coef, int(dtok[1]))
         while ts.peek() == "*":
             ts.take()
-            var, exp = _parse_varfactor(ts, variables)
-            exps[var] = exps.get(var, 0) + exp
+            _parse_varfactor(ts, variables, exps)
         return coef, exps
     if kind == "name":
-        var, exp = _parse_varfactor(ts, variables)
-        exps[var] = exp
+        _parse_varfactor(ts, variables, exps)
         while ts.peek() == "*":
             ts.take()
-            var, exp = _parse_varfactor(ts, variables)
-            exps[var] = exps.get(var, 0) + exp
+            _parse_varfactor(ts, variables, exps)
         return Fraction(1), exps
     raise ParseError("expected a term", ts.here())
 
@@ -211,11 +221,7 @@ def parse_rational_function(text: str) -> tuple[UniPoly, UniPoly]:
     rationals like ``3/4``.  Raises :class:`ParseError` on syntax errors and
     on a zero denominator polynomial.
     """
-    num, den = _parse_ratfun_raw(text)
-    g = poly_gcd(num, den) if not num.is_zero else den.scale(1 / den.leading)
-    if g.degree > 0:
-        num, _ = divmod(num, g)
-        den, _ = divmod(den, g)
+    num, den, _ = lowest_terms(*_parse_ratfun_raw(text))
     return num, den
 
 
@@ -362,6 +368,9 @@ def cmd_implicitize(args: argparse.Namespace) -> int:
     except (DegenerateParametrizationError, DegenerateInputError) as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"error: internal consistency failure: {exc}", file=sys.stderr)
+        return 5
     if args.json:
         payload = json.dumps(result_to_doc(result, cfg.method), indent=2)
     else:
@@ -431,6 +440,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except (DegenerateParametrizationError, DegenerateInputError) as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return 2
+    except InternalConsistencyError as exc:
+        print(f"error: internal consistency failure: {exc}", file=sys.stderr)
+        return 5
     report.agreed = len({r["hash"] for r in report.records}) == 1
     all_ok = report.agreed and all(r["verified"] for r in report.records)
     if args.json:

@@ -24,8 +24,9 @@ dictates the structure (and cost) of the linear algebra:
     data.  The matrix is the Kronecker product of two small Vandermonde
     matrices and splits into (m+1) + (n+1) independent primal solves.
 
-Every run verifies its result by exact substitution and reports operation
-counts split into a data stage (building the system) and a solve stage.
+Every run verifies its result with the exact vanishing proof of
+``substitute_check`` and reports operation counts split into a data stage
+(building the system) and a solve stage.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ from .polycore import (
     BiPoly,
     Rat,
     RatParam,
+    _cleared,
+    _horner,
     bipoly_canonicalize,
-    bipoly_eval,
     poly_eval,
     substitute_check,
 )
 from .structmat import (
     MatQ,
     OpCounter,
-    PolyMat,
     build_parametric_sylvester,
     det_bareiss,
     eval_polymat,
@@ -125,7 +126,7 @@ class ImplicitResult:
     ``data_counter`` covers building the linear system (for the determinant
     methods that is ``det_evals`` Sylvester determinants); ``solve_counter``
     covers the linear solve.  ``counter`` merges the two.  ``verified`` is
-    the exact substitution check of F along the parametrization and
+    the exact vanishing proof of F along the parametrization and
     ``degree_tight`` records whether F attains both degree bounds.
     """
 
@@ -269,11 +270,7 @@ def method_dual_vandermonde(P: RatParam, cfg: MethodConfig | None = None) -> Imp
         points.append(pt)
         data.append(det_bareiss(eval_polymat(S, pt[0], pt[1]), data_c))
     data_c.observe_many(data)
-    for alpha in alphas:
-        power = Fraction(1)
-        for _ in range(bounds.N):
-            data_c.observe(power)
-            power *= alpha
+    _observe_node_powers(data_c, alphas, bounds.N)
     c = vandermonde_solve_dual(alphas, data, solve_c)
     F_raw = BiPoly.from_flat(c, bounds.m, bounds.n)
     _check_interpolation_data(F_raw, points, data)
@@ -302,11 +299,7 @@ def method_kronecker(P: RatParam) -> ImplicitResult:
             data.append(det_bareiss(eval_polymat(S, xi, yj), data_c))
     data_c.observe_many(data)
     for nodes in (x_nodes, y_nodes):
-        for t in nodes:
-            power = Fraction(1)
-            for _ in range(len(nodes)):
-                data_c.observe(power)
-                power *= t
+        _observe_node_powers(data_c, nodes, len(nodes))
     c = kron_solve(x_nodes, y_nodes, data, solve_c)
     F_raw = BiPoly.from_flat(c, bounds.m, bounds.n)
     _check_interpolation_data(F_raw, points, data)
@@ -335,6 +328,15 @@ def implicitize(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
     return result
 
 
+def _observe_node_powers(counter: OpCounter, nodes: Sequence[Rat], count: int) -> None:
+    """Record the bit size of the node powers t**k, k < count, as data.
+
+    Every node is an integer >= 0, so the widest power is the top node's
+    top power; the others are never formed.
+    """
+    counter.observe(max(nodes) ** (count - 1))
+
+
 def _check_interpolation_data(
     F_raw: BiPoly, points: Sequence[tuple[Rat, Rat]], data: Sequence[Rat]
 ) -> None:
@@ -342,12 +344,17 @@ def _check_interpolation_data(
 
     For the determinant methods the solved polynomial *is* the resultant,
     so it must reproduce each determinant exactly (before canonical
-    rescaling, which may change the overall scale).
+    rescaling, which may change the overall scale).  Both schemes use
+    integer nodes, so with F_raw and the data cleared by one common scale
+    the comparison runs in plain ints.
     """
-    for pt, datum in zip(points, data):
-        if bipoly_eval(F_raw, pt[0], pt[1]) != datum:
+    *grid, cleared = _cleared([*F_raw.coeffs, data])
+    for (x0, y0), datum in zip(points, cleared):
+        assert x0.denominator == 1 == y0.denominator, "interpolation nodes must be integers"
+        value = _horner([_horner(row, y0.numerator) for row in grid], x0.numerator)
+        if value != datum:
             raise InternalConsistencyError(
-                f"interpolant fails to reproduce its datum at node {pt}"
+                f"interpolant fails to reproduce its datum at node {(x0, y0)}"
             )
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -332,19 +333,9 @@ class RatParam:
     def __init__(self, u1: UniPoly, v1: UniPoly, u2: UniPoly, v2: UniPoly) -> None:
         if v1.is_zero or v2.is_zero:
             raise ValueError("parametrization denominators must be nonzero")
-        reduced = False
-        g1 = poly_gcd(u1, v1)
-        if g1.degree > 0:
-            u1, _ = divmod(u1, g1)
-            v1, _ = divmod(v1, g1)
-            reduced = True
-        g2 = poly_gcd(u2, v2)
-        if g2.degree > 0:
-            u2, _ = divmod(u2, g2)
-            v2, _ = divmod(v2, g2)
-            reduced = True
-        self.u1, self.v1, self.u2, self.v2 = u1, v1, u2, v2
-        self.was_reduced = reduced
+        self.u1, self.v1, reduced1 = lowest_terms(u1, v1)
+        self.u2, self.v2, reduced2 = lowest_terms(u2, v2)
+        self.was_reduced = reduced1 or reduced2
 
     def x_at(self, t0: Rat | int) -> Rat:
         """Value of the x-component at ``t0`` (the denominator must not vanish)."""
@@ -357,33 +348,91 @@ class RatParam:
         return f"RatParam<x={self.u1!r}/{self.v1!r}, y={self.u2!r}/{self.v2!r}>"
 
 
+#: The prime of the modular coprimality proof in :func:`lowest_terms`.
+COPRIME_PRIME = (1 << 61) - 1
+
+
+def lowest_terms(u: UniPoly, v: UniPoly) -> tuple[UniPoly, UniPoly, bool]:
+    """``u/v`` with the gcd cancelled, and whether it was nonconstant.
+
+    Pairs that :func:`coprime_mod_prime` cannot prove coprime go through
+    the exact ``Fraction`` Euclid.
+    """
+    if not coprime_mod_prime(u, v):
+        g = poly_gcd(u, v)
+        if g.degree > 0:
+            return divmod(u, g)[0], divmod(v, g)[0], True
+    return u, v, False
+
+
+def coprime_mod_prime(u: UniPoly, v: UniPoly) -> bool:
+    """True only if ``u`` and ``v`` are proven coprime over Q.
+
+    Both are reduced modulo p = ``COPRIME_PRIME`` when p divides no
+    denominator and neither leading numerator, so both degrees survive.
+    The primitive gcd over Q divides both integer-cleared polynomials in
+    Z[t] and its leading coefficient divides theirs, so deg gcd over Q <=
+    deg gcd mod p, and a constant gcd mod p proves coprimality.  False
+    means "not proven", never "not coprime".
+    """
+    p = COPRIME_PRIME
+    if u.is_zero or v.is_zero or u.leading.numerator % p == 0 or v.leading.numerator % p == 0:
+        return False
+    if any(c.denominator % p == 0 for c in u.coeffs + v.coeffs):
+        return False
+    a = [c.numerator * pow(c.denominator, -1, p) % p for c in u.coeffs]
+    b = [c.numerator * pow(c.denominator, -1, p) % p for c in v.coeffs]
+    while len(b) > 1:  # Euclid mod p: a, b = b, a mod b
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            f, shift = a[-1] * inv % p, len(a) - len(b)
+            for k in range(len(b) - 1):
+                a[shift + k] = (a[shift + k] - f * b[k]) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
 def substitute_check(F: BiPoly, P: RatParam) -> bool:
     """Decide whether F(x(t), y(t)) vanishes identically.
 
-    Uses the denominator-cleared substitution: with grid bounds (m, n) the
-    sum of ``F.coeffs[i][j] * u1^i v1^(m-i) * u2^j v2^(n-j)`` must be the
-    zero polynomial in t.  A zero candidate ``F`` is rejected with
+    With grid bounds (m, n) and each component pair cleared to integers,
+    the numerator N(t) = sum of ``F[i][j] * u1^i v1^(m-i) * u2^j v2^(n-j)``
+    has degree at most D = m*max(deg u1, deg v1) + n*max(deg u2, deg v2).
+    A nonzero polynomial of degree <= D has at most D roots, so N vanishing
+    at the D + 1 integers 0..D proves N = 0: a deterministic proof in plain
+    ints, never a sampling test.  A zero candidate ``F`` is rejected with
     ``ValueError`` (it vanishes everywhere and always indicates an upstream
     bug, never a computed implicit equation).
     """
     if F.is_zero:
         raise ValueError("substitute_check requires a nonzero polynomial")
     m, n = F.m, F.n
-    u1p = _powers(P.u1, m)
-    v1p = _powers(P.v1, m)
-    u2p = _powers(P.u2, n)
-    v2p = _powers(P.v2, n)
-    total = UniPoly.zero()
-    for i in range(m + 1):
-        for j in range(n + 1):
-            c = F.coeffs[i][j]
-            if c:
-                total = total + (u1p[i] * v1p[m - i] * u2p[j] * v2p[n - j]).scale(c)
-    return total.is_zero
+    grid = _cleared(F.coeffs)
+    u1, v1 = _cleared((P.u1.coeffs, P.v1.coeffs))
+    u2, v2 = _cleared((P.u2.coeffs, P.v2.coeffs))
+    D = m * (max(len(u1), len(v1)) - 1) + n * (max(len(u2), len(v2)) - 1)
+    for t in range(D + 1):
+        a, b, c, e = (_horner(p, t) for p in (u1, v1, u2, v2))
+        ys = [c**j * e ** (n - j) for j in range(n + 1)]
+        if sum(a**i * b ** (m - i) * sum(map(mul, row, ys)) for i, row in enumerate(grid)):
+            return False
+    return True
 
 
-def _powers(p: UniPoly, upto: int) -> list[UniPoly]:
-    out = [UniPoly.one()]
-    for _ in range(upto):
-        out.append(out[-1] * p)
-    return out
+def _cleared(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
+    """The rows scaled by one common factor to integers."""
+    scale = _int_lcm(*(c.denominator for row in rows for c in row))
+    return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
+
+
+def _horner(coeffs: Sequence[int], t: int) -> int:
+    """Value at ``t`` of the integer polynomial with ascending ``coeffs``."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc

@@ -1,10 +1,10 @@
 """Exact matrix kernels: Sylvester construction, determinants, solvers.
 
 The heart of the package.  `MatQ` is a dense matrix of rationals and
-`PolyMat` a square matrix whose entries are bivariate polynomials of degree
-at most one in x and in y — exactly the shape of the Sylvester matrix of a
-parametrization, whose determinant at a point (x0, y0) is the implicit
-curve polynomial evaluated there.
+`PolyMat` the Sylvester matrix of a parametrization, stored as its two
+coefficient bands; its entries have degree at most one in x and in y, and
+its determinant at a point (x0, y0) is the implicit curve polynomial
+evaluated there.
 
 Solvers come in two flavours.  General-purpose: fraction-free Bareiss
 determinants (`det_bareiss`), Gaussian elimination (`solve_general`), and
@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm as _int_lcm
 from typing import Sequence
 
-from .polycore import BiPoly, Rat, RatParam, UniPoly, bipoly_eval, _as_rat
+from .polycore import BiPoly, Rat, RatParam, UniPoly, _as_rat
 
 
 class DuplicateNodeError(ValueError):
@@ -126,38 +126,57 @@ class MatQ:
 
 
 class PolyMat:
-    """Square matrix of bivariate polynomials, each of degree <= 1 in x and y."""
+    """Parametric Sylvester matrix, stored as its two coefficient bands.
 
-    __slots__ = ("order", "entries")
+    ``p_band`` holds the coefficient pairs (u1_s, v1_s) of p = u1 - x*v1
+    and ``q_band`` the pairs (u2_s, v2_s) of q = u2 - y*v2, both in
+    descending t-degree.  With d1 = len(p_band) - 1 and d2 = len(q_band) - 1
+    the matrix has order d1 + d2: d2 rows of p, each shifted one column
+    further right, then d1 rows of q the same way.  ``entries`` is a
+    read-only view of the matrix as bivariate polynomials of degree <= 1 in
+    x and in y.
+    """
 
-    def __init__(self, entries: Sequence[Sequence[BiPoly]]) -> None:
-        order = len(entries)
-        if order == 0:
-            raise ValueError("polynomial matrix must be nonempty")
-        grid = []
-        for row in entries:
-            if len(row) != order:
-                raise ValueError("polynomial matrix must be square")
-            for e in row:
-                if e.m > 1 or e.n > 1:
-                    raise ValueError("entries must have degree <= 1 in x and in y")
-            grid.append(tuple(row))
-        self.entries: tuple[tuple[BiPoly, ...], ...] = tuple(grid)
-        self.order: int = order
+    __slots__ = ("p_band", "q_band", "order")
+
+    def __init__(
+        self,
+        p_band: Sequence[tuple[Rat | int, Rat | int]],
+        q_band: Sequence[tuple[Rat | int, Rat | int]],
+    ) -> None:
+        if len(p_band) < 2 or len(q_band) < 2:
+            raise ValueError("both bands must have t-degree at least 1")
+        self.p_band = tuple((_as_rat(u), _as_rat(v)) for u, v in p_band)
+        self.q_band = tuple((_as_rat(u), _as_rat(v)) for u, v in q_band)
+        self.order: int = len(p_band) + len(q_band) - 2
+
+    @property
+    def entries(self) -> tuple[tuple[BiPoly, ...], ...]:
+        return _sylvester_layout(
+            tuple(BiPoly([[u], [-v]]) for u, v in self.p_band),
+            tuple(BiPoly([[u, -v]]) for u, v in self.q_band),
+            BiPoly.zeros(),
+        )
 
     def __repr__(self) -> str:
         return f"PolyMat<order={self.order}>"
 
 
+def _sylvester_layout(p: tuple, q: tuple, zero) -> tuple[tuple, ...]:
+    """Sylvester rows of the bands ``p`` and ``q``, padded with ``zero``."""
+    d1, d2 = len(p) - 1, len(q) - 1
+    rows = [(zero,) * r + p + (zero,) * (d2 - 1 - r) for r in range(d2)]
+    rows += [(zero,) * r + q + (zero,) * (d1 - 1 - r) for r in range(d1)]
+    return tuple(rows)
+
+
 def build_parametric_sylvester(P: RatParam) -> PolyMat:
     """Sylvester matrix of p = u1 - x*v1 and q = u2 - y*v2 in the parameter.
 
-    With d1 = deg_t p and d2 = deg_t q the matrix has order d1 + d2: the
-    first d2 rows carry the coefficients of p in descending t-degree, each
-    row shifted one column further right; the last d1 rows carry q the same
-    way.  Its determinant is the resultant eliminating t, i.e. the implicit
-    curve polynomial.  A constant x- or y-component (d1 == 0 or d2 == 0)
-    admits no such matrix and raises ``DegenerateParametrizationError``.
+    Its determinant is the resultant eliminating t, i.e. the implicit curve
+    polynomial; see :class:`PolyMat` for the layout.  A constant x- or
+    y-component (deg_t p == 0 or deg_t q == 0) admits no such matrix and
+    raises ``DegenerateParametrizationError``.
     """
     d1 = max(_int_degree(P.u1), _int_degree(P.v1))
     d2 = max(_int_degree(P.u2), _int_degree(P.v2))
@@ -165,35 +184,25 @@ def build_parametric_sylvester(P: RatParam) -> PolyMat:
         raise DegenerateParametrizationError(
             "both components must depend on the parameter (constant component)"
         )
-    # Coefficient of t^k in p is u1[k] - x*v1[k]: a grid [[u1[k]], [-v1[k]]].
-    p_desc = [
-        BiPoly([[P.u1.coefficient(d1 - s)], [-P.v1.coefficient(d1 - s)]])
-        for s in range(d1 + 1)
-    ]
-    q_desc = [
-        BiPoly([[P.u2.coefficient(d2 - s), -P.v2.coefficient(d2 - s)]])
-        for s in range(d2 + 1)
-    ]
-    order = d1 + d2
-    zero = BiPoly.zeros()
-    rows: list[list[BiPoly]] = []
-    for r in range(d2):
-        row = [zero] * order
-        for s in range(d1 + 1):
-            row[r + s] = p_desc[s]
-        rows.append(row)
-    for r in range(d1):
-        row = [zero] * order
-        for s in range(d2 + 1):
-            row[r + s] = q_desc[s]
-        rows.append(row)
-    return PolyMat(rows)
+    return PolyMat(
+        [(P.u1.coefficient(d1 - s), P.v1.coefficient(d1 - s)) for s in range(d1 + 1)],
+        [(P.u2.coefficient(d2 - s), P.v2.coefficient(d2 - s)) for s in range(d2 + 1)],
+    )
 
 
 def eval_polymat(S: PolyMat, x0: Rat | int, y0: Rat | int) -> MatQ:
-    """Evaluate every entry of ``S`` at the rational point (x0, y0)."""
+    """Evaluate ``S`` at the rational point (x0, y0).
+
+    Each band is evaluated once, u - x0*v resp. u - y0*v, and laid out with
+    one shared zero.
+    """
+    x, y = _as_rat(x0), _as_rat(y0)
     return MatQ(
-        [[bipoly_eval(e, x0, y0) for e in row] for row in S.entries]
+        _sylvester_layout(
+            tuple(u - x * v for u, v in S.p_band),
+            tuple(u - y * v for u, v in S.q_band),
+            Fraction(0),
+        )
     )
 
 

@@ -1,13 +1,18 @@
 import json
+import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from implicurve import BiPoly, UniPoly, bipoly_canonicalize
+import implicurve
+import implicurve.cli as cli
+from implicurve import BiPoly, InternalConsistencyError, UniPoly, bipoly_canonicalize
 from implicurve.cli import (
+    MAX_EXPONENT,
     ParseError,
     canonical_digest,
     format_bipoly,
@@ -279,6 +284,10 @@ def test_canonical_digest_distinguishes_polynomials():
 
 
 def test_module_entrypoint_runs():
+    # run the package this suite imported, also when only pytest's
+    # ``pythonpath`` setting (not PYTHONPATH) points at the source tree
+    src = str(Path(implicurve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -292,6 +301,45 @@ def test_module_entrypoint_runs():
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2 - 3*y - x + 2*x*y"
+
+
+def test_parser_caps_exponents_at_the_exponent():
+    num, _ = parse_rational_function(f"t^{MAX_EXPONENT}")
+    assert num.degree == MAX_EXPONENT
+    over = MAX_EXPONENT + 1
+    for text, pos in [(f"t^{over}", 2), (f"(1+t)/(t^{over})", 9), (f"2*t*t^{MAX_EXPONENT}", 6)]:
+        with pytest.raises(ParseError) as exc:
+            parse_rational_function(text)
+        assert exc.value.position == pos
+    with pytest.raises(ParseError) as exc:
+        parse_poly_xy(f"1 + x*y^{over}")
+    assert exc.value.position == 8
+
+
+def test_cli_rejects_exponents_over_the_cap(capsys):
+    over = f"t^{MAX_EXPONENT + 1}"
+    assert main(["implicitize", "--x", over, "--y", "t"]) == 1
+    assert main(["verify", "--x", "t", "--y", "t", "--poly", f"x^{MAX_EXPONENT + 1}"]) == 1
+    err = capsys.readouterr().err
+    assert "exponent exceeds the maximum" in err and "Traceback" not in err
+
+
+def test_internal_consistency_failure_exits_5(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError("interpolant fails to reproduce its datum")
+
+    monkeypatch.setattr(cli, "implicitize", broken)
+    monkeypatch.setattr(cli, "method_kronecker", broken)
+    for argv in (
+        ["implicitize", "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)"],
+        ["bench", "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)", "--methods", "kron"],
+    ):
+        assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal consistency failure:")
+        assert "Traceback" not in captured.err

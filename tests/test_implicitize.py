@@ -9,6 +9,7 @@ from implicurve import (
     BiPoly,
     DegenerateInputError,
     DegenerateParametrizationError,
+    InternalConsistencyError,
     MethodConfig,
     OpCounter,
     RatParam,
@@ -23,9 +24,14 @@ from implicurve import (
     nodes_on_curve,
     substitute_check,
 )
-from implicurve.implicitize import curve_points, interpolation_matrix
+from implicurve.implicitize import (
+    _check_interpolation_data,
+    _observe_node_powers,
+    curve_points,
+    interpolation_matrix,
+)
 
-from util import CUBIC, CUBIC_F_RAW, HYPERBOLA, HYPERBOLA_F, rand_ratparam
+from util import CUBIC, CUBIC_F_RAW, CUBIC_GRID_DATA, HYPERBOLA, HYPERBOLA_F, rand_ratparam
 
 CUBIC_F = bipoly_canonicalize(CUBIC_F_RAW)
 
@@ -235,3 +241,39 @@ def test_curve_points_generator_is_lazy_and_deduplicated():
         pt = next(gen)
         assert pt not in seen
         seen.add(pt)
+
+
+def test_node_power_bits_match_the_multiplied_out_powers():
+    def old_loop(nodes, count):
+        c = OpCounter()
+        for t in nodes:
+            power = Fraction(1)
+            for _ in range(count):
+                c.observe(power)
+                power *= t
+        return c.max_bits
+
+    for d in range(1, 9):
+        N = (d + 1) ** 2
+        grid = [Fraction(i) for i in range(d + 1)]
+        schemes = [(grid, d + 1)] + [
+            ([Fraction(p1**i * p2**j) for i in range(d + 1) for j in range(d + 1)], N)
+            for p1, p2 in ((2, 3), (5, 11))
+        ]
+        for nodes, count in schemes:
+            c = OpCounter()
+            _observe_node_powers(c, nodes, count)
+            assert c.max_bits == old_loop(nodes, count), (d, nodes[-1])
+
+
+def test_interpolation_check_compares_exactly_on_integer_nodes():
+    points = [(Fraction(i), Fraction(j)) for i in range(4) for j in range(4)]
+    data = [Fraction(v) for v in CUBIC_GRID_DATA]
+    _check_interpolation_data(CUBIC_F_RAW, points, data)
+    third = Fraction(1, 3)
+    _check_interpolation_data(CUBIC_F_RAW.scale(third), points, [v * third for v in data])
+    for k in range(len(data)):
+        off = list(data)
+        off[k] += Fraction(1, 7)
+        with pytest.raises(InternalConsistencyError):
+            _check_interpolation_data(CUBIC_F_RAW, points, off)

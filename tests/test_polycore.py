@@ -10,12 +10,26 @@ from implicurve import (
     UniPoly,
     bipoly_canonicalize,
     bipoly_eval,
+    implicitize,
     poly_eval,
     poly_gcd,
     substitute_check,
 )
+from implicurve.polycore import (
+    COPRIME_PRIME,
+    coprime_mod_prime,
+    lowest_terms,
+)
 
-from util import CUBIC, CUBIC_F_RAW, HYPERBOLA, HYPERBOLA_F, rand_frac, rand_unipoly
+from util import (
+    CUBIC,
+    CUBIC_F_RAW,
+    HYPERBOLA,
+    HYPERBOLA_F,
+    rand_frac,
+    rand_ratparam,
+    rand_unipoly,
+)
 
 
 def test_rat_is_exact_and_reduced():
@@ -181,3 +195,117 @@ def test_substitute_check_rejects_wrong_equations():
 def test_substitute_check_rejects_zero_polynomial():
     with pytest.raises(ValueError):
         substitute_check(BiPoly.zeros(1, 1), HYPERBOLA)
+
+
+# --- the D+1-point proof ----------------------------------------------------------
+
+
+def _seeded_corpus():
+    """Exact-degree curves d = 2..6 with integer and rational coefficients."""
+    rng = random.Random(606)
+    return [
+        rand_ratparam(rng, d, exact=True, rational=rational)
+        for d in range(2, 7)
+        for rational in (False, True)
+    ]
+
+
+def test_substitute_check_rejects_every_one_coefficient_perturbation():
+    for P in _seeded_corpus():
+        F = implicitize(P).F
+        assert substitute_check(F, P)
+        for i in range(F.m + 1):
+            for j in range(F.n + 1):
+                rows = [list(row) for row in F.coeffs]
+                rows[i][j] += 1
+                assert not substitute_check(BiPoly(rows), P), (P, i, j)
+
+
+def _sympy_vanishes(F: BiPoly, P: RatParam) -> bool:
+    """Oracle: substitute x(t), y(t) into F with sympy and cancel."""
+    import sympy
+
+    t = sympy.symbols("t")
+
+    def poly(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(p.coeffs))
+
+    x, y = poly(P.u1) / poly(P.v1), poly(P.u2) / poly(P.v2)
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * x**i * y**j
+        for i, row in enumerate(F.coeffs)
+        for j, c in enumerate(row)
+        if c
+    )
+    return sympy.cancel(sympy.together(expr)) == 0
+
+
+def test_substitute_check_agrees_with_sympy_substitution():
+    pytest.importorskip("sympy")
+    rng = random.Random(707)
+    cases = [(HYPERBOLA_F, HYPERBOLA), (CUBIC_F_RAW, CUBIC), (HYPERBOLA_F, CUBIC)]
+    for d in (2, 3):
+        for rational in (False, True):
+            P = rand_ratparam(rng, d, rational=rational)
+            F = implicitize(P).F
+            times_x = BiPoly([[0] * (F.n + 1)] + [list(row) for row in F.coeffs])
+            grid = [[rng.randint(-3, 3) for _ in range(F.n + 1)] for _ in range(F.m + 1)]
+            grid[0][0] = rng.randint(1, 3)
+            cases += [(F, P), (times_x, P), (BiPoly(grid), P)]
+    verdicts = []
+    for F, P in cases:
+        verdicts.append(substitute_check(F, P))
+        assert verdicts[-1] == _sympy_vanishes(F, P), (F, P)
+    assert True in verdicts and False in verdicts
+
+
+# --- coprimality ------------------------------------------------------------------
+
+
+def _rand_pair(rng: random.Random, rational: bool):
+    u = rand_unipoly(rng, rng.randint(0, 4), rational=rational)
+    v = rand_unipoly(rng, rng.randint(0, 4), rational=rational)
+    if rng.random() < 0.4:
+        common = rand_unipoly(rng, rng.randint(1, 2), rational=rational)
+        u, v = u * common, v * common
+    return u, v
+
+
+def _lowest_terms_by_euclid(u: UniPoly, v: UniPoly):
+    """Oracle: the exact Euclid alone, as RatParam reduced before."""
+    g = poly_gcd(u, v)
+    if g.degree > 0:
+        return divmod(u, g)[0], divmod(v, g)[0], True
+    return u, v, False
+
+
+def test_coprime_fast_path_agrees_with_exact_euclid():
+    rng = random.Random(808)
+    reduced = 0
+    for trial in range(300):
+        u, v = _rand_pair(rng, rational=trial % 2 == 1)
+        exact = _lowest_terms_by_euclid(u, v)
+        assert lowest_terms(u, v) == exact
+        if coprime_mod_prime(u, v):
+            assert not exact[2]  # a proof never contradicts the exact gcd
+        reduced += exact[2]
+        P = RatParam(u, v, UniPoly([3, 1]), UniPoly([4, 1]))
+        assert (P.u1, P.v1, P.was_reduced) == exact
+    assert 50 < reduced < 250
+
+
+def test_coprime_mod_prime_leaves_unprovable_pairs_to_euclid():
+    p = COPRIME_PRIME
+    t = UniPoly([0, 1])
+    assert coprime_mod_prime(UniPoly([1, 1]), UniPoly([2, 1]))
+    assert coprime_mod_prime(UniPoly([5]), t)
+    assert not coprime_mod_prime(UniPoly.zero(), t)  # zero numerator
+    assert not coprime_mod_prime(UniPoly([1, Fraction(1, p)]), UniPoly([2, 1]))  # denominator
+    assert not coprime_mod_prime(UniPoly([1, p]), UniPoly([2, 1]))  # leading coefficient
+    assert not coprime_mod_prime(UniPoly([-1, 0, 1]), UniPoly([-1, 1]))  # common factor
+    # (t + 1) and (t + 1 + p) share a root mod p only: coprime, but unproven
+    u, v = UniPoly([1, 1]), UniPoly([1 + p, 1])
+    assert not coprime_mod_prime(u, v)
+    assert lowest_terms(u, v) == (u, v, False)
+    # a zero numerator reduces against a nonconstant denominator
+    assert lowest_terms(UniPoly.zero(), UniPoly([2, 2])) == (UniPoly.zero(), UniPoly([2]), True)

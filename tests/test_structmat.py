@@ -9,9 +9,11 @@ from implicurve import (
     DuplicateNodeError,
     MatQ,
     OpCounter,
+    PolyMat,
     RatParam,
     SingularMatrixError,
     UniPoly,
+    bipoly_eval,
     build_parametric_sylvester,
     det_bareiss,
     eval_polymat,
@@ -31,6 +33,7 @@ from util import (
     kron,
     matvec,
     rand_frac,
+    rand_ratparam,
     transpose,
     vandermonde_rows,
 )
@@ -375,3 +378,26 @@ def test_bareiss_divisions_stay_exact_on_large_random_matrices():
         n = rng.randint(6, 8)
         rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
         det_bareiss(MatQ(rows), OpCounter())
+
+
+def test_banded_evaluation_matches_entries_view_and_cofactor():
+    rng = random.Random(21)
+    curves = [HYPERBOLA, CUBIC] + [rand_ratparam(rng, 3, rational=True) for _ in range(4)]
+    for P in curves:
+        S = build_parametric_sylvester(P)
+        view = S.entries
+        assert len(view) == S.order and all(len(row) == S.order for row in view)
+        for _ in range(4):
+            x0, y0 = rand_frac(rng), rand_frac(rng)
+            rows = [[bipoly_eval(e, x0, y0) for e in row] for row in view]
+            M = eval_polymat(S, x0, y0)
+            assert M.entries == MatQ(rows).entries
+            assert det_bareiss(M, OpCounter()) == cofactor_det(rows)
+
+
+def test_polymat_bands_must_depend_on_the_parameter():
+    with pytest.raises(ValueError):
+        PolyMat([(1, 0)], [(1, 0), (0, 1)])
+    S = PolyMat([(1, 0), (0, 1)], [(1, 0), (2, 3)])  # p = t - x, q = t + 2 - 3y
+    assert S.order == 2
+    assert S.entries == ((BiPoly([[1], [0]]), BiPoly([[0], [-1]])), (BiPoly.constant(1), BiPoly([[2, -3]])))

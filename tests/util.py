@@ -87,29 +87,39 @@ def rand_frac(rng: random.Random, lo=-9, hi=9, max_den=5) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
 
-def rand_unipoly(rng: random.Random, degree: int, lo=-9, hi=9) -> UniPoly:
-    """Random integer-coefficient polynomial of exactly the given degree."""
+def rand_unipoly(
+    rng: random.Random, degree: int, lo=-9, hi=9, rational: bool = False
+) -> UniPoly:
+    """Random polynomial of exactly the given degree.
+
+    Coefficients are integers, or with ``rational=True`` integers over
+    random denominators 1..5.
+    """
     coeffs = [rng.randint(lo, hi) for _ in range(degree)]
     coeffs.append(rng.choice([v for v in range(lo, hi + 1) if v]))
+    if rational:
+        coeffs = [Fraction(c, rng.randint(1, 5)) for c in coeffs]
     return UniPoly(coeffs)
 
 
-def rand_ratparam(rng: random.Random, max_deg: int, exact: bool = False) -> RatParam:
+def rand_ratparam(
+    rng: random.Random, max_deg: int, exact: bool = False, rational: bool = False
+) -> RatParam:
     """Random parametrization with both degree bounds in 1..max_deg.
 
     With ``exact=True`` both bounds equal max_deg (denominators carry the
-    top degree).  Redraws until the reduced form still meets the degree
-    requirement.
+    top degree); ``rational`` is passed on to ``rand_unipoly``.  Redraws
+    until the reduced form still meets the degree requirement.
     """
     while True:
         d1 = max_deg if exact else rng.randint(1, max_deg)
         d2 = max_deg if exact else rng.randint(1, max_deg)
         try:
             P = RatParam(
-                rand_unipoly(rng, rng.randint(0, d1)),
-                rand_unipoly(rng, d1),
-                rand_unipoly(rng, rng.randint(0, d2)),
-                rand_unipoly(rng, d2),
+                rand_unipoly(rng, rng.randint(0, d1), rational=rational),
+                rand_unipoly(rng, d1, rational=rational),
+                rand_unipoly(rng, rng.randint(0, d2), rational=rational),
+                rand_unipoly(rng, d2, rational=rational),
             )
         except ValueError:
             continue
