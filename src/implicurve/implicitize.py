@@ -24,16 +24,19 @@ dictates the structure (and cost) of the linear algebra:
     data.  The matrix is the Kronecker product of two small Vandermonde
     matrices and splits into (m+1) + (n+1) independent primal solves.
 
-Every run verifies its result with the exact vanishing proof of
-``substitute_check`` and reports operation counts split into a data stage
-(building the system) and a solve stage.
+The two determinant schemes share one run, ``_from_determinants``, and
+differ only in their nodes and their solver.  Every run verifies its result
+with the exact vanishing proof of ``substitute_check`` and reports
+operation counts split into a data stage (building the system) and a solve
+stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from math import isqrt
+from typing import Callable, Iterator, Sequence
 
 from .polycore import (
     BiPoly,
@@ -46,6 +49,7 @@ from .polycore import (
     substitute_check,
 )
 from .structmat import (
+    DegenerateParametrizationError,
     MatQ,
     OpCounter,
     build_parametric_sylvester,
@@ -60,6 +64,10 @@ METHOD_UNSTRUCTURED = "unstructured"
 METHOD_DUAL_VANDERMONDE = "dual-vandermonde"
 METHOD_KRONECKER = "kronecker"
 METHODS = (METHOD_UNSTRUCTURED, METHOD_DUAL_VANDERMONDE, METHOD_KRONECKER)
+
+#: Largest accepted node prime.  Primality is tested by trial division, so
+#: the cap bounds that test (to 2^16 divisions) as well as the node sizes.
+MAX_NODE_PRIME = 2**32
 
 
 class DegenerateInputError(ValueError):
@@ -84,39 +92,27 @@ class DegreeBounds:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 @dataclass
 class MethodConfig:
-    """Pipeline selection plus per-method tuning knobs.
-
-    ``p1``/``p2`` are the node primes of the dual-Vandermonde method;
-    ``max_extra_nodes`` caps how many rows the unstructured method may add
-    beyond N to cut the nullspace down to one dimension (None means 2N).
-    """
+    """Pipeline selection plus the node primes ``p1``/``p2`` of the
+    dual-Vandermonde method (each at most ``MAX_NODE_PRIME``)."""
 
     method: str = METHOD_KRONECKER
     p1: int = 2
     p2: int = 3
-    max_extra_nodes: int | None = None
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if max(self.p1, self.p2) > MAX_NODE_PRIME:
+            raise ValueError(f"node primes must not exceed {MAX_NODE_PRIME}")
         if not (_is_prime(self.p1) and _is_prime(self.p2)):
             raise ValueError("node primes p1 and p2 must both be prime")
         if self.p1 == self.p2:
             raise ValueError("node primes p1 and p2 must be distinct")
-        if self.max_extra_nodes is not None and self.max_extra_nodes < 0:
-            raise ValueError("max_extra_nodes must be nonnegative")
 
 
 @dataclass
@@ -147,10 +143,16 @@ def degree_bounds(P: RatParam) -> DegreeBounds:
     """Degree bounds of the implicit polynomial of ``P``.
 
     The x-degree bound comes from the y-component and the y-degree bound
-    from the x-component.
+    from the x-component.  A constant component (a bound of 0) traces no
+    curve, so every method rejects it here with
+    ``DegenerateParametrizationError``.
     """
     n = int(max(len(P.u1.coeffs), len(P.v1.coeffs)) - 1)
     m = int(max(len(P.u2.coeffs), len(P.v2.coeffs)) - 1)
+    if m == 0 or n == 0:
+        raise DegenerateParametrizationError(
+            "both components must depend on the parameter (constant component)"
+        )
     return DegreeBounds(m=m, n=n, N=(m + 1) * (n + 1))
 
 
@@ -208,14 +210,10 @@ def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> Implici
 
     The homogeneous system A c = 0 over the first N curve points normally
     has a one-dimensional nullspace spanned by the implicit polynomial.  If
-    several independent polynomials vanish at the chosen points, more
-    points are appended (up to the configured cap) before giving up with
-    ``DegenerateInputError``.
+    several independent polynomials vanish at the chosen points, up to 2N
+    more points are appended before giving up with ``DegenerateInputError``.
     """
-    if cfg is None:
-        cfg = MethodConfig(method=METHOD_UNSTRUCTURED)
     bounds = degree_bounds(P)
-    cap = cfg.max_extra_nodes if cfg.max_extra_nodes is not None else 2 * bounds.N
     data_c = OpCounter()
     solve_c = OpCounter()
     gen = curve_points(P)
@@ -223,7 +221,7 @@ def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> Implici
     A = interpolation_matrix(points, bounds.m, bounds.n, data_c)
     basis = nullspace(A, solve_c)
     extra = 0
-    while len(basis) > 1 and extra < cap:
+    while len(basis) > 1 and extra < 2 * bounds.N:
         points.append(next(gen))
         extra += 1
         A = interpolation_matrix(points, bounds.m, bounds.n, data_c)
@@ -251,33 +249,17 @@ def method_dual_vandermonde(P: RatParam, cfg: MethodConfig | None = None) -> Imp
     alpha_(i,j) = p1^i p2^j — a transposed Vandermonde system, solved in
     O(N^2) by ``vandermonde_solve_dual``.
     """
-    if cfg is None:
-        cfg = MethodConfig(method=METHOD_DUAL_VANDERMONDE)
+    cfg = cfg or MethodConfig()
+    p1, p2 = cfg.p1, cfg.p2
     bounds = degree_bounds(P)
-    S = build_parametric_sylvester(P)
-    alphas = [
-        Fraction(cfg.p1**i * cfg.p2**j)
-        for i in range(bounds.m + 1)
-        for j in range(bounds.n + 1)
-    ]
+    alphas = [Fraction(p1**i * p2**j) for i in range(bounds.m + 1) for j in range(bounds.n + 1)]
     assert len(set(alphas)) == len(alphas), "composite prime-power nodes collide"
-    data_c = OpCounter()
-    solve_c = OpCounter()
-    data: list[Rat] = []
-    points: list[tuple[Rat, Rat]] = []
-    for k in range(bounds.N):
-        pt = (Fraction(cfg.p1**k), Fraction(cfg.p2**k))
-        points.append(pt)
-        data.append(det_bareiss(eval_polymat(S, pt[0], pt[1]), data_c))
-    data_c.observe_many(data)
-    _observe_node_powers(data_c, alphas, bounds.N)
-    c = vandermonde_solve_dual(alphas, data, solve_c)
-    F_raw = BiPoly.from_flat(c, bounds.m, bounds.n)
-    _check_interpolation_data(F_raw, points, data)
-    return _finish(P, bounds, F_raw, data_c, solve_c, det_evals=bounds.N)
+    points = [(Fraction(p1**k), Fraction(p2**k)) for k in range(bounds.N)]
+    return _from_determinants(P, bounds, points, [alphas],
+                              lambda data, c: vandermonde_solve_dual(alphas, data, c))
 
 
-def method_kronecker(P: RatParam) -> ImplicitResult:
+def method_kronecker(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
     """Implicitize from Sylvester determinants on the integer grid.
 
     Nodes (i, j) for i = 0..m, j = 0..n make the collocation matrix the
@@ -286,24 +268,20 @@ def method_kronecker(P: RatParam) -> ImplicitResult:
     interpolation data stays as small as the curve itself allows.
     """
     bounds = degree_bounds(P)
-    S = build_parametric_sylvester(P)
     x_nodes = [Fraction(i) for i in range(bounds.m + 1)]
     y_nodes = [Fraction(j) for j in range(bounds.n + 1)]
-    data_c = OpCounter()
-    solve_c = OpCounter()
-    data: list[Rat] = []
-    points: list[tuple[Rat, Rat]] = []
-    for xi in x_nodes:
-        for yj in y_nodes:
-            points.append((xi, yj))
-            data.append(det_bareiss(eval_polymat(S, xi, yj), data_c))
-    data_c.observe_many(data)
-    for nodes in (x_nodes, y_nodes):
-        _observe_node_powers(data_c, nodes, len(nodes))
-    c = kron_solve(x_nodes, y_nodes, data, solve_c)
-    F_raw = BiPoly.from_flat(c, bounds.m, bounds.n)
-    _check_interpolation_data(F_raw, points, data)
-    return _finish(P, bounds, F_raw, data_c, solve_c, det_evals=bounds.N)
+    points = [(xi, yj) for xi in x_nodes for yj in y_nodes]
+    return _from_determinants(P, bounds, points, [x_nodes, y_nodes],
+                              lambda data, c: kron_solve(x_nodes, y_nodes, data, c))
+
+
+#: The one dispatch: every method takes ``(P, cfg)``; only the
+#: dual-Vandermonde method reads ``cfg`` (its node primes).
+_PIPELINES = {
+    METHOD_UNSTRUCTURED: method_unstructured,
+    METHOD_DUAL_VANDERMONDE: method_dual_vandermonde,
+    METHOD_KRONECKER: method_kronecker,
+}
 
 
 def implicitize(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
@@ -313,14 +291,8 @@ def implicitize(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
     fails raises ``InternalConsistencyError`` (it cannot happen for valid
     rational parametrizations and would mean a bug, not bad input).
     """
-    if cfg is None:
-        cfg = MethodConfig()
-    if cfg.method == METHOD_UNSTRUCTURED:
-        result = method_unstructured(P, cfg)
-    elif cfg.method == METHOD_DUAL_VANDERMONDE:
-        result = method_dual_vandermonde(P, cfg)
-    else:
-        result = method_kronecker(P)
+    cfg = cfg or MethodConfig()
+    result = _PIPELINES[cfg.method](P, cfg)
     if not result.verified:
         raise InternalConsistencyError(
             "computed polynomial does not vanish along the parametrization"
@@ -328,13 +300,39 @@ def implicitize(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
     return result
 
 
-def _observe_node_powers(counter: OpCounter, nodes: Sequence[Rat], count: int) -> None:
-    """Record the bit size of the node powers t**k, k < count, as data.
+def _from_determinants(
+    P: RatParam,
+    bounds: DegreeBounds,
+    points: Sequence[tuple[Rat, Rat]],
+    node_sets: Sequence[Sequence[Rat]],
+    solve: Callable[[list[Rat], OpCounter], list[Rat]],
+) -> ImplicitResult:
+    """The run the determinant schemes share: a Sylvester determinant per
+    point, ``solve(data, counter)`` for F's i-major coefficients, the check.
+
+    ``node_sets`` are the Vandermonde nodes whose powers the solve uses.
+    Kernels are called through this module's names, so rebinding one
+    (as a tracer does) takes effect.
+    """
+    S = build_parametric_sylvester(P)
+    data_c = OpCounter()
+    solve_c = OpCounter()
+    data = [det_bareiss(eval_polymat(S, x0, y0), data_c) for x0, y0 in points]
+    data_c.observe_many(data)
+    for nodes in node_sets:
+        _observe_node_powers(data_c, nodes)
+    F_raw = BiPoly.from_flat(solve(data, solve_c), bounds.m, bounds.n)
+    _check_interpolation_data(F_raw, points, data)
+    return _finish(P, bounds, F_raw, data_c, solve_c, det_evals=bounds.N)
+
+
+def _observe_node_powers(counter: OpCounter, nodes: Sequence[Rat]) -> None:
+    """Record the bit size of the node powers t**k, k < len(nodes), as data.
 
     Every node is an integer >= 0, so the widest power is the top node's
     top power; the others are never formed.
     """
-    counter.observe(max(nodes) ** (count - 1))
+    counter.observe(max(nodes) ** (len(nodes) - 1))
 
 
 def _check_interpolation_data(

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +11,16 @@ import pytest
 
 import implicurve
 import implicurve.cli as cli
-from implicurve import BiPoly, InternalConsistencyError, UniPoly, bipoly_canonicalize
+from implicurve import (
+    BiPoly,
+    InternalConsistencyError,
+    MethodConfig,
+    UniPoly,
+    bipoly_canonicalize,
+    implicitize,
+)
 from implicurve.cli import (
+    CLI_METHODS,
     MAX_EXPONENT,
     ParseError,
     canonical_digest,
@@ -23,7 +32,7 @@ from implicurve.cli import (
     parse_rational_function,
 )
 
-from util import CUBIC_F_RAW, HYPERBOLA_F, rand_unipoly
+from util import CUBIC, CUBIC_F_RAW, HYPERBOLA_F, rand_unipoly
 
 
 def test_parse_rational_function_examples():
@@ -333,7 +342,6 @@ def test_internal_consistency_failure_exits_5(monkeypatch, capsys):
         raise InternalConsistencyError("interpolant fails to reproduce its datum")
 
     monkeypatch.setattr(cli, "implicitize", broken)
-    monkeypatch.setattr(cli, "method_kronecker", broken)
     for argv in (
         ["implicitize", "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)"],
         ["bench", "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)", "--methods", "kron"],
@@ -343,3 +351,41 @@ def test_internal_consistency_failure_exits_5(monkeypatch, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: internal consistency failure:")
         assert "Traceback" not in captured.err
+
+
+def test_bench_reports_what_the_api_dispatch_returns(capsys):
+    argv = ["bench", "--x", format_ratfun(CUBIC.u1, CUBIC.v1),
+            "--y", format_ratfun(CUBIC.u2, CUBIC.v2), "--json"]
+    assert main(argv) == 0
+    by_method = {r["method"]: r for r in json.loads(capsys.readouterr().out)["methods"]}
+    assert set(by_method) == set(CLI_METHODS.values())
+    for method, record in by_method.items():
+        r = implicitize(CUBIC, MethodConfig(method=method))
+        ops = {
+            f"{stage}_ops": {"adds": c.adds, "muls": c.muls, "divs": c.divs}
+            for stage, c in (("data", r.data_counter), ("solve", r.solve_counter))
+        }
+        assert {k: record[k] for k in ops} == ops, method
+        assert record["max_bits"] == r.counter.max_bits, method
+        assert record["det_evals"] == r.det_evals, method
+        assert record["hash"] == canonical_digest(r.F), method
+
+
+def test_usage_errors_exit_1_with_the_usage_line(capsys):
+    base = ["implicitize", "--x", "t", "--y", "t^2"]
+    for argv in (base + ["--nope"], base + ["--method", "nope"],
+                 ["bench", "--x", "t", "--y", "t^2", "--primes", "2,3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert capsys.readouterr().err.startswith("usage: implicurve")
+
+
+def test_cli_rejects_node_primes_over_the_cap_at_once(capsys):
+    # 100000000000031 is prime; the cap is checked before trial division
+    t0 = time.perf_counter()
+    argv = ["implicitize", "--x", "t", "--y", "t^2", "--method", "dualvand",
+            "--primes", "2,100000000000031"]
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "must not exceed" in capsys.readouterr().err

@@ -25,6 +25,7 @@ from implicurve import (
     substitute_check,
 )
 from implicurve.implicitize import (
+    MAX_NODE_PRIME,
     _check_interpolation_data,
     _observe_node_powers,
     curve_points,
@@ -164,8 +165,10 @@ def test_method_config_validation():
         MethodConfig(p1=4, p2=3)
     with pytest.raises(ValueError):
         MethodConfig(p1=3, p2=3)
-    with pytest.raises(ValueError):
-        MethodConfig(max_extra_nodes=-1)
+    # 2^32 + 15 is prime but over the cap, which is checked before primality
+    with pytest.raises(ValueError, match="must not exceed"):
+        MethodConfig(p1=2, p2=MAX_NODE_PRIME + 15)
+    MethodConfig(p1=2, p2=MAX_NODE_PRIME - 5)
 
 
 def test_implicitize_dispatch_and_merged_counter():
@@ -216,20 +219,13 @@ def test_degenerate_multiple_tracing_detected():
         assert r.verified
 
 
-def test_unstructured_extra_nodes_cap_is_configurable():
-    P = RatParam(UniPoly([0, 0, 1]), UniPoly.one(), UniPoly([0, 0, 1]), UniPoly.one())
-    with pytest.raises(DegenerateInputError):
-        method_unstructured(
-            P, MethodConfig(method=METHOD_UNSTRUCTURED, max_extra_nodes=0)
-        )
-
-
 def test_constant_component_degenerate_for_determinant_methods():
-    P = RatParam(UniPoly([7]), UniPoly([2]), UniPoly([0, 1]), UniPoly.one())
-    with pytest.raises(DegenerateParametrizationError):
-        method_kronecker(P)
-    with pytest.raises(DegenerateParametrizationError):
-        method_dual_vandermonde(P)
+    # every method rejects a constant x(t) or y(t), the unstructured one too
+    const, line = (UniPoly([7]), UniPoly([2])), (UniPoly([0, 1]), UniPoly.one())
+    for P in (RatParam(*const, *line), RatParam(*line, *const)):
+        for fn in (method_kronecker, method_dual_vandermonde, method_unstructured):
+            with pytest.raises(DegenerateParametrizationError):
+                fn(P)
 
 
 def test_curve_points_generator_is_lazy_and_deduplicated():
@@ -254,16 +250,15 @@ def test_node_power_bits_match_the_multiplied_out_powers():
         return c.max_bits
 
     for d in range(1, 9):
-        N = (d + 1) ** 2
         grid = [Fraction(i) for i in range(d + 1)]
-        schemes = [(grid, d + 1)] + [
-            ([Fraction(p1**i * p2**j) for i in range(d + 1) for j in range(d + 1)], N)
+        schemes = [grid] + [
+            [Fraction(p1**i * p2**j) for i in range(d + 1) for j in range(d + 1)]
             for p1, p2 in ((2, 3), (5, 11))
         ]
-        for nodes, count in schemes:
+        for nodes in schemes:
             c = OpCounter()
-            _observe_node_powers(c, nodes, count)
-            assert c.max_bits == old_loop(nodes, count), (d, nodes[-1])
+            _observe_node_powers(c, nodes)
+            assert c.max_bits == old_loop(nodes, len(nodes)), (d, nodes[-1])
 
 
 def test_interpolation_check_compares_exactly_on_integer_nodes():

@@ -121,9 +121,9 @@ def rand_ratparam(
                 rand_unipoly(rng, rng.randint(0, d2), rational=rational),
                 rand_unipoly(rng, d2, rational=rational),
             )
-        except ValueError:
+            b = degree_bounds(P)
+        except ValueError:  # a zero denominator or a constant component
             continue
-        b = degree_bounds(P)
         if exact:
             if b.m == max_deg and b.n == max_deg:
                 return P
