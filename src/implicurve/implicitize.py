@@ -35,7 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import isqrt
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .polycore import (
@@ -50,13 +52,14 @@ from .polycore import (
 )
 from .structmat import (
     DegenerateParametrizationError,
+    InternalConsistencyError,
     MatQ,
     OpCounter,
     build_parametric_sylvester,
-    det_bareiss,
-    eval_polymat,
+    clear_polymat,
     kron_solve,
     nullspace,
+    sylvester_line_dets,
     vandermonde_solve_dual,
 )
 
@@ -74,12 +77,6 @@ class DegenerateInputError(ValueError):
     """Raised when the interpolation problem stays underdetermined: the
     parametrization traces a curve whose equation is not unique in the
     ambient space even after extra nodes (e.g. a multiply-traced line)."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """Raised when a self-check that can only fail on an implementation bug
-    fails: interpolation data not reproduced, or a computed F that does not
-    vanish along the input parametrization."""
 
 
 @dataclass(frozen=True)
@@ -252,9 +249,8 @@ def method_dual_vandermonde(P: RatParam, cfg: MethodConfig | None = None) -> Imp
     cfg = cfg or MethodConfig()
     p1, p2 = cfg.p1, cfg.p2
     bounds = degree_bounds(P)
-    alphas = [Fraction(p1**i * p2**j) for i in range(bounds.m + 1) for j in range(bounds.n + 1)]
-    assert len(set(alphas)) == len(alphas), "composite prime-power nodes collide"
-    points = [(Fraction(p1**k), Fraction(p2**k)) for k in range(bounds.N)]
+    alphas = [p1**i * p2**j for i in range(bounds.m + 1) for j in range(bounds.n + 1)]
+    points = [(p1**k, p2**k) for k in range(bounds.N)]
     return _from_determinants(P, bounds, points, [alphas],
                               lambda data, c: vandermonde_solve_dual(alphas, data, c))
 
@@ -268,8 +264,8 @@ def method_kronecker(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitRe
     interpolation data stays as small as the curve itself allows.
     """
     bounds = degree_bounds(P)
-    x_nodes = [Fraction(i) for i in range(bounds.m + 1)]
-    y_nodes = [Fraction(j) for j in range(bounds.n + 1)]
+    x_nodes = list(range(bounds.m + 1))
+    y_nodes = list(range(bounds.n + 1))
     points = [(xi, yj) for xi in x_nodes for yj in y_nodes]
     return _from_determinants(P, bounds, points, [x_nodes, y_nodes],
                               lambda data, c: kron_solve(x_nodes, y_nodes, data, c))
@@ -303,27 +299,43 @@ def implicitize(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
 def _from_determinants(
     P: RatParam,
     bounds: DegreeBounds,
-    points: Sequence[tuple[Rat, Rat]],
-    node_sets: Sequence[Sequence[Rat]],
-    solve: Callable[[list[Rat], OpCounter], list[Rat]],
+    points: Sequence[tuple[int, int]],
+    node_sets: Sequence[Sequence[int]],
+    solve: Callable[[list[int], OpCounter], list[Rat | int]],
 ) -> ImplicitResult:
-    """The run the determinant schemes share: a Sylvester determinant per
-    point, ``solve(data, counter)`` for F's i-major coefficients, the check.
+    """The run the determinant schemes share: Sylvester determinants at the
+    integer ``points``, ``solve(data, counter)`` for F's i-major
+    coefficients, the check.
 
+    The Sylvester bands are cleared to integers once, which scales every
+    datum, and so the solved F, by the constant L1**d2 * L2**d1 that
+    canonicalization removes.  Consecutive points with the same x0 form a
+    grid line, and ``sylvester_line_dets`` evaluates each line in one call
+    (a Kronecker line holds n+1 nodes, a dual-Vandermonde line one).
     ``node_sets`` are the Vandermonde nodes whose powers the solve uses.
     Kernels are called through this module's names, so rebinding one
     (as a tracer does) takes effect.
     """
-    S = build_parametric_sylvester(P)
+    S = clear_polymat(build_parametric_sylvester(P))
     data_c = OpCounter()
     solve_c = OpCounter()
-    data = [det_bareiss(eval_polymat(S, x0, y0), data_c) for x0, y0 in points]
+    points = _integer_nodes(points)
+    data: list[int] = []
+    for x0, line in groupby(points, key=itemgetter(0)):
+        data += sylvester_line_dets(S, x0, [y0 for _, y0 in line], data_c)
     data_c.observe_many(data)
     for nodes in node_sets:
         _observe_node_powers(data_c, nodes)
     F_raw = BiPoly.from_flat(solve(data, solve_c), bounds.m, bounds.n)
     _check_interpolation_data(F_raw, points, data)
     return _finish(P, bounds, F_raw, data_c, solve_c, det_evals=bounds.N)
+
+
+def _integer_nodes(points: Sequence[tuple[Rat | int, Rat | int]]) -> list[tuple[int, int]]:
+    """The points as int pairs; both determinant schemes use integer nodes."""
+    if any(t.denominator != 1 for pt in points for t in pt):
+        raise InternalConsistencyError("interpolation nodes must be integers")
+    return [(int(x0), int(y0)) for x0, y0 in points]
 
 
 def _observe_node_powers(counter: OpCounter, nodes: Sequence[Rat]) -> None:
@@ -336,20 +348,20 @@ def _observe_node_powers(counter: OpCounter, nodes: Sequence[Rat]) -> None:
 
 
 def _check_interpolation_data(
-    F_raw: BiPoly, points: Sequence[tuple[Rat, Rat]], data: Sequence[Rat]
+    F_raw: BiPoly, points: Sequence[tuple[Rat | int, Rat | int]], data: Sequence[Rat | int]
 ) -> None:
     """Re-evaluate the raw interpolant at every node against its datum.
 
     For the determinant methods the solved polynomial *is* the resultant,
     so it must reproduce each determinant exactly (before canonical
     rescaling, which may change the overall scale).  Both schemes use
-    integer nodes, so with F_raw and the data cleared by one common scale
-    the comparison runs in plain ints.
+    integer nodes (any other node raises ``InternalConsistencyError``), so
+    with F_raw and the data cleared by one common scale the comparison runs
+    in plain ints.
     """
     *grid, cleared = _cleared([*F_raw.coeffs, data])
-    for (x0, y0), datum in zip(points, cleared):
-        assert x0.denominator == 1 == y0.denominator, "interpolation nodes must be integers"
-        value = _horner([_horner(row, y0.numerator) for row in grid], x0.numerator)
+    for (x0, y0), datum in zip(_integer_nodes(points), cleared):
+        value = _horner([_horner(row, y0) for row in grid], x0)
         if value != datum:
             raise InternalConsistencyError(
                 f"interpolant fails to reproduce its datum at node {(x0, y0)}"

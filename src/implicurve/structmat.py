@@ -4,7 +4,12 @@ The heart of the package.  `MatQ` is a dense matrix of rationals and
 `PolyMat` the Sylvester matrix of a parametrization, stored as its two
 coefficient bands; its entries have degree at most one in x and in y, and
 its determinant at a point (x0, y0) is the implicit curve polynomial
-evaluated there.
+evaluated there.  `eval_polymat` + `det_bareiss` compute that value at one
+node and are the reference kernels.  The pipelines clear the bands to
+integers once (`clear_polymat`, which scales every determinant by a known
+constant) and call `sylvester_line_dets` once per grid line x = x0: the
+Bareiss steps of the rows of p = u1 - x0*v1 are shared by every node of
+the line, and each node only eliminates a d1 x d1 integer remainder.
 
 Solvers come in two flavours.  General-purpose: fraction-free Bareiss
 determinants (`det_bareiss`), Gaussian elimination (`solve_general`), and
@@ -12,12 +17,14 @@ reduced-row-echelon nullspace extraction (`nullspace`).  Structured:
 Björck-Pereyra elimination for primal and transposed Vandermonde systems
 (`vandermonde_solve_primal` / `vandermonde_solve_dual`), and a two-stage
 solver for systems whose matrix is the Kronecker product of two Vandermonde
-matrices (`kron_solve`), which never forms the product matrix.
+matrices (`kron_solve`), which never forms the product matrix.  The primal
+solve (and so `kron_solve`) keeps int inputs in ints wherever a divided
+difference divides exactly.
 
 Every solver and determinant takes an `OpCounter` and records the exact
-rational operations it performs; `OpCounter.observe` additionally tracks
-the bit size of values fed to it, so pipelines can report how large their
-interpolation data grew.
+rational (or integer) operations it performs; `OpCounter.observe`
+additionally tracks the bit size of values fed to it, so pipelines can
+report how large their interpolation data grew.
 """
 
 from __future__ import annotations
@@ -35,6 +42,13 @@ class DuplicateNodeError(ValueError):
 
 class SingularMatrixError(ValueError):
     """Raised when a linear solve meets a singular coefficient matrix."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """Raised when a self-check that can only fail on an implementation bug
+    fails: a nonexact fraction-free division, non-integer interpolation
+    nodes, interpolation data not reproduced, or a computed F that does not
+    vanish along the input parametrization."""
 
 
 class DegenerateParametrizationError(ValueError):
@@ -210,10 +224,8 @@ def det_bareiss(M: MatQ, counter: OpCounter) -> Rat:
     """Determinant by fraction-free Bareiss elimination.
 
     Rows are first cleared to integers (multiplying by the lcm of their
-    denominators, divided back out at the end), then eliminated with the
-    two-multiplication Bareiss update whose division by the previous pivot
-    is exact — asserted on every step.  Zero pivots are repaired by row
-    swaps; a column with no pivot means the determinant is zero.
+    denominators, divided back out at the end), then eliminated by
+    ``_bareiss``.
     """
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
@@ -230,34 +242,142 @@ def det_bareiss(M: MatQ, counter: OpCounter) -> Rat:
             a.append([int(c * l) for c in row])
             counter.count(muls=n)
         denom *= l
+    det = _bareiss(a, 1, counter)
+    if denom == 1:
+        return Fraction(det)
+    counter.count(divs=1)
+    return Fraction(det, denom)
+
+
+def _bareiss(a: list[list[int]], prev: int, counter: OpCounter) -> int:
+    """Determinant of the integer matrix ``a`` (eliminated in place) by
+    fraction-free Bareiss elimination continued from the pivot ``prev``.
+
+    With ``prev`` = 1 this is the determinant of ``a``.  Continued after k
+    steps of an elimination of a larger matrix, it is that matrix's
+    determinant.  Each step's division by the previous pivot is exact, and
+    checked; a zero pivot is repaired by a row swap, and a column with no
+    pivot means the determinant is zero.  A row whose multiplier is zero
+    is only rescaled.
+    """
+    n = len(a)
     sign = 1
-    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
+            r = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if r is None:
+                return 0
+            a[k], a[r] = a[r], a[k]
+            sign = -sign
+        ak = a[k]
+        pivot = ak[k]
+        w = n - 1 - k
+        nonzero = sum(1 for ai in a[k + 1 :] if ai[k])
+        counter.count(adds=nonzero * w, muls=(w + nonzero) * w, divs=w * w)
+        for ai in a[k + 1 :]:
+            fac = ai[k]
+            if fac:
+                nums = [x * pivot - fac * y for x, y in zip(ai[k + 1 :], ak[k + 1 :])]
             else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            fac = a[i][k]
-            ai = a[i]
-            ak = a[k]
-            for j in range(k + 1, n):
-                num = ai[j] * pivot - fac * ak[j]
+                nums = [x * pivot for x in ai[k + 1 :]]
+            row = ai[: k + 1]
+            for num in nums:
                 q, r = divmod(num, prev)
-                assert r == 0, "fraction-free elimination hit a nonexact division"
-                ai[j] = q
-            w = n - 1 - k
-            counter.count(adds=w, muls=2 * w, divs=w)
+                if r:
+                    raise InternalConsistencyError(
+                        "fraction-free elimination hit a nonexact division"
+                    )
+                row.append(q)
+            ai[:] = row
         prev = pivot
-    if denom == 1:
-        return Fraction(sign * a[n - 1][n - 1])
-    counter.count(divs=1)
-    return Fraction(sign * a[n - 1][n - 1], denom)
+    return sign * a[n - 1][n - 1]
+
+
+def clear_polymat(S: PolyMat) -> PolyMat:
+    """``S`` with each band scaled to integers by the lcm of its denominators.
+
+    The p band fills d2 rows and the q band d1 rows, so every determinant
+    of the result is L1**d2 * L2**d1 times the one of ``S`` (L1, L2 the two
+    lcms).
+    """
+    bands = []
+    for band in (S.p_band, S.q_band):
+        scale = _int_lcm(*(c.denominator for pair in band for c in pair))
+        bands.append([(u * scale, v * scale) for u, v in band])
+    return PolyMat(*bands)
+
+
+def sylvester_line_dets(
+    S: PolyMat, x0: int, ys: Sequence[int], counter: OpCounter
+) -> list[int]:
+    """Determinants of ``S`` at (x0, y) for every y in ``ys``, in order.
+
+    ``S`` must have integer bands (see ``clear_polymat``) and the nodes must
+    be ints.  The d2 rows of p = u1 - x0*v1 are the same for every y, so
+    their d2 Bareiss steps run once per call.  They pivot on p's effective
+    leading coefficient a_e (the first nonzero one) in the columns e..e+d2-1,
+    taken first; this column order adds the sign (-1)**(e*d2).  The p block
+    is then upper triangular with diagonal a_e, so each step is the
+    division-free update row <- a_e*row - row[k]*p_row_k, and the last
+    p-pivot is a_e**d2.  The update is linear in the row it updates, so for
+    several y the steps run on the pencil of rows of u2 and of v2, and for
+    each y only the d1 x d1 remainder U - y*V is left to eliminate; a
+    single y has its q rows u2 - y*v2 reduced directly.  If p vanishes
+    identically at x0, every determinant is 0.
+    """
+    p_band, q_band = _int_band(S.p_band), _int_band(S.q_band)
+    d1, d2 = len(p_band) - 1, len(q_band) - 1
+    n = d1 + d2
+    p = [u - x0 * v for u, v in p_band]
+    counter.count(adds=d1 + 1, muls=d1 + 1)
+    e = next((s for s, c in enumerate(p) if c), None)
+    if e is None:
+        return [0] * len(ys)
+    lead = p[e]
+    cols = [*range(e, e + d2), *range(e), *range(e + d2, n)]
+
+    def rows(band: list[int], count: int) -> list[list[int]]:
+        """``count`` Sylvester rows of ``band``, columns in pivot order."""
+        out = []
+        for r in range(count):
+            row = [0] * n
+            row[r : r + len(band)] = band
+            out.append([row[c] for c in cols])
+        return out
+
+    if len(ys) == 1:
+        q_bands = [[u - ys[0] * v for u, v in q_band]]
+        counter.count(adds=d2 + 1, muls=d2 + 1)
+    else:
+        q_bands = [[u for u, _ in q_band], [v for _, v in q_band]]
+    q_rows = [row for band in q_bands for row in rows(band, d1)]
+    for k, pk in enumerate(rows(p, d2)):
+        w = n - 1 - k
+        nonzero = sum(1 for row in q_rows if row[k])
+        counter.count(adds=nonzero * w, muls=(len(q_rows) + nonzero) * w)
+        for row in q_rows:
+            f = row[k]
+            if f:
+                row[k + 1 :] = [lead * a - f * b for a, b in zip(row[k + 1 :], pk[k + 1 :])]
+            else:
+                row[k + 1 :] = [lead * a for a in row[k + 1 :]]
+    rest = [row[d2:] for row in q_rows]
+    if len(ys) == 1:
+        blocks = [rest]
+    else:
+        blocks = [
+            [[u - y * v for u, v in zip(ur, vr)] for ur, vr in zip(rest[:d1], rest[d1:])]
+            for y in ys
+        ]
+        counter.count(adds=len(ys) * d1 * d1, muls=len(ys) * d1 * d1)
+    sign = -1 if e * d2 % 2 else 1
+    return [sign * _bareiss(block, lead**d2, counter) for block in blocks]
+
+
+def _int_band(band: tuple[tuple[Rat, Rat], ...]) -> list[tuple[int, int]]:
+    if any(c.denominator != 1 for pair in band for c in pair):
+        raise ValueError("the line kernel needs integer bands; see clear_polymat")
+    return [(u.numerator, v.numerator) for u, v in band]
 
 
 def solve_general(M: MatQ, b: Sequence[Rat | int], counter: OpCounter) -> list[Rat]:
@@ -361,19 +481,31 @@ def vandermonde_solve_primal(
     """
     if len(nodes) != len(values):
         raise ValueError("nodes and values must have equal length")
-    x = [_as_rat(t) for t in nodes]
+    x = [_as_num(t) for t in nodes]
     _check_nodes(x)
     s = len(x)
-    a = [_as_rat(v) for v in values]
+    a = [_as_num(v) for v in values]
     for k in range(s - 1):
         for i in range(s - 1, k, -1):
-            a[i] = (a[i] - a[i - 1]) / (x[i] - x[i - k - 1])
+            a[i] = _quotient(a[i] - a[i - 1], x[i] - x[i - k - 1])
             counter.count(adds=2, divs=1)
     for k in range(s - 2, -1, -1):
         for i in range(k, s - 1):
             a[i] = a[i] - a[i + 1] * x[k]
             counter.count(adds=1, muls=1)
     return a
+
+
+def _as_num(value: Rat | int) -> Rat | int:
+    return value if isinstance(value, int) else _as_rat(value)
+
+
+def _quotient(num: Rat | int, den: Rat | int) -> Rat | int:
+    """num / den, as an int when both are ints and the division is exact."""
+    if isinstance(num, int) and isinstance(den, int):
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    return num / den
 
 
 def vandermonde_solve_dual(
@@ -412,7 +544,7 @@ def kron_solve(
     y_nodes: Sequence[Rat | int],
     b: Sequence[Rat | int],
     counter: OpCounter,
-) -> list[Rat]:
+) -> list[Rat | int]:
     """Solve (V_x (x) V_y) c = b without forming the Kronecker product.
 
     V_x and V_y are the Vandermonde matrices of the two node lists; with
@@ -421,8 +553,8 @@ def kron_solve(
     quadratic-cost Björck-Pereyra elimination, so the whole solve is far
     below the cubic cost of eliminating the product matrix.
     """
-    xs = [_as_rat(t) for t in x_nodes]
-    ys = [_as_rat(t) for t in y_nodes]
+    xs = [_as_num(t) for t in x_nodes]
+    ys = [_as_num(t) for t in y_nodes]
     _check_nodes(xs)
     _check_nodes(ys)
     nx, ny = len(xs), len(ys)
@@ -432,7 +564,7 @@ def kron_solve(
         vandermonde_solve_primal(ys, b[k * ny : (k + 1) * ny], counter)
         for k in range(nx)
     ]
-    out: list[Rat] = [Fraction(0)] * (nx * ny)
+    out: list[Rat | int] = [0] * (nx * ny)
     for j in range(ny):
         f_j = vandermonde_solve_primal(xs, [inner[k][j] for k in range(nx)], counter)
         for i in range(nx):

@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import implicurve
 
 from implicurve import (
     METHOD_DUAL_VANDERMONDE,
@@ -27,6 +33,7 @@ from implicurve import (
 from implicurve.implicitize import (
     MAX_NODE_PRIME,
     _check_interpolation_data,
+    _from_determinants,
     _observe_node_powers,
     curve_points,
     interpolation_matrix,
@@ -272,3 +279,54 @@ def test_interpolation_check_compares_exactly_on_integer_nodes():
         off[k] += Fraction(1, 7)
         with pytest.raises(InternalConsistencyError):
             _check_interpolation_data(CUBIC_F_RAW, points, off)
+
+
+def test_rational_curves_interpolate_the_cleared_data():
+    # the bands are cleared once, so the data (and the raw F) carry the
+    # constant L1**d2 * L2**d1; the canonical F does not
+    rng = random.Random(29)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    curves = [RatParam(UniPoly([1, half]), UniPoly([third, 1]), UniPoly([0, 1]), UniPoly([2, 1]))]
+    curves += [rand_ratparam(rng, 3, rational=True) for _ in range(6)]
+    for P in curves:
+        want = method_unstructured(P).F
+        for fn in (method_kronecker, method_dual_vandermonde):
+            r = fn(P)
+            assert r.F == want and r.verified
+
+
+def test_non_integer_nodes_raise_a_typed_error():
+    half = Fraction(1, 2)
+    points = [(Fraction(i), Fraction(j)) for i in range(2) for j in range(2)]
+    data = [2, -1, 1, 0]  # HYPERBOLA_F on the unit grid
+    _check_interpolation_data(HYPERBOLA_F, points, data)
+    with pytest.raises(InternalConsistencyError, match="integers"):
+        _check_interpolation_data(HYPERBOLA_F, [(half, 0)] + points[1:], data)
+    with pytest.raises(InternalConsistencyError, match="integers"):
+        _from_determinants(
+            HYPERBOLA, degree_bounds(HYPERBOLA), [(0, half)] + points[1:], [], None
+        )
+
+
+def test_pipeline_checks_still_run_under_python_O():
+    code = (
+        "from fractions import Fraction\n"
+        "from implicurve import BiPoly, InternalConsistencyError\n"
+        "from implicurve.implicitize import _check_interpolation_data\n"
+        "from implicurve.structmat import OpCounter, _bareiss\n"
+        "calls = (lambda: _check_interpolation_data(BiPoly([[1]]), [(Fraction(1, 2), 0)], [1]),\n"
+        "         lambda: _bareiss([[1, 2], [3, 5]], 2, OpCounter()))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InternalConsistencyError:\n"
+        "        print('raised')\n"
+    )
+    src = str(Path(implicurve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised", "raised"]

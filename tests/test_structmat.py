@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from implicurve.structmat import InternalConsistencyError, _bareiss
 from implicurve import (
     BiPoly,
     DegenerateParametrizationError,
@@ -15,11 +18,13 @@ from implicurve import (
     UniPoly,
     bipoly_eval,
     build_parametric_sylvester,
+    clear_polymat,
     det_bareiss,
     eval_polymat,
     kron_solve,
     nullspace,
     solve_general,
+    sylvester_line_dets,
     vandermonde_solve_dual,
     vandermonde_solve_primal,
 )
@@ -34,6 +39,7 @@ from util import (
     matvec,
     rand_frac,
     rand_ratparam,
+    rand_unipoly,
     transpose,
     vandermonde_rows,
 )
@@ -401,3 +407,138 @@ def test_polymat_bands_must_depend_on_the_parameter():
     S = PolyMat([(1, 0), (0, 1)], [(1, 0), (2, 3)])  # p = t - x, q = t + 2 - 3y
     assert S.order == 2
     assert S.entries == ((BiPoly([[1], [0]]), BiPoly([[0], [-1]])), (BiPoly.constant(1), BiPoly([[2, -3]])))
+
+
+def test_bareiss_raises_a_typed_error_on_a_nonexact_division():
+    # continuing from a pivot that is not the previous one breaks exactness
+    with pytest.raises(InternalConsistencyError, match="nonexact"):
+        _bareiss([[1, 2], [3, 5]], 2, OpCounter())
+
+
+# --- the Sylvester line kernel ------------------------------------------------
+
+
+def _determinant_scale(S):
+    """L1**d2 * L2**d1, from the lcm of each band's denominators."""
+    p, q = S.p_band, S.q_band
+    l1 = math.lcm(*(c.denominator for pair in p for c in pair))
+    l2 = math.lcm(*(c.denominator for pair in q for c in pair))
+    return l1 ** (len(q) - 1) * l2 ** (len(p) - 1)
+
+
+def _assert_line_matches_reference(S, x0, ys):
+    C = clear_polymat(S)
+    assert all(c.denominator == 1 for band in (C.p_band, C.q_band) for pair in band for c in pair)
+    got = sylvester_line_dets(C, x0, ys, OpCounter())
+    assert all(type(v) is int for v in got)
+    assert got == [det_bareiss(eval_polymat(C, x0, y), OpCounter()) for y in ys]
+    scale = _determinant_scale(S)
+    assert got == [scale * det_bareiss(eval_polymat(S, x0, y), OpCounter()) for y in ys]
+
+
+def _curve_with_vanishing_lead(rng, d1, d2, rational, drop):
+    """x = r + w/v1 with deg w <= d1 - 1 - drop, so at x0 = r the leading
+    1 + drop coefficients of p = u1 - x0*v1 vanish."""
+    v1 = rand_unipoly(rng, d1, rational=rational)
+    w = rand_unipoly(rng, rng.randint(0, max(0, d1 - 1 - drop)), rational=rational)
+    r = rng.randint(-3, 3)
+    P = RatParam(
+        v1 * r + w, v1,
+        rand_unipoly(rng, rng.randint(0, d2), rational=rational),
+        rand_unipoly(rng, d2, rational=rational),
+    )
+    return P, r
+
+
+def test_line_kernel_matches_reference_determinants():
+    rng = random.Random(41)
+    lead_zero_lines = 0
+    for trial in range(36):
+        d1, d2 = rng.randint(1, 6), rng.randint(1, 6)
+        P, r = _curve_with_vanishing_lead(rng, d1, d2, trial % 2 == 1, rng.randint(0, 2))
+        S = build_parametric_sylvester(P)
+        C = clear_polymat(S)
+        for x0 in sorted({r, -2, 0, 3}):
+            u, v = C.p_band[0]
+            lead_zero_lines += u == x0 * v
+            _assert_line_matches_reference(S, x0, [-2, 0, 1, 4])
+            _assert_line_matches_reference(S, x0, [rng.randint(-5, 5)])
+    assert lead_zero_lines >= 20
+    for P in (HYPERBOLA, CUBIC):
+        for x0 in range(-1, 4):
+            _assert_line_matches_reference(build_parametric_sylvester(P), x0, list(range(-1, 4)))
+
+
+_coef = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_line_kernel_property(data):
+    d1, d2 = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(-4, 4))
+    vanishing = data.draw(st.integers(0, d1 + 1))  # leading p coefficients zero at x0 = r
+    p_band = []
+    for s in range(d1 + 1):
+        u, v = data.draw(_coef), data.draw(_coef)
+        p_band.append((r * v, v) if s < vanishing else (u, v))
+    q_band = [(data.draw(_coef), data.draw(_coef)) for _ in range(d2 + 1)]
+    S = PolyMat(p_band, q_band)
+    ys = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    for x0 in (r, data.draw(st.integers(-6, 6))):
+        _assert_line_matches_reference(S, x0, ys)
+
+
+def test_line_kernel_needs_integer_bands():
+    P = RatParam(UniPoly([1, Fraction(1, 2)]), UniPoly.one(), UniPoly([0, 1]), UniPoly.one())
+    S = build_parametric_sylvester(P)
+    with pytest.raises(ValueError, match="clear_polymat"):
+        sylvester_line_dets(S, 0, [0], OpCounter())
+    assert sylvester_line_dets(clear_polymat(S), 0, [0, 2], OpCounter()) == [-2, -4]  # 2x - 2 - y
+
+
+# --- exact integer Björck-Pereyra -----------------------------------------------
+
+
+def test_primal_solve_stays_integer_on_integer_polynomial_values():
+    rng = random.Random(42)
+    for s in range(1, 9):
+        coeffs = [rng.randint(-50, 50) for _ in range(s)]
+        nodes = rng.sample(range(-10, 11), s)
+        values = [sum(c * t**k for k, c in enumerate(coeffs)) for t in nodes]
+        ci, cf = OpCounter(), OpCounter()
+        got = vandermonde_solve_primal(nodes, values, ci)
+        ref = vandermonde_solve_primal(
+            [Fraction(t) for t in nodes], [Fraction(v) for v in values], cf
+        )
+        assert got == ref == coeffs
+        assert all(type(v) is int for v in got) and all(type(v) is Fraction for v in ref)
+        assert (ci.adds, ci.muls, ci.divs) == (cf.adds, cf.muls, cf.divs)
+        assert ci.muldivs == s * (s - 1)
+
+
+def test_primal_solve_on_integer_data_of_no_integer_polynomial():
+    cases = [
+        ([0, 1, 2], [0, 1, 0]),
+        ([0, 1, 2], [0, 0, 1]),  # t(t-1)/2
+        ([0, 2], [0, 1]),
+        ([-1, 3, 4], [5, -2, 7]),
+        ([-3, -1, 2, 5], [1, 0, 0, 2]),
+    ]
+    for nodes, values in cases:
+        got = vandermonde_solve_primal(nodes, values, OpCounter())
+        assert got == solve_general(MatQ(vandermonde_rows(nodes)), values, OpCounter())
+        ref = vandermonde_solve_primal([Fraction(t) for t in nodes], values, OpCounter())
+        assert got == ref
+    half = Fraction(1, 2)
+    assert vandermonde_solve_primal([0, 1, 2], [0, 0, 1], OpCounter()) == [0, -half, half]
+
+
+def test_kron_solve_stays_integer_on_grid_data():
+    ci, cf = OpCounter(), OpCounter()
+    got = kron_solve(range(4), range(4), CUBIC_GRID_DATA, ci)
+    grid = [Fraction(i) for i in range(4)]
+    ref = kron_solve(grid, grid, [Fraction(v) for v in CUBIC_GRID_DATA], cf)
+    assert got == ref == list(CUBIC_F_RAW.flat())
+    assert all(type(v) is int for v in got)
+    assert ci.muldivs == cf.muldivs == 16 * (3 + 3)
