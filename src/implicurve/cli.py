@@ -11,6 +11,7 @@ input).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -474,7 +475,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> _ArgumentParser:
+    """The argument parser, built once per process."""
     parser = _ArgumentParser(
         prog="implicurve",
         description="Exact implicitization of rationally parametrized plane curves.",
@@ -508,7 +511,11 @@ def main(argv: list[str] | None = None) -> int:
                        help="polynomial in x,y — inline expression, JSON, or a file path")
     p_ver.set_defaults(func=cmd_verify)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -57,6 +57,7 @@ from .structmat import (
     OpCounter,
     build_parametric_sylvester,
     clear_polymat,
+    int_bands,
     kron_solve,
     nullspace,
     sylvester_line_dets,
@@ -316,13 +317,13 @@ def _from_determinants(
     Kernels are called through this module's names, so rebinding one
     (as a tracer does) takes effect.
     """
-    S = clear_polymat(build_parametric_sylvester(P))
+    bands = int_bands(clear_polymat(build_parametric_sylvester(P)))
     data_c = OpCounter()
     solve_c = OpCounter()
     points = _integer_nodes(points)
     data: list[int] = []
     for x0, line in groupby(points, key=itemgetter(0)):
-        data += sylvester_line_dets(S, x0, [y0 for _, y0 in line], data_c)
+        data += sylvester_line_dets(bands, x0, [y0 for _, y0 in line], data_c)
     data_c.observe_many(data)
     for nodes in node_sets:
         _observe_node_powers(data_c, nodes)

@@ -5,11 +5,11 @@ The heart of the package.  `MatQ` is a dense matrix of rationals and
 coefficient bands; its entries have degree at most one in x and in y, and
 its determinant at a point (x0, y0) is the implicit curve polynomial
 evaluated there.  `eval_polymat` + `det_bareiss` compute that value at one
-node and are the reference kernels.  The pipelines clear the bands to
-integers once (`clear_polymat`, which scales every determinant by a known
-constant) and call `sylvester_line_dets` once per grid line x = x0: the
-Bareiss steps of the rows of p = u1 - x0*v1 are shared by every node of
-the line, and each node only eliminates a d1 x d1 integer remainder.
+node and are the reference kernels.  Once per curve the pipelines clear
+the bands to ints (`clear_polymat` scales every determinant by a known
+constant, `int_bands` converts) and call `sylvester_line_dets` per grid
+line x = x0: the Bareiss steps of the rows of p = u1 - x0*v1 are shared by
+every node of the line; each node only eliminates a d1 x d1 remainder.
 
 Solvers come in two flavours.  General-purpose: fraction-free Bareiss
 determinants (`det_bareiss`), Gaussian elimination (`solve_general`), and
@@ -17,9 +17,9 @@ reduced-row-echelon nullspace extraction (`nullspace`).  Structured:
 Björck-Pereyra elimination for primal and transposed Vandermonde systems
 (`vandermonde_solve_primal` / `vandermonde_solve_dual`), and a two-stage
 solver for systems whose matrix is the Kronecker product of two Vandermonde
-matrices (`kron_solve`), which never forms the product matrix.  The primal
-solve (and so `kron_solve`) keeps int inputs in ints wherever a divided
-difference divides exactly.
+matrices (`kron_solve`), which never forms the product matrix.  Both
+Björck-Pereyra solves (and so `kron_solve`) keep int inputs in ints wherever
+a division is exact, and fall back to `Fraction` where it is not.
 
 Every solver and determinant takes an `OpCounter` and records the exact
 rational (or integer) operations it performs; `OpCounter.observe`
@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import lcm as _int_lcm
 from typing import Sequence
 
-from .polycore import BiPoly, Rat, RatParam, UniPoly, _as_rat
+from .polycore import BiPoly, Rat, RatParam, _as_rat
 
 
 class DuplicateNodeError(ValueError):
@@ -78,7 +78,7 @@ class OpCounter:
         self.divs += divs
 
     def observe(self, value: Rat | int) -> None:
-        v = _as_rat(value)
+        v = _as_num(value)  # an int is its own numerator, over 1
         bits = max(v.numerator.bit_length(), v.denominator.bit_length())
         if bits > self.max_bits:
             self.max_bits = bits
@@ -192,8 +192,8 @@ def build_parametric_sylvester(P: RatParam) -> PolyMat:
     y-component (deg_t p == 0 or deg_t q == 0) admits no such matrix and
     raises ``DegenerateParametrizationError``.
     """
-    d1 = max(_int_degree(P.u1), _int_degree(P.v1))
-    d2 = max(_int_degree(P.u2), _int_degree(P.v2))
+    d1 = max(len(P.u1.coeffs), len(P.v1.coeffs)) - 1
+    d2 = max(len(P.u2.coeffs), len(P.v2.coeffs)) - 1
     if d1 < 1 or d2 < 1:
         raise DegenerateParametrizationError(
             "both components must depend on the parameter (constant component)"
@@ -307,14 +307,21 @@ def clear_polymat(S: PolyMat) -> PolyMat:
     return PolyMat(*bands)
 
 
-def sylvester_line_dets(
-    S: PolyMat, x0: int, ys: Sequence[int], counter: OpCounter
-) -> list[int]:
-    """Determinants of ``S`` at (x0, y) for every y in ``ys``, in order.
+def int_bands(S: PolyMat) -> tuple[list, list]:
+    """The bands of ``S``, which must be integers, as lists of int pairs."""
+    if any(c.denominator != 1 for band in (S.p_band, S.q_band) for pair in band for c in pair):
+        raise ValueError("the line kernel needs integer bands; see clear_polymat")
+    return tuple([(u.numerator, v.numerator) for u, v in band] for band in (S.p_band, S.q_band))
 
-    ``S`` must have integer bands (see ``clear_polymat``) and the nodes must
-    be ints.  The d2 rows of p = u1 - x0*v1 are the same for every y, so
-    their d2 Bareiss steps run once per call.  They pivot on p's effective
+
+def sylvester_line_dets(
+    bands: tuple[list, list], x0: int, ys: Sequence[int], counter: OpCounter
+) -> list[int]:
+    """Determinants at (x0, y), for every int y in ``ys`` in order, of the
+    Sylvester matrix with the ``int_bands`` ``bands``.
+
+    The d2 rows of p = u1 - x0*v1 are the same for every y, so their d2
+    Bareiss steps run once per call.  They pivot on p's effective
     leading coefficient a_e (the first nonzero one) in the columns e..e+d2-1,
     taken first; this column order adds the sign (-1)**(e*d2).  The p block
     is then upper triangular with diagonal a_e, so each step is the
@@ -325,7 +332,7 @@ def sylvester_line_dets(
     single y has its q rows u2 - y*v2 reduced directly.  If p vanishes
     identically at x0, every determinant is 0.
     """
-    p_band, q_band = _int_band(S.p_band), _int_band(S.q_band)
+    p_band, q_band = bands
     d1, d2 = len(p_band) - 1, len(q_band) - 1
     n = d1 + d2
     p = [u - x0 * v for u, v in p_band]
@@ -372,12 +379,6 @@ def sylvester_line_dets(
         counter.count(adds=len(ys) * d1 * d1, muls=len(ys) * d1 * d1)
     sign = -1 if e * d2 % 2 else 1
     return [sign * _bareiss(block, lead**d2, counter) for block in blocks]
-
-
-def _int_band(band: tuple[tuple[Rat, Rat], ...]) -> list[tuple[int, int]]:
-    if any(c.denominator != 1 for pair in band for c in pair):
-        raise ValueError("the line kernel needs integer bands; see clear_polymat")
-    return [(u.numerator, v.numerator) for u, v in band]
 
 
 def solve_general(M: MatQ, b: Sequence[Rat | int], counter: OpCounter) -> list[Rat]:
@@ -488,11 +489,10 @@ def vandermonde_solve_primal(
     for k in range(s - 1):
         for i in range(s - 1, k, -1):
             a[i] = _quotient(a[i] - a[i - 1], x[i] - x[i - k - 1])
-            counter.count(adds=2, divs=1)
     for k in range(s - 2, -1, -1):
         for i in range(k, s - 1):
             a[i] = a[i] - a[i + 1] * x[k]
-            counter.count(adds=1, muls=1)
+    _count_bjorck_pereyra(counter, s)
     return a
 
 
@@ -521,22 +521,26 @@ def vandermonde_solve_dual(
     """
     if len(nodes) != len(b):
         raise ValueError("nodes and right-hand side must have equal length")
-    x = [_as_rat(t) for t in nodes]
+    x = [_as_num(t) for t in nodes]
     _check_nodes(x)
     s = len(x)
-    c = [_as_rat(v) for v in b]
+    c = [_as_num(v) for v in b]
     for k in range(s - 1):
         for i in range(s - 1, k, -1):
             c[i] = c[i] - x[k] * c[i - 1]
-            counter.count(adds=1, muls=1)
     for k in range(s - 2, -1, -1):
         for i in range(k + 1, s):
-            c[i] = c[i] / (x[i] - x[i - k - 1])
-            counter.count(adds=1, divs=1)
+            c[i] = _quotient(c[i], x[i] - x[i - k - 1])
         for i in range(k, s - 1):
             c[i] = c[i] - c[i + 1]
-            counter.count(adds=1)
+    _count_bjorck_pereyra(counter, s)
     return c
+
+
+def _count_bjorck_pereyra(counter: OpCounter, s: int) -> None:
+    """An order-s solve, either one: 3t adds, t muls, t divs; t = s(s-1)/2."""
+    t = s * (s - 1) // 2
+    counter.count(adds=3 * t, muls=t, divs=t)
 
 
 def kron_solve(
@@ -570,8 +574,3 @@ def kron_solve(
         for i in range(nx):
             out[i * ny + j] = f_j[i]
     return out
-
-
-def _int_degree(p: UniPoly) -> int:
-    """Degree clamped to -1 for the zero polynomial (for max comparisons)."""
-    return len(p.coeffs) - 1

@@ -381,6 +381,21 @@ def test_usage_errors_exit_1_with_the_usage_line(capsys):
         assert capsys.readouterr().err.startswith("usage: implicurve")
 
 
+def test_one_parser_serves_every_call_without_carrying_options_over(capsys):
+    assert cli._parser() is cli._parser()
+    base = ["implicitize", "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)"]
+    assert main(base + ["--json", "--method", "dualvand"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "dual-vandermonde"
+    assert main(base) == 0
+    out = capsys.readouterr().out
+    assert not out.startswith("{") and out == format_bipoly(HYPERBOLA_F) + "\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["implicitize", "--x", "t"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: implicurve implicitize")
+    assert main(base) == 0
+
+
 def test_cli_rejects_node_primes_over_the_cap_at_once(capsys):
     # 100000000000031 is prime; the cap is checked before trial division
     t0 = time.perf_counter()

@@ -19,8 +19,10 @@ from implicurve import (
     bipoly_eval,
     build_parametric_sylvester,
     clear_polymat,
+    degree_bounds,
     det_bareiss,
     eval_polymat,
+    int_bands,
     kron_solve,
     nullspace,
     solve_general,
@@ -62,6 +64,14 @@ def test_opcounter_counts_and_merges():
     # merging is commutative
     m2 = b.merged(a)
     assert (m2.adds, m2.muls, m2.divs, m2.max_bits) == (m.adds, m.muls, m.divs, m.max_bits)
+
+
+def test_opcounter_observes_an_int_as_its_fraction():
+    for v in (0, 1, -1, 2, 255, -256, 3**200, -(2**300)):
+        a, b = OpCounter(), OpCounter()
+        a.observe(v)
+        b.observe(Fraction(v))
+        assert a.max_bits == b.max_bits == max(abs(v).bit_length(), 1), v
 
 
 # --- Sylvester construction ---------------------------------------------------
@@ -429,7 +439,7 @@ def _determinant_scale(S):
 def _assert_line_matches_reference(S, x0, ys):
     C = clear_polymat(S)
     assert all(c.denominator == 1 for band in (C.p_band, C.q_band) for pair in band for c in pair)
-    got = sylvester_line_dets(C, x0, ys, OpCounter())
+    got = sylvester_line_dets(int_bands(C), x0, ys, OpCounter())
     assert all(type(v) is int for v in got)
     assert got == [det_bareiss(eval_polymat(C, x0, y), OpCounter()) for y in ys]
     scale = _determinant_scale(S)
@@ -493,8 +503,9 @@ def test_line_kernel_needs_integer_bands():
     P = RatParam(UniPoly([1, Fraction(1, 2)]), UniPoly.one(), UniPoly([0, 1]), UniPoly.one())
     S = build_parametric_sylvester(P)
     with pytest.raises(ValueError, match="clear_polymat"):
-        sylvester_line_dets(S, 0, [0], OpCounter())
-    assert sylvester_line_dets(clear_polymat(S), 0, [0, 2], OpCounter()) == [-2, -4]  # 2x - 2 - y
+        int_bands(S)
+    bands = int_bands(clear_polymat(S))
+    assert sylvester_line_dets(bands, 0, [0, 2], OpCounter()) == [-2, -4]  # 2x - 2 - y
 
 
 # --- exact integer Björck-Pereyra -----------------------------------------------
@@ -532,6 +543,101 @@ def test_primal_solve_on_integer_data_of_no_integer_polynomial():
         assert got == ref
     half = Fraction(1, 2)
     assert vandermonde_solve_primal([0, 1, 2], [0, 0, 1], OpCounter()) == [0, -half, half]
+
+
+def _bjorck_pereyra_reference(nodes, rhs, dual):
+    """The primal or transposed Björck-Pereyra loop in ``Fraction``s, with
+    one ``OpCounter.count`` per scalar operation."""
+    counter = OpCounter()
+    x = [Fraction(t) for t in nodes]
+    a = [Fraction(v) for v in rhs]
+    s = len(x)
+    if dual:
+        for k in range(s - 1):
+            for i in range(s - 1, k, -1):
+                a[i] -= x[k] * a[i - 1]
+                counter.count(adds=1, muls=1)
+        for k in range(s - 2, -1, -1):
+            for i in range(k + 1, s):
+                a[i] /= x[i] - x[i - k - 1]
+                counter.count(adds=1, divs=1)
+            for i in range(k, s - 1):
+                a[i] -= a[i + 1]
+                counter.count(adds=1)
+    else:
+        for k in range(s - 1):
+            for i in range(s - 1, k, -1):
+                a[i] = (a[i] - a[i - 1]) / (x[i] - x[i - k - 1])
+                counter.count(adds=2, divs=1)
+        for k in range(s - 2, -1, -1):
+            for i in range(k, s - 1):
+                a[i] -= a[i + 1] * x[k]
+                counter.count(adds=1, muls=1)
+    return a, counter
+
+
+def _ops(c):
+    return c.adds, c.muls, c.divs
+
+
+def test_bjorck_pereyra_counts_equal_the_per_op_loops():
+    rng = random.Random(44)
+    pool = sorted({Fraction(n, d) for n in range(-12, 13) for d in (1, 2, 3)})
+    for s in range(1, 13):
+        for nodes in (rng.sample(range(-15, 16), s), rng.sample(pool, s)):
+            rhs = [rand_frac(rng) for _ in range(s)]
+            for solve, dual in ((vandermonde_solve_primal, False), (vandermonde_solve_dual, True)):
+                c = OpCounter()
+                got = solve(nodes, rhs, c)
+                ref, ref_c = _bjorck_pereyra_reference(nodes, rhs, dual)
+                assert got == ref
+                assert _ops(c) == _ops(ref_c)
+                assert c.muldivs == s * (s - 1)
+
+
+def _dual_system(P, p1, p2):
+    """The dual-Vandermonde nodes p1^i p2^j of ``P`` and its cleared
+    Sylvester determinants at (p1^k, p2^k), as the pipeline builds them."""
+    b = degree_bounds(P)
+    nodes = [p1**i * p2**j for i in range(b.m + 1) for j in range(b.n + 1)]
+    bands = int_bands(clear_polymat(build_parametric_sylvester(P)))
+    data = [sylvester_line_dets(bands, p1**k, [p2**k], OpCounter())[0] for k in range(b.N)]
+    return nodes, data
+
+
+def test_dual_solve_stays_integer_on_the_moments_of_integer_vectors():
+    rng = random.Random(45)
+    curves = [HYPERBOLA, CUBIC]
+    curves += [rand_ratparam(rng, d, exact=True, rational=r) for d in range(1, 6) for r in (False, True)]
+    for P in curves:
+        for p1, p2 in ((2, 3), (5, 7)):
+            nodes, data = _dual_system(P, p1, p2)
+            scale = Fraction(rng.randint(1, 9), rng.randint(2, 9))
+            for rhs in (data, [scale * v for v in data]):
+                c = OpCounter()
+                got = vandermonde_solve_dual(nodes, rhs, c)
+                ref, ref_c = _bjorck_pereyra_reference(nodes, rhs, dual=True)
+                assert got == ref
+                assert _ops(c) == _ops(ref_c)
+                if rhs is data:
+                    assert all(type(v) is int for v in got)
+
+
+def test_dual_solve_on_integer_moments_of_no_integer_vector():
+    cases = [
+        ([0, 2], [1, 1]),
+        ([0, 1, 2], [0, 1, 0]),
+        ([1, 3, 2, 6], [1, 0, 0, 0]),
+        ([-3, -1, 2, 5], [1, 0, 0, 2]),
+        ([1, 2, 3, 4, 6, 9], [1, 2, 3, 4, 5, 6]),
+    ]
+    for nodes, b in cases:
+        got = vandermonde_solve_dual(nodes, b, OpCounter())
+        assert got == solve_general(MatQ(transpose(vandermonde_rows(nodes))), b, OpCounter())
+        assert got == _bjorck_pereyra_reference(nodes, b, dual=True)[0]
+        assert any(type(v) is Fraction for v in got), nodes
+    half = Fraction(1, 2)
+    assert vandermonde_solve_dual([0, 2], [1, 1], OpCounter()) == [half, half]
 
 
 def test_kron_solve_stays_integer_on_grid_data():
