@@ -3,7 +3,7 @@
 Rational functions are written in a small expression grammar, e.g.
 ``(2*t^2+2*t+1)/(t^3+5)`` or ``t^2-3``; implicit polynomials for ``verify``
 use the same term syntax in x and y.  Exit codes: 0 success, 1 input/parse
-error, 2 degenerate input, 3 cross-method disagreement (bench), 4 failed
+or I/O error, 2 degenerate input, 3 cross-method disagreement (bench), 4 failed
 verification (verify), 5 internal consistency failure (a bug, not bad
 input).
 """
@@ -19,11 +19,10 @@ import statistics
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polycore import BiPoly, RatParam, UniPoly, lowest_terms, substitute_check
-from .structmat import DegenerateParametrizationError
+from .structmat import DegenerateParametrizationError, OpCounter
 from .implicitize import (
     METHOD_DUAL_VANDERMONDE,
     METHOD_KRONECKER,
@@ -299,25 +298,6 @@ def result_to_doc(result: ImplicitResult, method: str) -> dict:
 # --- subcommands -----------------------------------------------------------
 
 
-@dataclass
-class BenchReport:
-    """Per-method cost and agreement summary for one parametrization."""
-
-    input_x: str
-    input_y: str
-    repeat: int
-    records: list[dict] = field(default_factory=list)
-    agreed: bool = False
-
-    def to_doc(self) -> dict:
-        return {
-            "input": {"x": self.input_x, "y": self.input_y},
-            "repeat": self.repeat,
-            "methods": self.records,
-            "agreed": self.agreed,
-        }
-
-
 def _parse_param(x_text: str, y_text: str) -> RatParam:
     # parse without reducing so RatParam can flag non-coprime input
     u1, v1 = _parse_ratfun_raw(x_text)
@@ -339,14 +319,7 @@ def cmd_implicitize(args: argparse.Namespace) -> int:
         return 1
     if P.was_reduced:
         print("note: components were reduced to lowest terms", file=sys.stderr)
-    try:
-        result = implicitize(P, cfg)
-    except (DegenerateParametrizationError, DegenerateInputError) as exc:
-        print(f"error: degenerate input: {exc}", file=sys.stderr)
-        return 2
-    except InternalConsistencyError as exc:
-        print(f"error: internal consistency failure: {exc}", file=sys.stderr)
-        return 5
+    result = implicitize(P, cfg)
     if args.json:
         payload = json.dumps(result_to_doc(result, cfg.method), indent=2)
     else:
@@ -374,58 +347,51 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = BenchReport(input_x=args.x, input_y=args.y, repeat=args.repeat)
-    try:
-        for name in names:
-            cfg = MethodConfig(method=CLI_METHODS[name])
-            samples = []
-            result = None
-            for _ in range(args.repeat):
-                t0 = time.perf_counter()
-                result = implicitize(P, cfg)
-                samples.append((time.perf_counter() - t0) * 1000.0)
-            assert result is not None
-            report.records.append(
-                {
-                    "method": CLI_METHODS[name],
-                    "wall_ms": statistics.median(samples),
-                    "data_ops": {
-                        "adds": result.data_counter.adds,
-                        "muls": result.data_counter.muls,
-                        "divs": result.data_counter.divs,
-                    },
-                    "solve_ops": {
-                        "adds": result.solve_counter.adds,
-                        "muls": result.solve_counter.muls,
-                        "divs": result.solve_counter.divs,
-                    },
-                    "max_bits": result.counter.max_bits,
-                    "det_evals": result.det_evals,
-                    "verified": result.verified,
-                    "degree_tight": result.degree_tight,
-                    "hash": canonical_digest(result.F),
-                }
-            )
-    except (DegenerateParametrizationError, DegenerateInputError) as exc:
-        print(f"error: degenerate input: {exc}", file=sys.stderr)
-        return 2
-    except InternalConsistencyError as exc:
-        print(f"error: internal consistency failure: {exc}", file=sys.stderr)
-        return 5
-    report.agreed = len({r["hash"] for r in report.records}) == 1
+    records = []
+    for name in names:
+        cfg = MethodConfig(method=CLI_METHODS[name])
+        samples = []
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            result = implicitize(P, cfg)
+            samples.append((time.perf_counter() - t0) * 1000.0)
+        records.append(
+            {
+                "method": CLI_METHODS[name],
+                "wall_ms": statistics.median(samples),
+                "data_ops": _op_counts(result.data_counter),
+                "solve_ops": _op_counts(result.solve_counter),
+                "max_bits": result.counter.max_bits,
+                "det_evals": result.det_evals,
+                "verified": result.verified,
+                "degree_tight": result.degree_tight,
+                "hash": canonical_digest(result.F),
+            }
+        )
+    agreed = len({r["hash"] for r in records}) == 1
+    report = {
+        "input": {"x": args.x, "y": args.y},
+        "repeat": args.repeat,
+        "methods": records,
+        "agreed": agreed,
+    }
     if args.json:
-        print(json.dumps(report.to_doc(), indent=2))
+        print(json.dumps(report, indent=2))
     else:
         _print_bench_table(report)
-    return 0 if report.agreed else 3
+    return 0 if agreed else 3
 
 
-def _print_bench_table(report: BenchReport) -> None:
+def _op_counts(counter: OpCounter) -> dict:
+    return {"adds": counter.adds, "muls": counter.muls, "divs": counter.divs}
+
+
+def _print_bench_table(report: dict) -> None:
     print(
         f"{'method':<17}{'wall_ms':>9}  {'data a/m/d':>20}  "
         f"{'solve a/m/d':>20}  {'bits':>5} {'dets':>5} {'ok':>3}  hash"
     )
-    for r in report.records:
+    for r in report["methods"]:
         d, s = r["data_ops"], r["solve_ops"]
         data_ops = f"{d['adds']}/{d['muls']}/{d['divs']}"
         solve_ops = f"{s['adds']}/{s['muls']}/{s['divs']}"
@@ -435,7 +401,7 @@ def _print_bench_table(report: BenchReport) -> None:
             f"{solve_ops:>20}  {r['max_bits']:>5} {r['det_evals']:>5} "
             f"{ok:>3}  {r['hash'][:12]}"
         )
-    print("agreed:", "yes" if report.agreed else "NO")
+    print("agreed:", "yes" if report["agreed"] else "NO")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -444,7 +410,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         F = _load_poly(args.poly)
         if F.is_zero:
             raise ValueError("the zero polynomial cannot be verified")
-    except (ParseError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if substitute_check(F, P):
@@ -455,15 +421,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _load_poly(source: str) -> BiPoly:
+    """A polynomial from an expression, from a JSON grid as ``implicitize
+    --json`` writes it (each degree capped at ``MAX_EXPONENT`` as in an
+    expression), or from a file holding either; bad input raises ``ValueError``."""
     text = source
     if os.path.isfile(source):
         with open(source) as fh:
             text = fh.read()
     text = text.strip()
-    if text.startswith("{"):
-        doc = json.loads(text)
-        return BiPoly([[Fraction(c) for c in row] for row in doc["coeffs"]])
-    return parse_poly_xy(text)
+    if not text.startswith("{"):
+        return parse_poly_xy(text)
+    rows = json.loads(text).get("coeffs")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError('a JSON polynomial needs "coeffs": a list of coefficient rows')
+    if len(rows) > MAX_EXPONENT + 1 or any(len(row) > MAX_EXPONENT + 1 for row in rows):
+        raise ValueError(f"JSON grid degree exceeds the maximum {MAX_EXPONENT}")
+    try:
+        return BiPoly([[Fraction(c) for c in row] for row in rows])
+    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad JSON coefficient: {exc}") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -515,8 +491,20 @@ def _parser() -> _ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the failures every subcommand shares map to
+    their exit codes here, the input errors of each in its ``cmd_*``."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (DegenerateParametrizationError, DegenerateInputError) as exc:
+        print(f"error: degenerate input: {exc}", file=sys.stderr)
+        return 2
+    except InternalConsistencyError as exc:
+        print(f"error: internal consistency failure: {exc}", file=sys.stderr)
+        return 5
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

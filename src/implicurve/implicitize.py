@@ -56,8 +56,6 @@ from .structmat import (
     MatQ,
     OpCounter,
     build_parametric_sylvester,
-    clear_polymat,
-    int_bands,
     kron_solve,
     nullspace,
     sylvester_line_dets,
@@ -308,22 +306,23 @@ def _from_determinants(
     integer ``points``, ``solve(data, counter)`` for F's i-major
     coefficients, the check.
 
-    The Sylvester bands are cleared to integers once, which scales every
-    datum, and so the solved F, by the constant L1**d2 * L2**d1 that
-    canonicalization removes.  Consecutive points with the same x0 form a
-    grid line, and ``sylvester_line_dets`` evaluates each line in one call
-    (a Kronecker line holds n+1 nodes, a dual-Vandermonde line one).
+    The Sylvester matrix of a rational curve has cleared integer bands,
+    which scales every datum, and so the solved F, by the constant
+    L1**d2 * L2**d1 that canonicalization removes.  Consecutive points with
+    the same x0 form a grid line, and ``sylvester_line_dets`` evaluates each
+    line in one call (a Kronecker line holds n+1 nodes, a dual-Vandermonde
+    line one).
     ``node_sets`` are the Vandermonde nodes whose powers the solve uses.
     Kernels are called through this module's names, so rebinding one
     (as a tracer does) takes effect.
     """
-    bands = int_bands(clear_polymat(build_parametric_sylvester(P)))
+    S = build_parametric_sylvester(P)
     data_c = OpCounter()
     solve_c = OpCounter()
     points = _integer_nodes(points)
     data: list[int] = []
     for x0, line in groupby(points, key=itemgetter(0)):
-        data += sylvester_line_dets(bands, x0, [y0 for _, y0 in line], data_c)
+        data += sylvester_line_dets(S, x0, [y0 for _, y0 in line], data_c)
     data_c.observe_many(data)
     for nodes in node_sets:
         _observe_node_powers(data_c, nodes)

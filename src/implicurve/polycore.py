@@ -73,12 +73,6 @@ class UniPoly:
             raise ValueError("the zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def coefficient(self, k: int) -> Rat:
-        """Coefficient of t**k, zero beyond the stored degree."""
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
-
     def scale(self, factor: Rat | int) -> UniPoly:
         f = _as_rat(factor)
         return UniPoly(c * f for c in self.coeffs)

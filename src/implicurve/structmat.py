@@ -5,11 +5,12 @@ The heart of the package.  `MatQ` is a dense matrix of rationals and
 coefficient bands; its entries have degree at most one in x and in y, and
 its determinant at a point (x0, y0) is the implicit curve polynomial
 evaluated there.  `eval_polymat` + `det_bareiss` compute that value at one
-node and are the reference kernels.  Once per curve the pipelines clear
-the bands to ints (`clear_polymat` scales every determinant by a known
-constant, `int_bands` converts) and call `sylvester_line_dets` per grid
-line x = x0: the Bareiss steps of the rows of p = u1 - x0*v1 are shared by
-every node of the line; each node only eliminates a d1 x d1 remainder.
+node and are the reference kernels.  The bands are integers from
+construction: `build_parametric_sylvester` clears each component pair of a
+rational curve, which scales every determinant by a known constant.  The
+pipelines call `sylvester_line_dets` per grid line x = x0: the Bareiss
+steps of the rows of p = u1 - x0*v1 are shared by every node of the line;
+each node only eliminates a d1 x d1 remainder.
 
 Solvers come in two flavours.  General-purpose: fraction-free Bareiss
 determinants (`det_bareiss`), Gaussian elimination (`solve_general`), and
@@ -33,7 +34,7 @@ from fractions import Fraction
 from math import lcm as _int_lcm
 from typing import Sequence
 
-from .polycore import BiPoly, Rat, RatParam, _as_rat
+from .polycore import BiPoly, Rat, RatParam, _as_rat, _cleared
 
 
 class DuplicateNodeError(ValueError):
@@ -78,8 +79,7 @@ class OpCounter:
         self.divs += divs
 
     def observe(self, value: Rat | int) -> None:
-        v = _as_num(value)  # an int is its own numerator, over 1
-        bits = max(v.numerator.bit_length(), v.denominator.bit_length())
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
         if bits > self.max_bits:
             self.max_bits = bits
 
@@ -140,28 +140,28 @@ class MatQ:
 
 
 class PolyMat:
-    """Parametric Sylvester matrix, stored as its two coefficient bands.
+    """Parametric Sylvester matrix, stored as its two integer coefficient bands.
 
-    ``p_band`` holds the coefficient pairs (u1_s, v1_s) of p = u1 - x*v1
+    ``p_band`` holds the int coefficient pairs (u1_s, v1_s) of p = u1 - x*v1
     and ``q_band`` the pairs (u2_s, v2_s) of q = u2 - y*v2, both in
-    descending t-degree.  With d1 = len(p_band) - 1 and d2 = len(q_band) - 1
-    the matrix has order d1 + d2: d2 rows of p, each shifted one column
-    further right, then d1 rows of q the same way.  ``entries`` is a
-    read-only view of the matrix as bivariate polynomials of degree <= 1 in
-    x and in y.
+    descending t-degree; a non-integer coefficient raises ``ValueError``.
+    With d1 = len(p_band) - 1 and d2 = len(q_band) - 1 the matrix has order
+    d1 + d2: d2 rows of p, each shifted one column further right, then d1
+    rows of q the same way.  ``entries`` is a read-only view of the matrix
+    as bivariate polynomials of degree <= 1 in x and in y.
     """
 
     __slots__ = ("p_band", "q_band", "order")
 
     def __init__(
-        self,
-        p_band: Sequence[tuple[Rat | int, Rat | int]],
-        q_band: Sequence[tuple[Rat | int, Rat | int]],
+        self, p_band: Sequence[tuple[int, int]], q_band: Sequence[tuple[int, int]]
     ) -> None:
         if len(p_band) < 2 or len(q_band) < 2:
             raise ValueError("both bands must have t-degree at least 1")
-        self.p_band = tuple((_as_rat(u), _as_rat(v)) for u, v in p_band)
-        self.q_band = tuple((_as_rat(u), _as_rat(v)) for u, v in q_band)
+        if any(c.denominator != 1 for band in (p_band, q_band) for pair in band for c in pair):
+            raise ValueError("Sylvester bands must have integer coefficients")
+        self.p_band = tuple((int(u), int(v)) for u, v in p_band)
+        self.q_band = tuple((int(u), int(v)) for u, v in q_band)
         self.order: int = len(p_band) + len(q_band) - 2
 
     @property
@@ -188,9 +188,11 @@ def build_parametric_sylvester(P: RatParam) -> PolyMat:
     """Sylvester matrix of p = u1 - x*v1 and q = u2 - y*v2 in the parameter.
 
     Its determinant is the resultant eliminating t, i.e. the implicit curve
-    polynomial; see :class:`PolyMat` for the layout.  A constant x- or
-    y-component (deg_t p == 0 or deg_t q == 0) admits no such matrix and
-    raises ``DegenerateParametrizationError``.
+    polynomial; see :class:`PolyMat` for the layout.  The pairs (u1, v1)
+    and (u2, v2) are each cleared to integers by the lcm L1 resp. L2 of their
+    denominators, which scales every determinant by L1**d2 * L2**d1.  A
+    constant x- or y-component (deg_t p == 0 or deg_t q == 0) admits no
+    such matrix and raises ``DegenerateParametrizationError``.
     """
     d1 = max(len(P.u1.coeffs), len(P.v1.coeffs)) - 1
     d2 = max(len(P.u2.coeffs), len(P.v2.coeffs)) - 1
@@ -198,24 +200,25 @@ def build_parametric_sylvester(P: RatParam) -> PolyMat:
         raise DegenerateParametrizationError(
             "both components must depend on the parameter (constant component)"
         )
-    return PolyMat(
-        [(P.u1.coefficient(d1 - s), P.v1.coefficient(d1 - s)) for s in range(d1 + 1)],
-        [(P.u2.coefficient(d2 - s), P.v2.coefficient(d2 - s)) for s in range(d2 + 1)],
-    )
+    bands = []
+    for u, v, d in ((P.u1, P.v1, d1), (P.u2, P.v2, d2)):
+        cu, cv = (c + [0] * (d + 1 - len(c)) for c in _cleared((u.coeffs, v.coeffs)))
+        bands.append(list(zip(reversed(cu), reversed(cv))))
+    return PolyMat(*bands)
 
 
 def eval_polymat(S: PolyMat, x0: Rat | int, y0: Rat | int) -> MatQ:
     """Evaluate ``S`` at the rational point (x0, y0).
 
     Each band is evaluated once, u - x0*v resp. u - y0*v, and laid out with
-    one shared zero.
+    one shared zero.  For a rational curve ``S`` is the cleared matrix of
+    :func:`build_parametric_sylvester`.
     """
-    x, y = _as_rat(x0), _as_rat(y0)
     return MatQ(
         _sylvester_layout(
-            tuple(u - x * v for u, v in S.p_band),
-            tuple(u - y * v for u, v in S.q_band),
-            Fraction(0),
+            tuple(u - x0 * v for u, v in S.p_band),
+            tuple(u - y0 * v for u, v in S.q_band),
+            0,
         )
     )
 
@@ -225,7 +228,7 @@ def det_bareiss(M: MatQ, counter: OpCounter) -> Rat:
 
     Rows are first cleared to integers (multiplying by the lcm of their
     denominators, divided back out at the end), then eliminated by
-    ``_bareiss``.
+    ``_bareiss``.  A rational curve's Sylvester matrix is the cleared one.
     """
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
@@ -293,32 +296,10 @@ def _bareiss(a: list[list[int]], prev: int, counter: OpCounter) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def clear_polymat(S: PolyMat) -> PolyMat:
-    """``S`` with each band scaled to integers by the lcm of its denominators.
-
-    The p band fills d2 rows and the q band d1 rows, so every determinant
-    of the result is L1**d2 * L2**d1 times the one of ``S`` (L1, L2 the two
-    lcms).
-    """
-    bands = []
-    for band in (S.p_band, S.q_band):
-        scale = _int_lcm(*(c.denominator for pair in band for c in pair))
-        bands.append([(u * scale, v * scale) for u, v in band])
-    return PolyMat(*bands)
-
-
-def int_bands(S: PolyMat) -> tuple[list, list]:
-    """The bands of ``S``, which must be integers, as lists of int pairs."""
-    if any(c.denominator != 1 for band in (S.p_band, S.q_band) for pair in band for c in pair):
-        raise ValueError("the line kernel needs integer bands; see clear_polymat")
-    return tuple([(u.numerator, v.numerator) for u, v in band] for band in (S.p_band, S.q_band))
-
-
 def sylvester_line_dets(
-    bands: tuple[list, list], x0: int, ys: Sequence[int], counter: OpCounter
+    S: PolyMat, x0: int, ys: Sequence[int], counter: OpCounter
 ) -> list[int]:
-    """Determinants at (x0, y), for every int y in ``ys`` in order, of the
-    Sylvester matrix with the ``int_bands`` ``bands``.
+    """Determinants of ``S`` at (x0, y), for every int y in ``ys`` in order.
 
     The d2 rows of p = u1 - x0*v1 are the same for every y, so their d2
     Bareiss steps run once per call.  They pivot on p's effective
@@ -332,7 +313,7 @@ def sylvester_line_dets(
     single y has its q rows u2 - y*v2 reduced directly.  If p vanishes
     identically at x0, every determinant is 0.
     """
-    p_band, q_band = bands
+    p_band, q_band = S.p_band, S.q_band
     d1, d2 = len(p_band) - 1, len(q_band) - 1
     n = d1 + d2
     p = [u - x0 * v for u, v in p_band]
@@ -555,22 +536,19 @@ def kron_solve(
     i-major ordering the system splits into len(x_nodes) primal solves
     against V_y followed by len(y_nodes) primal solves against V_x — each a
     quadratic-cost Björck-Pereyra elimination, so the whole solve is far
-    below the cubic cost of eliminating the product matrix.
+    below the cubic cost of eliminating the product matrix.  Those solves
+    check the nodes.
     """
-    xs = [_as_num(t) for t in x_nodes]
-    ys = [_as_num(t) for t in y_nodes]
-    _check_nodes(xs)
-    _check_nodes(ys)
-    nx, ny = len(xs), len(ys)
+    nx, ny = len(x_nodes), len(y_nodes)
     if len(b) != nx * ny:
         raise ValueError("right-hand side length must be len(x_nodes)*len(y_nodes)")
     inner = [
-        vandermonde_solve_primal(ys, b[k * ny : (k + 1) * ny], counter)
+        vandermonde_solve_primal(y_nodes, b[k * ny : (k + 1) * ny], counter)
         for k in range(nx)
     ]
     out: list[Rat | int] = [0] * (nx * ny)
     for j in range(ny):
-        f_j = vandermonde_solve_primal(xs, [inner[k][j] for k in range(nx)], counter)
+        f_j = vandermonde_solve_primal(x_nodes, [inner[k][j] for k in range(nx)], counter)
         for i in range(nx):
             out[i * ny + j] = f_j[i]
     return out

@@ -162,6 +162,16 @@ def test_cmd_implicitize_out_file(tmp_path, capsys):
     assert out.read_text().strip() == "2 - 3*y - x + 2*x*y"
 
 
+def test_cmd_implicitize_out_io_error_exits_1(tmp_path, capsys):
+    out = tmp_path / "missing" / "f.txt"
+    code = main(["implicitize", "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)", "--out", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "No such file" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_cmd_implicitize_custom_primes(capsys):
     code = main(
         [
@@ -232,6 +242,40 @@ def test_cmd_verify_reads_json_and_files(tmp_path, capsys):
         == 0
     )
     capsys.readouterr()
+
+
+def test_implicitize_json_document_verifies(tmp_path, capsys):
+    curve = ["--x", "(1/2*t^2+t)/(t^3+5/3)", "--y", "(t^3-3*t^2+t-1)/(t^2-3)"]
+    out = tmp_path / "f.json"
+    assert main(["implicitize", *curve, "--json", "--out", str(out)]) == 0
+    assert main(["verify", *curve, "--poly", str(out)]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"coeffs": [["1/0"]]}, "bad JSON coefficient"),
+        ({"coeffs": 5}, "list of coefficient rows"),
+        ({"coeffs": [[None]]}, "bad JSON coefficient"),
+        ({"coeffs": [["0"] * (MAX_EXPONENT + 2), ["1"] * (MAX_EXPONENT + 2)]}, "exceeds the maximum"),
+        ({"coeffs": [["1"]] * (MAX_EXPONENT + 2)}, "exceeds the maximum"),
+    ],
+    ids=["zero-denominator", "not-a-grid", "null-coefficient", "y-degree-over-cap", "x-degree-over-cap"],
+)
+def test_cmd_verify_rejects_malformed_json_grids(doc, message, capsys):
+    code = main(["verify", "--x", "t", "--y", "t", "--poly", json.dumps(doc)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_cmd_verify_accepts_json_grids_at_the_cap(capsys):
+    # x - y^64 on the curve x = t^64, y = t
+    doc = {"coeffs": [["0"] * MAX_EXPONENT + ["-1"], ["1"] + ["0"] * MAX_EXPONENT]}
+    argv = ["verify", "--x", f"t^{MAX_EXPONENT}", "--y", "t", "--poly", json.dumps(doc)]
+    assert main(argv) == 0
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_cmd_verify_rejects_zero_polynomial(capsys):

@@ -1,0 +1,71 @@
+"""Identity check: every pipeline result and CLI report, hashed over a fixed corpus.
+
+The corpus is ``rand_ratparam(Random(404), d, exact=True)`` for d = 2..8,
+four rational-coefficient curves, HYPERBOLA and CUBIC.  Each curve runs the
+three methods (the unstructured one only for degree <= 5), and the
+dual-Vandermonde method also at the primes (5, 7).  Each run contributes
+F's coefficient strings, both op counters (adds/muls/divs/max_bits),
+``det_evals``, ``verified`` and ``degree_tight``; two ``bench --json``
+documents, with their wall times removed, are hashed too.
+
+A refactor must leave ``IDENTITY_DIGEST`` unchanged.  A change that alters
+a result or a count by design must update the digest and say why in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+from random import Random
+
+from implicurve import (
+    METHOD_DUAL_VANDERMONDE,
+    METHOD_KRONECKER,
+    METHOD_UNSTRUCTURED,
+    MethodConfig,
+    implicitize,
+)
+from implicurve.cli import format_ratfun, main
+
+from util import CUBIC, HYPERBOLA, rand_ratparam
+
+IDENTITY_DIGEST = "137ed9ef2d2a559ad0dc90db27a918d62ec44bf7991c67b2cc6d1da3d630915f"
+
+
+def _corpus():
+    rng = Random(404)
+    curves = [(d, rand_ratparam(rng, d, exact=True)) for d in range(2, 9)]
+    curves += [(d, rand_ratparam(rng, d, exact=True, rational=True)) for d in range(1, 5)]
+    return curves + [(1, HYPERBOLA), (3, CUBIC)]
+
+
+def _configs(degree):
+    if degree <= 5:
+        yield MethodConfig(method=METHOD_UNSTRUCTURED)
+    yield MethodConfig(method=METHOD_DUAL_VANDERMONDE)
+    yield MethodConfig(method=METHOD_DUAL_VANDERMONDE, p1=5, p2=7)
+    yield MethodConfig(method=METHOD_KRONECKER)
+
+
+def _result_line(r):
+    counts = [(c.adds, c.muls, c.divs, c.max_bits) for c in (r.data_counter, r.solve_counter)]
+    coeffs = [[str(c) for c in row] for row in r.F.coeffs]
+    return json.dumps([coeffs, counts, r.det_evals, r.verified, r.degree_tight])
+
+
+def _bench_line(P, capsys):
+    argv = ["bench", "--x", format_ratfun(P.u1, P.v1), "--y", format_ratfun(P.u2, P.v2), "--json"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for record in doc["methods"]:
+        del record["wall_ms"]
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_results_and_reports_match_the_pinned_digest(capsys):
+    lines = []
+    for degree, P in _corpus():
+        for cfg in _configs(degree):
+            lines.append(_result_line(implicitize(P, cfg)))
+    lines += [_bench_line(P, capsys) for P in (HYPERBOLA, CUBIC)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == IDENTITY_DIGEST

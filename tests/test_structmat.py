@@ -18,11 +18,9 @@ from implicurve import (
     UniPoly,
     bipoly_eval,
     build_parametric_sylvester,
-    clear_polymat,
     degree_bounds,
     det_bareiss,
     eval_polymat,
-    int_bands,
     kron_solve,
     nullspace,
     solve_general,
@@ -428,22 +426,46 @@ def test_bareiss_raises_a_typed_error_on_a_nonexact_division():
 # --- the Sylvester line kernel ------------------------------------------------
 
 
-def _determinant_scale(S):
-    """L1**d2 * L2**d1, from the lcm of each band's denominators."""
-    p, q = S.p_band, S.q_band
-    l1 = math.lcm(*(c.denominator for pair in p for c in pair))
-    l2 = math.lcm(*(c.denominator for pair in q for c in pair))
-    return l1 ** (len(q) - 1) * l2 ** (len(p) - 1)
+def _rational_bands(P):
+    """The uncleared coefficient pairs of p = u1 - x*v1 and q = u2 - y*v2,
+    in descending t-degree."""
+    def band(u, v):
+        d = max(len(u.coeffs), len(v.coeffs)) - 1
+        cu, cv = (list(c) + [0] * (d + 1 - len(c)) for c in (u.coeffs, v.coeffs))
+        return list(zip(reversed(cu), reversed(cv)))
+    return band(P.u1, P.v1), band(P.u2, P.v2)
 
 
-def _assert_line_matches_reference(S, x0, ys):
-    C = clear_polymat(S)
-    assert all(c.denominator == 1 for band in (C.p_band, C.q_band) for pair in band for c in pair)
-    got = sylvester_line_dets(int_bands(C), x0, ys, OpCounter())
+def _clear(band):
+    """The lcm L of the rational ``band``'s denominators, and L * band as ints."""
+    scale = math.lcm(*(c.denominator for pair in band for c in pair))
+    return scale, [(int(u * scale), int(v * scale)) for u, v in band]
+
+
+def _uncleared_sylvester(p_band, q_band, x0, y0):
+    """The ``Fraction`` Sylvester matrix of the rational bands at (x0, y0)."""
+    p = [Fraction(u) - x0 * v for u, v in p_band]
+    q = [Fraction(u) - y0 * v for u, v in q_band]
+    n = len(p) + len(q) - 2
+    rows = [[0] * r + p + [0] * (n - r - len(p)) for r in range(len(q) - 1)]
+    rows += [[0] * r + q + [0] * (n - r - len(q)) for r in range(len(p) - 1)]
+    return MatQ(rows)
+
+
+def _assert_line_matches_reference(S, bands, x0, ys):
+    """The kernel on the int matrix ``S`` against both references: ``S``
+    evaluated and eliminated, and the uncleared ``bands``' determinant
+    times L1**d2 * L2**d1.  ``S`` must be ``bands`` cleared."""
+    p, q = bands
+    (l1, cp), (l2, cq) = _clear(p), _clear(q)
+    assert (S.p_band, S.q_band) == (tuple(cp), tuple(cq))
+    got = sylvester_line_dets(S, x0, ys, OpCounter())
     assert all(type(v) is int for v in got)
-    assert got == [det_bareiss(eval_polymat(C, x0, y), OpCounter()) for y in ys]
-    scale = _determinant_scale(S)
-    assert got == [scale * det_bareiss(eval_polymat(S, x0, y), OpCounter()) for y in ys]
+    assert got == [det_bareiss(eval_polymat(S, x0, y), OpCounter()) for y in ys]
+    scale = l1 ** (len(q) - 1) * l2 ** (len(p) - 1)
+    assert got == [
+        scale * det_bareiss(_uncleared_sylvester(p, q, x0, y), OpCounter()) for y in ys
+    ]
 
 
 def _curve_with_vanishing_lead(rng, d1, d2, rational, drop):
@@ -466,17 +488,17 @@ def test_line_kernel_matches_reference_determinants():
     for trial in range(36):
         d1, d2 = rng.randint(1, 6), rng.randint(1, 6)
         P, r = _curve_with_vanishing_lead(rng, d1, d2, trial % 2 == 1, rng.randint(0, 2))
-        S = build_parametric_sylvester(P)
-        C = clear_polymat(S)
+        S, bands = build_parametric_sylvester(P), _rational_bands(P)
         for x0 in sorted({r, -2, 0, 3}):
-            u, v = C.p_band[0]
+            u, v = S.p_band[0]
             lead_zero_lines += u == x0 * v
-            _assert_line_matches_reference(S, x0, [-2, 0, 1, 4])
-            _assert_line_matches_reference(S, x0, [rng.randint(-5, 5)])
+            _assert_line_matches_reference(S, bands, x0, [-2, 0, 1, 4])
+            _assert_line_matches_reference(S, bands, x0, [rng.randint(-5, 5)])
     assert lead_zero_lines >= 20
     for P in (HYPERBOLA, CUBIC):
+        S, bands = build_parametric_sylvester(P), _rational_bands(P)
         for x0 in range(-1, 4):
-            _assert_line_matches_reference(build_parametric_sylvester(P), x0, list(range(-1, 4)))
+            _assert_line_matches_reference(S, bands, x0, list(range(-1, 4)))
 
 
 _coef = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=4)
@@ -493,19 +515,19 @@ def test_line_kernel_property(data):
         u, v = data.draw(_coef), data.draw(_coef)
         p_band.append((r * v, v) if s < vanishing else (u, v))
     q_band = [(data.draw(_coef), data.draw(_coef)) for _ in range(d2 + 1)]
-    S = PolyMat(p_band, q_band)
+    S = PolyMat(_clear(p_band)[1], _clear(q_band)[1])
     ys = data.draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
     for x0 in (r, data.draw(st.integers(-6, 6))):
-        _assert_line_matches_reference(S, x0, ys)
+        _assert_line_matches_reference(S, (p_band, q_band), x0, ys)
 
 
 def test_line_kernel_needs_integer_bands():
+    with pytest.raises(ValueError, match="integer coefficients"):
+        PolyMat([(Fraction(1, 2), 0), (1, 1)], [(1, 0), (0, 1)])
     P = RatParam(UniPoly([1, Fraction(1, 2)]), UniPoly.one(), UniPoly([0, 1]), UniPoly.one())
     S = build_parametric_sylvester(P)
-    with pytest.raises(ValueError, match="clear_polymat"):
-        int_bands(S)
-    bands = int_bands(clear_polymat(S))
-    assert sylvester_line_dets(bands, 0, [0, 2], OpCounter()) == [-2, -4]  # 2x - 2 - y
+    assert S.p_band == ((1, 0), (2, 2))  # cleared by 2
+    assert sylvester_line_dets(S, 0, [0, 2], OpCounter()) == [-2, -4]  # 2x - 2 - y
 
 
 # --- exact integer Björck-Pereyra -----------------------------------------------
@@ -600,8 +622,8 @@ def _dual_system(P, p1, p2):
     Sylvester determinants at (p1^k, p2^k), as the pipeline builds them."""
     b = degree_bounds(P)
     nodes = [p1**i * p2**j for i in range(b.m + 1) for j in range(b.n + 1)]
-    bands = int_bands(clear_polymat(build_parametric_sylvester(P)))
-    data = [sylvester_line_dets(bands, p1**k, [p2**k], OpCounter())[0] for k in range(b.N)]
+    S = build_parametric_sylvester(P)
+    data = [sylvester_line_dets(S, p1**k, [p2**k], OpCounter())[0] for k in range(b.N)]
     return nodes, data
 
 
