@@ -15,15 +15,26 @@ import functools
 import hashlib
 import json
 import os
+import re
 import statistics
 import sys
 import time
-from collections.abc import Iterable
 from fractions import Fraction
 
-from .polycore import BiPoly, RatParam, UniPoly, lowest_terms, substitute_check
-from .structmat import DegenerateParametrizationError, OpCounter
-from .implicitize import (
+# format_ratfun and format_unipoly belong to this module's text API with the parsers
+from .polycore import (
+    BiPoly,
+    DegenerateParametrizationError,
+    RatParam,
+    UniPoly,
+    format_bipoly,
+    format_ratfun,
+    format_unipoly,
+    lowest_terms,
+    substitute_check,
+)
+from .structmat import OpCounter
+from .pipeline import (
     METHOD_DUAL_VANDERMONDE,
     METHOD_KRONECKER,
     METHOD_UNSTRUCTURED,
@@ -133,10 +144,10 @@ def _parse_term(
     ts: _TokenStream, variables: frozenset[str]
 ) -> tuple[Fraction, dict[str, int]]:
     exps: dict[str, int] = {}
+    coef = Fraction(1)
     kind = ts.peek()
     if kind == "int":
-        tok = ts.take()
-        coef = Fraction(int(tok[1]))
+        coef = Fraction(int(ts.take()[1]))
         # a rational coefficient binds tighter than the top-level "/" of a
         # rational function: INT "/" INT is always a coefficient
         if ts.peek() == "/" and ts.peek(1) == "int":
@@ -144,18 +155,15 @@ def _parse_term(
             dtok = ts.take()
             if int(dtok[1]) == 0:
                 raise ParseError("zero denominator in coefficient", dtok[2])
-            coef = Fraction(coef, int(dtok[1]))
-        while ts.peek() == "*":
-            ts.take()
-            _parse_varfactor(ts, variables, exps)
-        return coef, exps
-    if kind == "name":
+            coef /= int(dtok[1])
+    elif kind == "name":
         _parse_varfactor(ts, variables, exps)
-        while ts.peek() == "*":
-            ts.take()
-            _parse_varfactor(ts, variables, exps)
-        return Fraction(1), exps
-    raise ParseError("expected a term", ts.here())
+    else:
+        raise ParseError("expected a term", ts.here())
+    while ts.peek() == "*":
+        ts.take()
+        _parse_varfactor(ts, variables, exps)
+    return coef, exps
 
 
 def _parse_sum(
@@ -191,12 +199,13 @@ def _terms_to_unipoly(terms: list[tuple[Fraction, dict[str, int]]]) -> UniPoly:
 
 
 def _parse_side(ts: _TokenStream) -> UniPoly:
-    if ts.peek() == "(":
+    parenthesized = ts.peek() == "("
+    if parenthesized:
         ts.take()
-        p = _terms_to_unipoly(_parse_sum(ts, frozenset("t")))
+    p = _terms_to_unipoly(_parse_sum(ts, frozenset("t")))
+    if parenthesized:
         ts.expect(")", "a closing parenthesis")
-        return p
-    return _terms_to_unipoly(_parse_sum(ts, frozenset("t")))
+    return p
 
 
 def _parse_ratfun_raw(text: str) -> tuple[UniPoly, UniPoly]:
@@ -239,44 +248,6 @@ def parse_poly_xy(text: str) -> BiPoly:
 # --- rendering -------------------------------------------------------------
 
 
-def _format_terms(terms: Iterable[tuple[Fraction, str]]) -> str:
-    """Join (coefficient, monomial) pairs as a signed sum; zeros are skipped."""
-    pieces = []
-    for c, mon in terms:
-        if c == 0:
-            continue
-        mag = abs(c)
-        body = str(mag) if not mon else (mon if mag == 1 else f"{mag}*{mon}")
-        if not pieces:
-            pieces.append(("-" if c < 0 else "") + body)
-        else:
-            pieces.append((" - " if c < 0 else " + ") + body)
-    return "".join(pieces) or "0"
-
-
-def _power(var: str, k: int) -> str:
-    return "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-
-
-def format_unipoly(p: UniPoly, var: str = "t") -> str:
-    return _format_terms((p.coeffs[k], _power(var, k)) for k in range(len(p.coeffs) - 1, -1, -1))
-
-
-def format_ratfun(num: UniPoly, den: UniPoly) -> str:
-    if den == UniPoly.one():
-        return format_unipoly(num)
-    return f"({format_unipoly(num)})/({format_unipoly(den)})"
-
-
-def format_bipoly(F: BiPoly) -> str:
-    """Render in i-major, j-minor term order (the interpolation basis order)."""
-    return _format_terms(
-        (F.coeffs[i][j], "*".join(filter(None, (_power("x", i), _power("y", j)))))
-        for i in range(F.m + 1)
-        for j in range(F.n + 1)
-    )
-
-
 def canonical_digest(F: BiPoly) -> str:
     payload = f"{F.m}|{F.n}|" + ",".join(str(c) for c in F.flat())
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -314,7 +285,7 @@ def cmd_implicitize(args: argparse.Namespace) -> int:
         cfg = MethodConfig(
             method=CLI_METHODS[args.method], p1=int(primes[0]), p2=int(primes[1])
         )
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if P.was_reduced:
@@ -344,7 +315,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 raise ValueError(f"unknown methods: {', '.join(unknown)}")
         if args.repeat < 1:
             raise ValueError("--repeat must be at least 1")
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     records = []
@@ -410,7 +381,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         F = _load_poly(args.poly)
         if F.is_zero:
             raise ValueError("the zero polynomial cannot be verified")
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if substitute_check(F, P):
@@ -420,10 +391,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 4
 
 
+#: A JSON string coefficient: an integer or a quotient of integers, as
+#: ``implicitize --json`` writes them.  Decimal strings are refused, since
+#: ``Fraction("1e2000000")`` would build a 2-million-digit integer.
+_JSON_COEFF = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
 def _load_poly(source: str) -> BiPoly:
     """A polynomial from an expression, from a JSON grid as ``implicitize
     --json`` writes it (each degree capped at ``MAX_EXPONENT`` as in an
-    expression), or from a file holding either; bad input raises ``ValueError``."""
+    expression, each string coefficient ``p`` or ``p/q``), or from a file
+    holding either; bad input raises ``ValueError``."""
     text = source
     if os.path.isfile(source):
         with open(source) as fh:
@@ -436,6 +414,10 @@ def _load_poly(source: str) -> BiPoly:
         raise ValueError('a JSON polynomial needs "coeffs": a list of coefficient rows')
     if len(rows) > MAX_EXPONENT + 1 or any(len(row) > MAX_EXPONENT + 1 for row in rows):
         raise ValueError(f"JSON grid degree exceeds the maximum {MAX_EXPONENT}")
+    bad = next((c for row in rows for c in row
+                if isinstance(c, str) and not _JSON_COEFF.fullmatch(c)), None)
+    if bad is not None:
+        raise ValueError(f"bad JSON coefficient: {bad!r} is not p or p/q")
     try:
         return BiPoly([[Fraction(c) for c in row] for row in rows])
     except (TypeError, ZeroDivisionError, OverflowError) as exc:

@@ -45,13 +45,13 @@ from .polycore import (
     Rat,
     RatParam,
     _cleared,
-    _horner,
+    _horner_xy,
     bipoly_canonicalize,
+    component_degrees,
     poly_eval,
     substitute_check,
 )
 from .structmat import (
-    DegenerateParametrizationError,
     InternalConsistencyError,
     MatQ,
     OpCounter,
@@ -139,16 +139,11 @@ def degree_bounds(P: RatParam) -> DegreeBounds:
     """Degree bounds of the implicit polynomial of ``P``.
 
     The x-degree bound comes from the y-component and the y-degree bound
-    from the x-component.  A constant component (a bound of 0) traces no
-    curve, so every method rejects it here with
+    from the x-component.  A constant component traces no curve, so every
+    method rejects it here: :func:`component_degrees` raises
     ``DegenerateParametrizationError``.
     """
-    n = int(max(len(P.u1.coeffs), len(P.v1.coeffs)) - 1)
-    m = int(max(len(P.u2.coeffs), len(P.v2.coeffs)) - 1)
-    if m == 0 or n == 0:
-        raise DegenerateParametrizationError(
-            "both components must depend on the parameter (constant component)"
-        )
+    n, m = component_degrees(P)
     return DegreeBounds(m=m, n=n, N=(m + 1) * (n + 1))
 
 
@@ -213,15 +208,13 @@ def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> Implici
     data_c = OpCounter()
     solve_c = OpCounter()
     gen = curve_points(P)
-    points = [next(gen) for _ in range(bounds.N)]
-    A = interpolation_matrix(points, bounds.m, bounds.n, data_c)
-    basis = nullspace(A, solve_c)
-    extra = 0
-    while len(basis) > 1 and extra < 2 * bounds.N:
+    points = [next(gen) for _ in range(bounds.N - 1)]
+    for extra in range(2 * bounds.N + 1):
         points.append(next(gen))
-        extra += 1
         A = interpolation_matrix(points, bounds.m, bounds.n, data_c)
         basis = nullspace(A, solve_c)
+        if len(basis) <= 1:
+            break
     for row in A.entries:
         data_c.observe_many(row)
     if not basis:
@@ -361,8 +354,7 @@ def _check_interpolation_data(
     """
     *grid, cleared = _cleared([*F_raw.coeffs, data])
     for (x0, y0), datum in zip(_integer_nodes(points), cleared):
-        value = _horner([_horner(row, y0) for row in grid], x0)
-        if value != datum:
+        if _horner_xy(grid, x0, y0) != datum:
             raise InternalConsistencyError(
                 f"interpolant fails to reproduce its datum at node {(x0, y0)}"
             )

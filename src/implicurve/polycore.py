@@ -6,9 +6,11 @@ values in lowest terms with a positive denominator.  On top of that this
 module provides dense univariate polynomials (:class:`UniPoly`, the
 components of a curve parametrization), bivariate polynomials on a
 rectangular coefficient grid (:class:`BiPoly`, candidate implicit
-equations), rational parametrizations of plane curves (:class:`RatParam`),
-and :func:`substitute_check`, the predicate that decides whether a
-bivariate polynomial vanishes identically along a parametrization.
+equations), rational parametrizations of plane curves (:class:`RatParam`)
+with the degree rule every method applies (:func:`component_degrees`),
+the text form of both polynomial kinds (``format_*``), and
+:func:`substitute_check`, the predicate that decides whether a bivariate
+polynomial vanishes identically along a parametrization.
 
 No floating point is used anywhere.
 """
@@ -141,29 +143,12 @@ class UniPoly:
         return hash(("UniPoly", self.coeffs))
 
     def __repr__(self) -> str:
-        if self.is_zero:
-            return "UniPoly<0>"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
-            else:
-                parts.append(f"{c}*t^{k}" if c != 1 else f"t^{k}")
-        return "UniPoly<" + " + ".join(parts) + ">"
+        return f"UniPoly<{format_unipoly(self)}>"
 
 
 def poly_eval(p: UniPoly, t0: Rat | int) -> Rat:
     """Evaluate ``p`` at the rational point ``t0`` by Horner's rule."""
-    t = _as_rat(t0)
-    acc = Fraction(0)
-    for c in reversed(p.coeffs):
-        acc = acc * t + c
-    return acc
+    return _as_rat(_horner(p.coeffs, t0))
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -272,19 +257,8 @@ class BiPoly:
 
 
 def bipoly_eval(F: BiPoly, x0: Rat | int, y0: Rat | int) -> Rat:
-    """Evaluate ``F`` at a rational point using running power tables."""
-    x, y = _as_rat(x0), _as_rat(y0)
-    ypows = [Fraction(1)]
-    for _ in range(F.n):
-        ypows.append(ypows[-1] * y)
-    acc = Fraction(0)
-    xpow = Fraction(1)
-    for i in range(F.m + 1):
-        row = F.coeffs[i]
-        rowsum = sum((row[j] * ypows[j] for j in range(F.n + 1)), Fraction(0))
-        acc += xpow * rowsum
-        xpow *= x
-    return acc
+    """Evaluate ``F`` at a rational point by nested Horner's rule."""
+    return _horner_xy(F.coeffs, x0, y0)
 
 
 def bipoly_canonicalize(F: BiPoly) -> BiPoly:
@@ -298,20 +272,50 @@ def bipoly_canonicalize(F: BiPoly) -> BiPoly:
     if F.is_zero:
         raise ValueError("the zero polynomial has no canonical form")
     dx, dy = int(F.deg_x), int(F.deg_y)
-    trimmed = [list(F.coeffs[i][: dy + 1]) for i in range(dx + 1)]
-    den_lcm = 1
-    for row in trimmed:
-        for c in row:
-            den_lcm = _int_lcm(den_lcm, c.denominator)
-    ints = [[int(c * den_lcm) for c in row] for row in trimmed]
-    content = 0
-    for row in ints:
-        for v in row:
-            content = _int_gcd(content, v)
+    ints = _cleared([row[: dy + 1] for row in F.coeffs[: dx + 1]])
+    content = _int_gcd(*(v for row in ints for v in row))
     first = next(v for row in ints for v in row if v)
     if first < 0:
         content = -content
     return BiPoly([[Fraction(v, content) for v in row] for row in ints])
+
+
+def _format_terms(terms: Iterable[tuple[Rat, str]]) -> str:
+    """Join (coefficient, monomial) pairs as a signed sum; zeros are skipped."""
+    pieces = []
+    for c, mon in terms:
+        if c == 0:
+            continue
+        mag = abs(c)
+        body = str(mag) if not mon else (mon if mag == 1 else f"{mag}*{mon}")
+        if not pieces:
+            pieces.append(("-" if c < 0 else "") + body)
+        else:
+            pieces.append((" - " if c < 0 else " + ") + body)
+    return "".join(pieces) or "0"
+
+
+def _power(var: str, k: int) -> str:
+    return "" if k == 0 else (var if k == 1 else f"{var}^{k}")
+
+
+def format_unipoly(p: UniPoly, var: str = "t") -> str:
+    return _format_terms((p.coeffs[k], _power(var, k)) for k in range(len(p.coeffs) - 1, -1, -1))
+
+
+def format_ratfun(num: UniPoly, den: UniPoly) -> str:
+    if den == UniPoly.one():
+        return format_unipoly(num)
+    return f"({format_unipoly(num)})/({format_unipoly(den)})"
+
+
+def format_bipoly(F: BiPoly) -> str:
+    """Render in i-major, j-minor term order (the interpolation basis order)."""
+    return _format_terms(
+        (F.coeffs[i][j], "*".join(filter(None, (_power("x", i), _power("y", j)))))
+        for i in range(F.m + 1)
+        for j in range(F.n + 1)
+    )
 
 
 class RatParam:
@@ -340,6 +344,24 @@ class RatParam:
 
     def __repr__(self) -> str:
         return f"RatParam<x={self.u1!r}/{self.v1!r}, y={self.u2!r}/{self.v2!r}>"
+
+
+class DegenerateParametrizationError(ValueError):
+    """Raised when a parametrization has a constant component, so no
+    Sylvester matrix (and no implicit curve equation) exists."""
+
+
+def component_degrees(P: RatParam) -> tuple[int, int]:
+    """Degrees (d1, d2) of the x- and y-component of ``P``, each the larger
+    of its numerator's and denominator's degree.  A constant component
+    traces no curve and raises ``DegenerateParametrizationError``."""
+    d1 = max(len(P.u1.coeffs), len(P.v1.coeffs)) - 1
+    d2 = max(len(P.u2.coeffs), len(P.v2.coeffs)) - 1
+    if d1 < 1 or d2 < 1:
+        raise DegenerateParametrizationError(
+            "both components must depend on the parameter (constant component)"
+        )
+    return d1, d2
 
 
 #: The prime of the modular coprimality proof in :func:`lowest_terms`.
@@ -424,9 +446,15 @@ def _cleared(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
     return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
 
 
-def _horner(coeffs: Sequence[int], t: int) -> int:
-    """Value at ``t`` of the integer polynomial with ascending ``coeffs``."""
+def _horner(coeffs: Sequence[Rat | int], t: Rat | int) -> Rat | int:
+    """Value at ``t`` of the polynomial with ascending ``coeffs``."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
+
+
+def _horner_xy(grid: Sequence[Sequence[Rat | int]], x: Rat | int, y: Rat | int) -> Rat | int:
+    """Value at (x, y) of the polynomial with ``grid[i][j]`` the coefficient
+    of x**i * y**j."""
+    return _horner([_horner(row, y) for row in grid], x)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm as _int_lcm
 from typing import Sequence
 
-from .polycore import BiPoly, Rat, RatParam, _as_rat, _cleared
+from .polycore import BiPoly, Rat, RatParam, _as_rat, _cleared, component_degrees
 
 
 class DuplicateNodeError(ValueError):
@@ -50,11 +50,6 @@ class InternalConsistencyError(RuntimeError):
     fails: a nonexact fraction-free division, non-integer interpolation
     nodes, interpolation data not reproduced, or a computed F that does not
     vanish along the input parametrization."""
-
-
-class DegenerateParametrizationError(ValueError):
-    """Raised when a parametrization has a constant component, so no
-    Sylvester matrix (and no implicit curve equation) exists."""
 
 
 class OpCounter:
@@ -192,14 +187,10 @@ def build_parametric_sylvester(P: RatParam) -> PolyMat:
     and (u2, v2) are each cleared to integers by the lcm L1 resp. L2 of their
     denominators, which scales every determinant by L1**d2 * L2**d1.  A
     constant x- or y-component (deg_t p == 0 or deg_t q == 0) admits no
-    such matrix and raises ``DegenerateParametrizationError``.
+    such matrix: :func:`component_degrees` raises
+    ``DegenerateParametrizationError``.
     """
-    d1 = max(len(P.u1.coeffs), len(P.v1.coeffs)) - 1
-    d2 = max(len(P.u2.coeffs), len(P.v2.coeffs)) - 1
-    if d1 < 1 or d2 < 1:
-        raise DegenerateParametrizationError(
-            "both components must depend on the parameter (constant component)"
-        )
+    d1, d2 = component_degrees(P)
     bands = []
     for u, v, d in ((P.u1, P.v1, d1), (P.u2, P.v2, d2)):
         cu, cv = (c + [0] * (d + 1 - len(c)) for c in _cleared((u.coeffs, v.coeffs)))
@@ -236,13 +227,9 @@ def det_bareiss(M: MatQ, counter: OpCounter) -> Rat:
     a: list[list[int]] = []
     denom = 1
     for row in M.entries:
-        l = 1
-        for c in row:
-            l = _int_lcm(l, c.denominator)
-        if l == 1:
-            a.append([c.numerator for c in row])
-        else:
-            a.append([int(c * l) for c in row])
+        l = _int_lcm(*(c.denominator for c in row))
+        a.append([c.numerator * (l // c.denominator) for c in row])
+        if l != 1:
             counter.count(muls=n)
         denom *= l
     det = _bareiss(a, 1, counter)
@@ -463,10 +450,10 @@ def vandermonde_solve_primal(
     """
     if len(nodes) != len(values):
         raise ValueError("nodes and values must have equal length")
-    x = [_as_num(t) for t in nodes]
+    x = list(nodes)
     _check_nodes(x)
     s = len(x)
-    a = [_as_num(v) for v in values]
+    a = list(values)
     for k in range(s - 1):
         for i in range(s - 1, k, -1):
             a[i] = _quotient(a[i] - a[i - 1], x[i] - x[i - k - 1])
@@ -475,10 +462,6 @@ def vandermonde_solve_primal(
             a[i] = a[i] - a[i + 1] * x[k]
     _count_bjorck_pereyra(counter, s)
     return a
-
-
-def _as_num(value: Rat | int) -> Rat | int:
-    return value if isinstance(value, int) else _as_rat(value)
 
 
 def _quotient(num: Rat | int, den: Rat | int) -> Rat | int:
@@ -502,10 +485,10 @@ def vandermonde_solve_dual(
     """
     if len(nodes) != len(b):
         raise ValueError("nodes and right-hand side must have equal length")
-    x = [_as_num(t) for t in nodes]
+    x = list(nodes)
     _check_nodes(x)
     s = len(x)
-    c = [_as_num(v) for v in b]
+    c = list(b)
     for k in range(s - 1):
         for i in range(s - 1, k, -1):
             c[i] = c[i] - x[k] * c[i - 1]

@@ -29,7 +29,7 @@ from implicurve import (
     vandermonde_solve_primal,
 )
 from implicurve.cli import format_ratfun, parse_rational_function
-from implicurve.implicitize import interpolation_matrix
+from implicurve.pipeline import interpolation_matrix
 
 from util import (
     CUBIC,

@@ -4,20 +4,24 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import implicurve
 import implicurve.cli as cli
 from implicurve import (
+    METHOD_KRONECKER,
     BiPoly,
     InternalConsistencyError,
     MethodConfig,
     UniPoly,
     bipoly_canonicalize,
     implicitize,
+    poly_gcd,
 )
 from implicurve.cli import (
     CLI_METHODS,
@@ -260,8 +264,11 @@ def test_implicitize_json_document_verifies(tmp_path, capsys):
         ({"coeffs": [[None]]}, "bad JSON coefficient"),
         ({"coeffs": [["0"] * (MAX_EXPONENT + 2), ["1"] * (MAX_EXPONENT + 2)]}, "exceeds the maximum"),
         ({"coeffs": [["1"]] * (MAX_EXPONENT + 2)}, "exceeds the maximum"),
+        ({"coeffs": [["1e2000000", "1"], ["1", "0"]]}, "bad JSON coefficient"),
+        ({"coeffs": [["1.5", "1"], ["1", "0"]]}, "bad JSON coefficient"),
     ],
-    ids=["zero-denominator", "not-a-grid", "null-coefficient", "y-degree-over-cap", "x-degree-over-cap"],
+    ids=["zero-denominator", "not-a-grid", "null-coefficient", "y-degree-over-cap",
+         "x-degree-over-cap", "decimal-exponent", "decimal-point"],
 )
 def test_cmd_verify_rejects_malformed_json_grids(doc, message, capsys):
     code = main(["verify", "--x", "t", "--y", "t", "--poly", json.dumps(doc)])
@@ -448,3 +455,45 @@ def test_cli_rejects_node_primes_over_the_cap_at_once(capsys):
     assert main(argv) == 1
     assert time.perf_counter() - t0 < 1.0
     assert "must not exceed" in capsys.readouterr().err
+
+
+def test_cmd_bench_disagreement_exits_3(monkeypatch, capsys):
+    real = cli.implicitize
+
+    def skewed(P, cfg=None):
+        result = real(P, cfg)
+        if cfg.method == METHOD_KRONECKER:
+            return replace(result, F=result.F.scale(2))
+        return result
+
+    monkeypatch.setattr(cli, "implicitize", skewed)
+    argv = ["bench", "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)"]
+    assert main(argv) == 3
+    assert "agreed: NO" in capsys.readouterr().out
+    assert main([*argv, "--json"]) == 3
+    assert json.loads(capsys.readouterr().out)["agreed"] is False
+
+
+def test_cmd_verify_accepts_a_constant_component(capsys):
+    # the degree rule of the methods does not apply to the proof
+    assert main(["verify", "--x", "1", "--y", "t", "--poly", "x - 1"]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+_coef = st.integers(-30, 30) | st.fractions(-30, 30, max_denominator=12)
+_unipoly = st.lists(_coef, max_size=7).map(UniPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unipoly, _unipoly.filter(lambda v: not v.is_zero))
+def test_parse_inverts_format_ratfun(u, v):
+    assume(poly_gcd(u, v).degree == 0)  # parse_rational_function reduces to lowest terms
+    assert parse_rational_function(format_ratfun(u, v)) == (u, v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda w: st.lists(st.lists(_coef, min_size=w, max_size=w), min_size=1, max_size=4)))
+def test_parse_inverts_format_bipoly(rows):
+    F = BiPoly(rows)
+    assert parse_poly_xy(format_bipoly(F)) == F

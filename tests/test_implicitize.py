@@ -22,6 +22,7 @@ from implicurve import (
     UniPoly,
     bipoly_canonicalize,
     bipoly_eval,
+    build_parametric_sylvester,
     degree_bounds,
     implicitize,
     method_dual_vandermonde,
@@ -30,7 +31,7 @@ from implicurve import (
     nodes_on_curve,
     substitute_check,
 )
-from implicurve.implicitize import (
+from implicurve.pipeline import (
     MAX_NODE_PRIME,
     _check_interpolation_data,
     _from_determinants,
@@ -312,7 +313,7 @@ def test_pipeline_checks_still_run_under_python_O():
     code = (
         "from fractions import Fraction\n"
         "from implicurve import BiPoly, InternalConsistencyError\n"
-        "from implicurve.implicitize import _check_interpolation_data\n"
+        "from implicurve.pipeline import _check_interpolation_data\n"
         "from implicurve.structmat import OpCounter, _bareiss\n"
         "calls = (lambda: _check_interpolation_data(BiPoly([[1]]), [(Fraction(1, 2), 0)], [1]),\n"
         "         lambda: _bareiss([[1, 2], [3, 5]], 2, OpCounter()))\n"
@@ -330,3 +331,14 @@ def test_pipeline_checks_still_run_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["raised", "raised"]
+
+
+@pytest.mark.parametrize("constant", ["x", "y"])
+def test_degree_rule_raises_one_error_class_from_both_callers(constant):
+    t, one = UniPoly([0, 1]), UniPoly.one()
+    x, y = (UniPoly([3]), t) if constant == "x" else (t, UniPoly([3]))
+    P = RatParam(x, one, y, one)
+    for fn in (degree_bounds, build_parametric_sylvester):
+        with pytest.raises(DegenerateParametrizationError, match="constant component") as exc:
+            fn(P)
+        assert type(exc.value) is DegenerateParametrizationError
