@@ -1,7 +1,7 @@
 """How the three pipelines scale, measured by exact operation counters.
 
 For curves with both degree bounds equal to d, the interpolation space has
-dimension N = (d+1)^2.  The solve stage costs roughly N^3 rational
+dimension N = (d+1)^2.  The solve stage costs roughly N^3 exact
 operations for the unstructured method, N^2 for the transposed-Vandermonde
 method, and N^1.5 for the Kronecker grid method — and the grid method also
 keeps its interpolation data tiny, while prime-power nodes blow the data

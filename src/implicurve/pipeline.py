@@ -42,13 +42,14 @@ from typing import Callable, Iterator, Sequence
 
 from .polycore import (
     BiPoly,
+    DegenerateParametrizationError,
     Rat,
     RatParam,
     _cleared,
+    _horner,
     _horner_xy,
     bipoly_canonicalize,
     component_degrees,
-    poly_eval,
     substitute_check,
 )
 from .structmat import (
@@ -149,13 +150,22 @@ def degree_bounds(P: RatParam) -> DegreeBounds:
 
 def curve_points(P: RatParam) -> Iterator[tuple[Rat, Rat]]:
     """Distinct points P(t) for t = 0, 1, 2, ..., skipping parameter values
-    where a denominator vanishes and points already produced."""
+    where a denominator vanishes and points already produced.
+
+    The sweep runs on the component pairs cleared to integers.  A curve
+    with both components constant is a single point, so the sweep raises
+    ``DegenerateParametrizationError`` rather than search for a second.
+    """
+    u1, v1 = _cleared((P.u1.coeffs, P.v1.coeffs))
+    u2, v2 = _cleared((P.u2.coeffs, P.v2.coeffs))
+    if max(map(len, (u1, v1, u2, v2))) < 2:
+        raise DegenerateParametrizationError("both components are constant: a single point")
     seen: set[tuple[Rat, Rat]] = set()
     t = 0
     while True:
-        t0 = Fraction(t)
-        if poly_eval(P.v1, t0) != 0 and poly_eval(P.v2, t0) != 0:
-            pt = (P.x_at(t0), P.y_at(t0))
+        a, b, c, e = (_horner(p, t) for p in (u1, v1, u2, v2))
+        if b and e:
+            pt = (Fraction(a, b), Fraction(c, e))
             if pt not in seen:
                 seen.add(pt)
                 yield pt

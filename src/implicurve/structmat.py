@@ -14,7 +14,8 @@ each node only eliminates a d1 x d1 remainder.
 
 Solvers come in two flavours.  General-purpose: fraction-free Bareiss
 determinants (`det_bareiss`), Gaussian elimination (`solve_general`), and
-reduced-row-echelon nullspace extraction (`nullspace`).  Structured:
+fraction-free nullspace extraction (`nullspace`); the two fraction-free
+eliminations share one exact-division step.  Structured:
 Björck-Pereyra elimination for primal and transposed Vandermonde systems
 (`vandermonde_solve_primal` / `vandermonde_solve_dual`), and a two-stage
 solver for systems whose matrix is the Kronecker product of two Vandermonde
@@ -31,7 +32,7 @@ report how large their interpolation data grew.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm as _int_lcm
+from math import lcm as _int_lcm, prod
 from typing import Sequence
 
 from .polycore import BiPoly, Rat, RatParam, _as_rat, _cleared, component_degrees
@@ -223,20 +224,21 @@ def det_bareiss(M: MatQ, counter: OpCounter) -> Rat:
     """
     if M.rows != M.cols:
         raise ValueError("determinant requires a square matrix")
-    n = M.rows
-    a: list[list[int]] = []
-    denom = 1
-    for row in M.entries:
-        l = _int_lcm(*(c.denominator for c in row))
-        a.append([c.numerator * (l // c.denominator) for c in row])
-        if l != 1:
-            counter.count(muls=n)
-        denom *= l
+    a, denom = _int_rows(M, counter)
     det = _bareiss(a, 1, counter)
     if denom == 1:
         return Fraction(det)
     counter.count(divs=1)
     return Fraction(det, denom)
+
+
+def _int_rows(M: MatQ, counter: OpCounter) -> tuple[list[list[int]], int]:
+    """Each row of ``M`` scaled to integers by the lcm of its denominators,
+    and the product of those scales."""
+    scales = [_int_lcm(*(c.denominator for c in row)) for row in M.entries]
+    counter.count(muls=M.cols * sum(l != 1 for l in scales))
+    a = [[c.numerator * (l // c.denominator) for c in row] for row, l in zip(M.entries, scales)]
+    return a, prod(scales)
 
 
 def _bareiss(a: list[list[int]], prev: int, counter: OpCounter) -> int:
@@ -245,10 +247,8 @@ def _bareiss(a: list[list[int]], prev: int, counter: OpCounter) -> int:
 
     With ``prev`` = 1 this is the determinant of ``a``.  Continued after k
     steps of an elimination of a larger matrix, it is that matrix's
-    determinant.  Each step's division by the previous pivot is exact, and
-    checked; a zero pivot is repaired by a row swap, and a column with no
-    pivot means the determinant is zero.  A row whose multiplier is zero
-    is only rescaled.
+    determinant.  A zero pivot is repaired by a row swap, and a column with
+    no pivot means the determinant is zero.
     """
     n = len(a)
     sign = 1
@@ -259,28 +259,39 @@ def _bareiss(a: list[list[int]], prev: int, counter: OpCounter) -> int:
                 return 0
             a[k], a[r] = a[r], a[k]
             sign = -sign
-        ak = a[k]
-        pivot = ak[k]
-        w = n - 1 - k
-        nonzero = sum(1 for ai in a[k + 1 :] if ai[k])
-        counter.count(adds=nonzero * w, muls=(w + nonzero) * w, divs=w * w)
-        for ai in a[k + 1 :]:
-            fac = ai[k]
-            if fac:
-                nums = [x * pivot - fac * y for x, y in zip(ai[k + 1 :], ak[k + 1 :])]
-            else:
-                nums = [x * pivot for x in ai[k + 1 :]]
-            row = ai[: k + 1]
-            for num in nums:
-                q, r = divmod(num, prev)
-                if r:
-                    raise InternalConsistencyError(
-                        "fraction-free elimination hit a nonexact division"
-                    )
-                row.append(q)
-            ai[:] = row
-        prev = pivot
+        _fraction_free_step(a, k, k, prev, counter)
+        prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def _fraction_free_step(
+    a: list[list[int]], r: int, col: int, prev: int, counter: OpCounter
+) -> None:
+    """One Bareiss step, in place: every row below row ``r`` becomes
+    (pivot*row - row[col]*a[r]) / prev right of ``col``, with pivot =
+    a[r][col] and ``prev`` the previous pivot (1 at first).  Each division
+    is exact by Sylvester's identity, and checked: a remainder raises
+    ``InternalConsistencyError``.
+    """
+    ak = a[r]
+    pivot = ak[col]
+    below = a[r + 1 :]
+    w = len(ak) - 1 - col
+    nonzero = sum(1 for ai in below if ai[col])
+    counter.count(adds=nonzero * w, muls=(len(below) + nonzero) * w, divs=len(below) * w)
+    for ai in below:
+        fac = ai[col]
+        if fac:
+            nums = [x * pivot - fac * y for x, y in zip(ai[col + 1 :], ak[col + 1 :])]
+        else:
+            nums = [x * pivot for x in ai[col + 1 :]]
+        row = ai[: col + 1]
+        for num in nums:
+            q, rem = divmod(num, prev)
+            if rem:
+                raise InternalConsistencyError("fraction-free elimination hit a nonexact division")
+            row.append(q)
+        ai[:] = row
 
 
 def sylvester_line_dets(
@@ -389,47 +400,44 @@ def solve_general(M: MatQ, b: Sequence[Rat | int], counter: OpCounter) -> list[R
 
 
 def nullspace(M: MatQ, counter: OpCounter | None = None) -> list[tuple[Rat, ...]]:
-    """Basis of the right nullspace of ``M`` via reduced row echelon form.
+    """Basis of the right nullspace of ``M``: one vector per free column,
+    that variable 1 and the other free ones 0 (the reduced-row-echelon
+    basis), so the result is empty exactly when ``M`` has full column rank.
 
-    Returns one vector per free column (free variable set to 1), so the
-    result is empty exactly when ``M`` has full column rank.  The optional
-    counter records the elimination's rational operations.
+    Rows are scaled to integers and reduced by downward fraction-free
+    elimination; a column with no pivot is zero in every remaining row, and
+    is skipped.  With d the last pivot, d times each vector is integral
+    (Cramer's rule), so back-substitution runs in ints, each division
+    checked exact.  The optional counter records the operations.
     """
     c = counter if counter is not None else OpCounter()
-    a = [list(row) for row in M.entries]
-    nrows, ncols = M.rows, M.cols
+    a, _ = _int_rows(M, c)
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][col] != 0), None)
+    d = 1
+    for col in range(M.cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, M.rows) if a[i][col]), None)
         if pr is None:
             continue
-        if pr != r:
-            a[r], a[pr] = a[pr], a[r]
-        piv = a[r][col]
-        if piv != 1:
-            for j in range(col, ncols):
-                a[r][j] /= piv
-            c.count(divs=ncols - col)
-        for i in range(nrows):
-            if i == r or a[i][col] == 0:
-                continue
-            f = a[i][col]
-            for j in range(col, ncols):
-                a[i][j] -= f * a[r][j]
-            c.count(adds=ncols - col, muls=ncols - col)
+        a[r], a[pr] = a[pr], a[r]
+        _fraction_free_step(a, r, col, d, c)
+        d = a[r][col]
         pivots.append(col)
-        r += 1
-        if r == nrows:
+        if r + 1 == M.rows:
             break
-    free_cols = [j for j in range(ncols) if j not in pivots]
+    rank = len(pivots)
     basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -a[pr][fc]
-        basis.append(tuple(v))
+    for fc in (j for j in range(M.cols) if j not in pivots):
+        v = [0] * M.cols
+        v[fc] = d
+        for r in range(rank - 1, -1, -1):
+            row = a[r]
+            num = -row[fc] * d - sum(row[j] * v[j] for j in pivots[r + 1 :])
+            v[pivots[r]], rem = divmod(num, row[pivots[r]])
+            if rem:
+                raise InternalConsistencyError("nullspace back-substitution is not exact")
+        c.count(adds=rank * (rank - 1) // 2, muls=rank * (rank + 1) // 2, divs=2 * rank)
+        basis.append(tuple(Fraction(x, d) for x in v))
     return basis
 
 

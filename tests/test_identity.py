@@ -28,7 +28,7 @@ from implicurve.cli import format_ratfun, main
 
 from util import CUBIC, HYPERBOLA, rand_ratparam
 
-IDENTITY_DIGEST = "137ed9ef2d2a559ad0dc90db27a918d62ec44bf7991c67b2cc6d1da3d630915f"
+IDENTITY_DIGEST = "d2726db265e8bd64a1ecefa77619a4708ea8f8df776faf59464c9bb9705e0411"
 
 
 def _corpus():

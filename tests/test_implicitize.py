@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import implicurve
 
@@ -29,6 +31,8 @@ from implicurve import (
     method_kronecker,
     method_unstructured,
     nodes_on_curve,
+    poly_eval,
+    poly_gcd,
     substitute_check,
 )
 from implicurve.pipeline import (
@@ -247,6 +251,45 @@ def test_curve_points_generator_is_lazy_and_deduplicated():
         seen.add(pt)
 
 
+def test_curve_points_matches_the_rational_sweep():
+    def oracle(P, stop=41):
+        """The sweep in Fraction arithmetic, as it was first written."""
+        pts = []
+        for t in range(stop):
+            if poly_eval(P.v1, t) != 0 and poly_eval(P.v2, t) != 0:
+                pt = (P.x_at(t), P.y_at(t))
+                if pt not in pts:
+                    pts.append(pt)
+        return pts
+
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    q = UniPoly([0, -9, 1])  # q(t) = q(9 - t): t = 0..9 meet each point twice
+    curves = [
+        # x has poles at t = 2 and 5, y at t = 7
+        RatParam(UniPoly([third, half]), UniPoly([10, -7, 1]).scale(third),
+                 UniPoly([1, 0, Fraction(2, 5)]), UniPoly([-7, 1]).scale(half)),
+        # functions of q: repeated points, and y has poles at t = 3 and 6
+        RatParam(q.scale(third), UniPoly.one(), (q * q).scale(half),
+                 (q + UniPoly([18])).scale(Fraction(5, 7))),
+        RatParam(UniPoly([1]), UniPoly([1]), UniPoly([1]), UniPoly([0, 1])),
+    ]
+    rng = random.Random(41)
+    curves += [rand_ratparam(rng, 3, rational=True) for _ in range(6)]
+    for P in curves:
+        want = oracle(P)
+        assert list(itertools.islice(curve_points(P), len(want))) == want
+    assert len(oracle(curves[1])) == 35  # t = 0..40 less 2 poles and 4 repeats
+
+
+@pytest.mark.parametrize("x", [(UniPoly([1]), UniPoly([1])), (UniPoly([0, 2]), UniPoly([0, 1]))])
+def test_curve_points_rejects_a_single_point(x):
+    # both components constant (the second x = 2t/t only after reduction):
+    # the sweep can never find a second point
+    P = RatParam(*x, UniPoly([2]), UniPoly([3]))
+    with pytest.raises(DegenerateParametrizationError, match="single point"):
+        nodes_on_curve(P, 2)
+
+
 def test_node_power_bits_match_the_multiplied_out_powers():
     def old_loop(nodes, count):
         c = OpCounter()
@@ -342,3 +385,57 @@ def test_degree_rule_raises_one_error_class_from_both_callers(constant):
         with pytest.raises(DegenerateParametrizationError, match="constant component") as exc:
             fn(P)
         assert type(exc.value) is DegenerateParametrizationError
+
+
+def _proven_proper(P):
+    """True when the tracing index of ``P`` (degrees <= 3) is proven to be 1.
+
+    At a parameter t0 that is no pole, the fibre polynomials
+    u(t)v(t0) - u(t0)v(t) of both components have gcd (t - t0) times the
+    other parameters of the point P(t0).  An improper P = Q(phi(t)) with
+    deg phi = r shares phi's fibre, of degree r, at every t0 except at most
+    r - 1 of them, and r divides the degree of x(t), so r <= 3.  A gcd of
+    degree 1 at three values of t0 therefore proves r = 1.  A proper curve
+    is rejected only if its poles and the parameters of its multiple points
+    take all but two of t0 = 0..11.
+    """
+    proper = 0
+    for t0 in range(12):
+        if P.v1(t0) and P.v2(t0):
+            fibres = (u.scale(v(t0)) - v.scale(u(t0)) for u, v in ((P.u1, P.v1), (P.u2, P.v2)))
+            proper += poly_gcd(*fibres).degree == 1
+    return proper >= 3
+
+
+_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def _rational_curves(draw):
+    parts = []
+    for _ in range(2):
+        d = draw(st.integers(1, 3))
+        parts.append(UniPoly(draw(st.lists(_coeffs, min_size=1, max_size=d + 1).filter(any))))
+        parts.append(UniPoly(draw(st.lists(_coeffs, min_size=d + 1, max_size=d + 1)
+                                  .filter(lambda c: c[-1]))))
+    return RatParam(*parts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_curves())
+def test_rational_curves_agree_across_methods_and_perturbations_fail(P):
+    try:
+        degree_bounds(P)
+    except DegenerateParametrizationError:  # a component reduced to a constant
+        assume(False)
+    # an improper curve gives F^r from the determinant methods (ROADMAP item 1)
+    assume(_proven_proper(P))
+    F = method_unstructured(P).F
+    for fn in (method_unstructured, method_dual_vandermonde, method_kronecker):
+        r = fn(P)
+        assert r.F == F and r.verified
+    for i in range(F.m + 1):
+        for j in range(F.n + 1):
+            grid = [list(row) for row in F.coeffs]
+            grid[i][j] += 1
+            assert not substitute_check(BiPoly(grid), P), (i, j)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from implicurve.pipeline import interpolation_matrix, nodes_on_curve
 from implicurve.structmat import InternalConsistencyError, _bareiss
 from implicurve import (
     BiPoly,
@@ -270,6 +271,41 @@ def test_nullspace_counter_is_optional_but_counts():
     c = OpCounter()
     nullspace(A, c)
     assert c.adds > 0 or c.divs > 0
+
+
+def test_nullspace_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def oracle(rows):
+        M = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in rows])
+        return [tuple(Fraction(int(e.p), int(e.q)) for e in v) for v in M.nullspace()]
+
+    def variants(rows):
+        """The matrix, with a zero row, with a zero column, and with a zero
+        first entry (a row swap when the rest of column 0 is not zero)."""
+        yield rows
+        zero_row = [list(r) for r in rows]
+        zero_row[rng.randrange(len(rows))] = [Fraction(0)] * len(rows[0])
+        yield zero_row
+        col = rng.randrange(len(rows[0]))
+        yield [[Fraction(0) if j == col else c for j, c in enumerate(r)] for r in rows]
+        yield [[Fraction(0)] + list(rows[0][1:])] + [list(r) for r in rows[1:]]
+
+    rng = random.Random(16)
+    for rows_n, cols_n in ((6, 3), (3, 6), (5, 5), (1, 4), (4, 1)):
+        for k in range(min(rows_n, cols_n) + 1):  # rank k (0: the zero matrix)
+            L = [[rand_frac(rng) for _ in range(k)] for _ in range(rows_n)]
+            R = [[rand_frac(rng) for _ in range(cols_n)] for _ in range(k)]
+            rows = [
+                [sum((L[i][t] * R[t][j] for t in range(k)), Fraction(0)) for j in range(cols_n)]
+                for i in range(rows_n)
+            ]
+            for M in variants(rows):
+                assert nullspace(MatQ(M)) == oracle(M), M
+    for count in (16, 17):
+        A = interpolation_matrix(nodes_on_curve(CUBIC, count), 3, 3)
+        basis = nullspace(A)
+        assert len(basis) == 1 and basis == oracle(A.entries)
 
 
 # --- Vandermonde solvers --------------------------------------------------------
