@@ -9,8 +9,8 @@ node and are the reference kernels.  The bands are integers from
 construction: `build_parametric_sylvester` clears each component pair of a
 rational curve, which scales every determinant by a known constant.  The
 pipelines call `sylvester_line_dets` per grid line x = x0: the Bareiss
-steps of the rows of p = u1 - x0*v1 are shared by every node of the line;
-each node only eliminates a d1 x d1 remainder.
+steps of the rows of p = u1 - x0*v1 are shared by every node of the line,
+and the d1 x d1 remainder is eliminated once, by Kronecker substitution.
 
 Solvers come in two flavours.  General-purpose: fraction-free Bareiss
 determinants (`det_bareiss`), Gaussian elimination (`solve_general`), and
@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import lcm as _int_lcm, prod
 from typing import Sequence
 
-from .polycore import BiPoly, Rat, RatParam, _as_rat, _cleared, component_degrees
+from .polycore import BiPoly, Rat, RatParam, _as_rat, _cleared, _horner, component_degrees
 
 
 class DuplicateNodeError(ValueError):
@@ -294,6 +294,11 @@ def _fraction_free_step(
         ai[:] = row
 
 
+#: Largest packed size s*(d1+1), in bits, of a line that
+#: :func:`sylvester_line_dets` packs; a larger one costs more than it saves.
+LINE_PACK_BITS = 4096
+
+
 def sylvester_line_dets(
     S: PolyMat, x0: int, ys: Sequence[int], counter: OpCounter
 ) -> list[int]:
@@ -304,12 +309,17 @@ def sylvester_line_dets(
     leading coefficient a_e (the first nonzero one) in the columns e..e+d2-1,
     taken first; this column order adds the sign (-1)**(e*d2).  The p block
     is then upper triangular with diagonal a_e, so each step is the
-    division-free update row <- a_e*row - row[k]*p_row_k, and the last
-    p-pivot is a_e**d2.  The update is linear in the row it updates, so for
-    several y the steps run on the pencil of rows of u2 and of v2, and for
-    each y only the d1 x d1 remainder U - y*V is left to eliminate; a
-    single y has its q rows u2 - y*v2 reduced directly.  If p vanishes
-    identically at x0, every determinant is 0.
+    division-free update row <- a_e*row - row[k]*p_row_k; the elimination
+    of the d1 x d1 remainder continues from the last p-pivot a_e**d2.  A
+    single y has its q rows u2 - y*v2 reduced directly.  Several y are
+    packed into one, y = 2**s with s = bitlen(B) + 1, where B
+    (:func:`_line_bound`) bounds every coefficient of R(y) = det S(x0, y),
+    of degree <= d1: R's coefficients are the signed base-2**s digits of
+    R(2**s) (Kronecker substitution), and Horner gives the node values.
+    Past a packed size s*(d1+1) of ``LINE_PACK_BITS``, the steps run on
+    the pencil of rows of u2 and of v2 instead (the update is linear in the
+    row), and each y eliminates its own remainder U - y*V.  If p vanishes
+    at x0, every determinant is 0.
     """
     p_band, q_band = S.p_band, S.q_band
     d1, d2 = len(p_band) - 1, len(q_band) - 1
@@ -332,10 +342,16 @@ def sylvester_line_dets(
         return out
 
     if len(ys) == 1:
-        q_bands = [[u - ys[0] * v for u, v in q_band]]
-        counter.count(adds=d2 + 1, muls=d2 + 1)
+        at = ys[0]
+    elif (s := _line_bound(p, q_band).bit_length() + 1) * (d1 + 1) <= LINE_PACK_BITS:
+        at = 1 << s
     else:
+        at = None
+    if at is None:
         q_bands = [[u for u, _ in q_band], [v for _, v in q_band]]
+    else:
+        q_bands = [[u - at * v for u, v in q_band]]
+        counter.count(adds=d2 + 1, muls=d2 + 1)
     q_rows = [row for band in q_bands for row in rows(band, d1)]
     for k, pk in enumerate(rows(p, d2)):
         w = n - 1 - k
@@ -348,16 +364,42 @@ def sylvester_line_dets(
             else:
                 row[k + 1 :] = [lead * a for a in row[k + 1 :]]
     rest = [row[d2:] for row in q_rows]
-    if len(ys) == 1:
-        blocks = [rest]
-    else:
+    sign = -1 if e * d2 % 2 else 1
+    if at is None:
         blocks = [
             [[u - y * v for u, v in zip(ur, vr)] for ur, vr in zip(rest[:d1], rest[d1:])]
             for y in ys
         ]
         counter.count(adds=len(ys) * d1 * d1, muls=len(ys) * d1 * d1)
-    sign = -1 if e * d2 % 2 else 1
-    return [sign * _bareiss(block, lead**d2, counter) for block in blocks]
+        return [sign * _bareiss(block, lead**d2, counter) for block in blocks]
+    det = sign * _bareiss(rest, lead**d2, counter)
+    if len(ys) == 1:
+        return [det]
+    coeffs = _signed_digits(det, s, d1 + 1)
+    counter.count(adds=(len(ys) + 1) * d1 + 1, muls=len(ys) * d1)
+    return [_horner(coeffs, y) for y in ys]
+
+
+def _line_bound(p: list[int], q_band: Sequence[tuple[int, int]]) -> int:
+    """B = |p|_1**d2 * (sum |u2_s| + |v2_s|)**d1, p the band at x0: expanding
+    the q rows u2 - y*v2 multilinearly, the coefficients of det S(x0, y)
+    sum to at most the product of the rows' 1-norms (Hadamard)."""
+    q_norm = sum(abs(u) + abs(v) for u, v in q_band)
+    return sum(map(abs, p)) ** (len(q_band) - 1) * q_norm ** (len(p) - 1)
+
+
+def _signed_digits(value: int, s: int, count: int) -> list[int]:
+    """The ``count`` signed base-2**s digits of ``value``, lowest first; a
+    nonzero leftover raises ``InternalConsistencyError``."""
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    digits = []
+    for _ in range(count):
+        d = ((value + half) & mask) - half
+        digits.append(d)
+        value = (value - d) >> s
+    if value:
+        raise InternalConsistencyError("packed determinant exceeds its coefficient bound")
+    return digits
 
 
 def solve_general(M: MatQ, b: Sequence[Rat | int], counter: OpCounter) -> list[Rat]:

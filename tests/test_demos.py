@@ -1,4 +1,4 @@
-"""Smoke test: the sub-second demos run as scripts and print what they claim."""
+"""Smoke test: the demos run as scripts and print what they claim."""
 
 import os
 import subprocess
@@ -14,7 +14,9 @@ HYPERBOLA_LINE = "2 - 3*y - x + 2*x*y"
 
 
 @pytest.mark.parametrize(
-    "demo", ["hyperbola_three_ways", "resultant_determinants", "structured_solver_kernels"]
+    "demo",
+    ["hyperbola_three_ways", "resultant_determinants", "structured_solver_kernels",
+     "cost_scaling"],
 )
 def test_demo_runs(demo):
     src = str(Path(implicurve.__file__).resolve().parents[1])
@@ -27,3 +29,6 @@ def test_demo_runs(demo):
     if demo == "hyperbola_three_ways":
         assert f"the same canonical equation: {HYPERBOLA_LINE} = 0" in proc.stdout
         assert proc.stdout.count(f"-> F(x, y) = {HYPERBOLA_LINE}") == 3
+    if demo == "cost_scaling":
+        assert [line.split()[0] for line in proc.stdout.splitlines()[2:7]] == list("23456")
+        assert "the same canonical F, each verified" in proc.stdout

@@ -28,7 +28,7 @@ from implicurve.cli import format_ratfun, main
 
 from util import CUBIC, HYPERBOLA, rand_ratparam
 
-IDENTITY_DIGEST = "d2726db265e8bd64a1ecefa77619a4708ea8f8df776faf59464c9bb9705e0411"
+IDENTITY_DIGEST = "63c0c961e28689be27edfb4216f1bef6402380e6281b05520a65524cc2b5c014"
 
 
 def _corpus():

@@ -15,6 +15,8 @@ from implicurve import (
     poly_gcd,
     substitute_check,
 )
+from implicurve import polycore
+from implicurve.cli import main
 from implicurve.polycore import (
     COPRIME_PRIME,
     coprime_mod_prime,
@@ -197,7 +199,19 @@ def test_substitute_check_rejects_zero_polynomial():
         substitute_check(BiPoly.zeros(1, 1), HYPERBOLA)
 
 
-# --- the D+1-point proof ----------------------------------------------------------
+# --- the one-point and the D+1-point proof ---------------------------------------
+
+
+def _verdict_both_ways(F, P):
+    """``substitute_check`` at the one packed point and at the D + 1 points
+    0..D; the two verdicts must be the same."""
+    verdicts = []
+    for bits in (10**9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polycore, "PROOF_PACK_BITS", bits)
+            verdicts.append(substitute_check(F, P))
+    assert verdicts[0] == verdicts[1], (F, P)
+    return verdicts[0]
 
 
 def _seeded_corpus():
@@ -210,15 +224,62 @@ def _seeded_corpus():
     ]
 
 
+def _assert_only_the_equation_vanishes(F, P):
+    """F vanishes along P, and no +1 perturbation of one coefficient does,
+    by both proofs."""
+    assert substitute_check(F, P) and _verdict_both_ways(F, P)
+    for i in range(F.m + 1):
+        for j in range(F.n + 1):
+            rows = [list(row) for row in F.coeffs]
+            rows[i][j] += 1
+            assert not _verdict_both_ways(BiPoly(rows), P), (P, i, j)
+
+
 def test_substitute_check_rejects_every_one_coefficient_perturbation():
     for P in _seeded_corpus():
+        _assert_only_the_equation_vanishes(implicitize(P).F, P)
+
+
+def _wide_curve(rng, d, bits):
+    """Degree-d curve whose coefficients are ``bits``-bit numerators over
+    ``bits``-bit denominators."""
+    def poly(degree):
+        coeffs = [Fraction(rng.getrandbits(bits) - 2 ** (bits - 1), rng.getrandbits(bits) | 1)
+                  for _ in range(degree)]
+        return UniPoly(coeffs + [Fraction(rng.getrandbits(bits) | 1, rng.getrandbits(bits) | 1)])
+    return RatParam(poly(d - 1), poly(d), poly(d), poly(d - 1))
+
+
+def test_substitute_check_on_curves_above_the_packing_limit(monkeypatch):
+    rng = random.Random(909)
+    for d in (2, 3):
+        P = _wide_curve(rng, d, 32)
         F = implicitize(P).F
+        _assert_only_the_equation_vanishes(F, P)
+        points = []
+
+        def spy(grid, ps, numerators=polycore._numerators):
+            points.append(list(ps))
+            return numerators(grid, points[-1])
+
+        monkeypatch.setattr(polycore, "_numerators", spy)
         assert substitute_check(F, P)
-        for i in range(F.m + 1):
-            for j in range(F.n + 1):
-                rows = [list(row) for row in F.coeffs]
-                rows[i][j] += 1
-                assert not substitute_check(BiPoly(rows), P), (P, i, j)
+        monkeypatch.undo()
+        assert len(points[-1]) == 2 * d * d + 1  # N at 0..D
+
+
+def test_substitute_check_with_a_zero_numerator():
+    P = RatParam(UniPoly.zero(), UniPoly([3, 1]), UniPoly([0, 1]), UniPoly([2, 0, 1]))
+    assert P.u1.is_zero
+    assert _verdict_both_ways(BiPoly([[0], [1]]), P)  # x
+    assert _verdict_both_ways(BiPoly([[0, 0], [1, 5], [2, 0]]), P)  # x + 5xy + 2x^2
+    assert not _verdict_both_ways(BiPoly([[-1], [1]]), P)  # x - 1
+    assert not _verdict_both_ways(BiPoly([[0, 1], [1, 0]]), P)  # y + x
+
+
+def test_verify_a_constant_component_through_main(capsys):
+    assert main(["verify", "--x", "1", "--y", "t", "--poly", "x - 1"]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
 
 
 def _sympy_vanishes(F: BiPoly, P: RatParam) -> bool:
@@ -254,7 +315,7 @@ def test_substitute_check_agrees_with_sympy_substitution():
             cases += [(F, P), (times_x, P), (BiPoly(grid), P)]
     verdicts = []
     for F, P in cases:
-        verdicts.append(substitute_check(F, P))
+        verdicts.append(_verdict_both_ways(F, P))
         assert verdicts[-1] == _sympy_vanishes(F, P), (F, P)
     assert True in verdicts and False in verdicts
 

@@ -1,10 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import implicurve
+from implicurve import structmat
 from implicurve.pipeline import interpolation_matrix, nodes_on_curve
 from implicurve.structmat import InternalConsistencyError, _bareiss
 from implicurve import (
@@ -488,14 +494,27 @@ def _uncleared_sylvester(p_band, q_band, x0, y0):
     return MatQ(rows)
 
 
+def _line_dets_both_ways(S, x0, ys):
+    """The kernel's values with every multi-node line packed into one
+    evaluation and with none packed; the two must be identical."""
+    out = []
+    for bits in (10**9, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structmat, "LINE_PACK_BITS", bits)
+            out.append(sylvester_line_dets(S, x0, ys, OpCounter()))
+    assert out[0] == out[1]
+    return out[0]
+
+
 def _assert_line_matches_reference(S, bands, x0, ys):
-    """The kernel on the int matrix ``S`` against both references: ``S``
-    evaluated and eliminated, and the uncleared ``bands``' determinant
-    times L1**d2 * L2**d1.  ``S`` must be ``bands`` cleared."""
+    """The kernel on the int matrix ``S``, packed and not, against both
+    references: ``S`` evaluated and eliminated, and the uncleared
+    ``bands``' determinant times L1**d2 * L2**d1.  ``S`` must be ``bands``
+    cleared."""
     p, q = bands
     (l1, cp), (l2, cq) = _clear(p), _clear(q)
     assert (S.p_band, S.q_band) == (tuple(cp), tuple(cq))
-    got = sylvester_line_dets(S, x0, ys, OpCounter())
+    got = _line_dets_both_ways(S, x0, ys)
     assert all(type(v) is int for v in got)
     assert got == [det_bareiss(eval_polymat(S, x0, y), OpCounter()) for y in ys]
     scale = l1 ** (len(q) - 1) * l2 ** (len(p) - 1)
@@ -563,7 +582,54 @@ def test_line_kernel_needs_integer_bands():
     P = RatParam(UniPoly([1, Fraction(1, 2)]), UniPoly.one(), UniPoly([0, 1]), UniPoly.one())
     S = build_parametric_sylvester(P)
     assert S.p_band == ((1, 0), (2, 2))  # cleared by 2
-    assert sylvester_line_dets(S, 0, [0, 2], OpCounter()) == [-2, -4]  # 2x - 2 - y
+    assert _line_dets_both_ways(S, 0, [0, 2]) == [-2, -4]  # 2x - 2 - y
+
+
+def test_line_kernel_edge_lines():
+    ys = [-3, -1, 0, 2, 5]
+    q_band = [(1, 2), (-3, 0), (5, 1)]
+    lead_zero = [(3, 1), (4, 2), (-2, -1), (6, 3)]  # lc(p)(3) = 0
+    p_zero = [(2, 1), (4, 2), (-2, -1), (6, 3)]  # p = u1 - x0*v1 = 0 at x0 = 2
+    for p_band, x0 in ((lead_zero, 3), (p_zero, 2)):
+        _assert_line_matches_reference(PolyMat(p_band, q_band), (p_band, q_band), x0, ys)
+    assert _line_dets_both_ways(PolyMat(p_zero, q_band), 2, ys) == [0] * len(ys)
+    # R = 0: p = t^2 + t - 2 at x0 = 0, u2 and v2 share its root t = 1
+    p_band = [(1, 0), (1, 1), (-2, 3)]
+    q_band = [(2, 1), (3, -5), (-5, 4)]  # (t-1)(2t+5), (t-1)(t-4)
+    _assert_line_matches_reference(PolyMat(p_band, q_band), (p_band, q_band), 0, ys)
+    assert _line_dets_both_ways(PolyMat(p_band, q_band), 0, ys) == [0] * len(ys)
+    # Res_t(t^3 - 7, t - y) = 7 - y^3: a negative top digit over two zero ones
+    p_band = [(1, 0), (0, 0), (0, 0), (-7, 0)]
+    q_band = [(1, 0), (0, 1)]
+    _assert_line_matches_reference(PolyMat(p_band, q_band), (p_band, q_band), 0, ys)
+    assert _line_dets_both_ways(PolyMat(p_band, q_band), 0, ys) == [7 - y**3 for y in ys]
+
+
+_SHRUNKEN_BOUND = (
+    "from implicurve import OpCounter, PolyMat, sylvester_line_dets, structmat\n"
+    "structmat._line_bound = lambda p, q_band: 1\n"
+    "S = PolyMat([(1, 0), (0, 0), (0, 0), (-7, 0)], [(9, 0), (0, 1)])\n"
+    "try:\n"
+    "    sylvester_line_dets(S, 0, [0, 1, 2], OpCounter())\n"
+    "except structmat.InternalConsistencyError as exc:\n"
+    "    print('raised:', exc)\n"
+)
+
+
+def test_line_kernel_decode_checks_its_leftover(monkeypatch):
+    # det = 5103 - y^3 does not fit four digits in base 4: the leftover is not 0
+    monkeypatch.setattr(structmat, "_line_bound", lambda p, q_band: 1)
+    S = PolyMat([(1, 0), (0, 0), (0, 0), (-7, 0)], [(9, 0), (0, 1)])
+    with pytest.raises(InternalConsistencyError, match="coefficient bound"):
+        sylvester_line_dets(S, 0, [0, 1, 2], OpCounter())
+    src = str(Path(implicurve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SHRUNKEN_BOUND],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: packed determinant exceeds its coefficient bound")
 
 
 # --- exact integer Björck-Pereyra -----------------------------------------------
