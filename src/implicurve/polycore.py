@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Rat = Fraction
 
@@ -413,52 +413,35 @@ def coprime_mod_prime(u: UniPoly, v: UniPoly) -> bool:
     return True
 
 
-#: Largest packed size s*(D+1), in bits, of a one-point
-#: :func:`substitute_check`; a larger one costs more than the D+1 points.
-PROOF_PACK_BITS = 8192
-
-
 def substitute_check(F: BiPoly, P: RatParam) -> bool:
     """Decide whether F(x(t), y(t)) vanishes identically.
 
     With grid bounds (m, n) and each component pair cleared to integers,
     the numerator N(t) = sum of ``F[i][j] * u1^i v1^(m-i) * u2^j v2^(n-j)``
-    has degree at most D = m*max(deg u1, deg v1) + n*max(deg u2, deg v2)
-    and, 1-norms being submultiplicative, coefficients at most B = sum of
+    has, 1-norms being submultiplicative, coefficients at most B = sum of
     ``|F[i][j]| * |u1|_1^i |v1|_1^(m-i) * |u2|_1^j |v2|_1^(n-j)``.  N is
     evaluated once, at T = 2**bitlen(B) >= B + 1 (Kronecker substitution):
     were N nonzero, T would divide its lowest nonzero coefficient c, yet
-    0 < |c| <= B < T.  Past a packed size bitlen(B)*(D+1) of
-    ``PROOF_PACK_BITS``, N is evaluated at the D + 1 integers 0..D
-    instead: a nonzero polynomial of degree <= D has at most D roots.
-    Either is a deterministic proof in plain ints, never a sampling test.
-    A zero candidate ``F`` is rejected with ``ValueError`` (it vanishes
-    everywhere and always indicates an upstream bug, never a computed
-    implicit equation).
+    0 < |c| <= B < T.  This is a deterministic proof in plain ints, never
+    a sampling test.  A zero candidate ``F`` is rejected with
+    ``ValueError`` (it vanishes everywhere and always indicates an upstream
+    bug, never a computed implicit equation).
     """
     if F.is_zero:
         raise ValueError("substitute_check requires a nonzero polynomial")
     grid = _cleared(F.coeffs)
     comps = (*_cleared((P.u1.coeffs, P.v1.coeffs)), *_cleared((P.u2.coeffs, P.v2.coeffs)))
-    D = F.m * (max(map(len, comps[:2])) - 1) + F.n * (max(map(len, comps[2:])) - 1)
-    norms = [sum(map(abs, c)) for c in comps]
-    # bitlen(B) >= bitlen(max |F_ij|) + (m+n)*(bitlen(k) - 1) for the least
-    # norm k >= 1, so a numerator sure to be too wide skips computing B.
-    k = min(norms)
-    s = max(abs(c) for row in grid for c in row).bit_length() + (F.m + F.n) * (k.bit_length() - 1)
-    if not k or s * (D + 1) <= PROOF_PACK_BITS:
-        s = next(_numerators([list(map(abs, row)) for row in grid], [norms])).bit_length()
-    ts = [1 << s] if s * (D + 1) <= PROOF_PACK_BITS else range(D + 1)
-    return not any(_numerators(grid, ([_horner(c, t) for c in comps] for t in ts)))
+    bound = _numerator([list(map(abs, row)) for row in grid], [sum(map(abs, c)) for c in comps])
+    return not _numerator(grid, [_horner(c, 1 << bound.bit_length()) for c in comps])
 
 
-def _numerators(grid: Sequence[Sequence[int]], points: Iterable[Sequence[int]]) -> Iterator[int]:
+def _numerator(grid: Sequence[Sequence[int]], point: Sequence[int]) -> int:
     """sum of ``grid[i][j] * a^i b^(m-i) * c^j e^(n-j)`` on the (m+1) x (n+1)
-    ``grid``, for each point (a, b, c, e) in turn."""
+    ``grid`` at the point (a, b, c, e)."""
     m, n = len(grid) - 1, len(grid[0]) - 1
-    for a, b, c, e in points:
-        ys = [c**j * e ** (n - j) for j in range(n + 1)]
-        yield sum(a**i * b ** (m - i) * sum(map(mul, row, ys)) for i, row in enumerate(grid))
+    a, b, c, e = point
+    ys = [c**j * e ** (n - j) for j in range(n + 1)]
+    return sum(a**i * b ** (m - i) * sum(map(mul, row, ys)) for i, row in enumerate(grid))
 
 
 def _cleared(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:

@@ -294,11 +294,6 @@ def _fraction_free_step(
         ai[:] = row
 
 
-#: Largest packed size s*(d1+1), in bits, of a line that
-#: :func:`sylvester_line_dets` packs; a larger one costs more than it saves.
-LINE_PACK_BITS = 4096
-
-
 def sylvester_line_dets(
     S: PolyMat, x0: int, ys: Sequence[int], counter: OpCounter
 ) -> list[int]:
@@ -316,10 +311,7 @@ def sylvester_line_dets(
     (:func:`_line_bound`) bounds every coefficient of R(y) = det S(x0, y),
     of degree <= d1: R's coefficients are the signed base-2**s digits of
     R(2**s) (Kronecker substitution), and Horner gives the node values.
-    Past a packed size s*(d1+1) of ``LINE_PACK_BITS``, the steps run on
-    the pencil of rows of u2 and of v2 instead (the update is linear in the
-    row), and each y eliminates its own remainder U - y*V.  If p vanishes
-    at x0, every determinant is 0.
+    If p vanishes at x0, every determinant is 0.
     """
     p_band, q_band = S.p_band, S.q_band
     d1, d2 = len(p_band) - 1, len(q_band) - 1
@@ -343,16 +335,11 @@ def sylvester_line_dets(
 
     if len(ys) == 1:
         at = ys[0]
-    elif (s := _line_bound(p, q_band).bit_length() + 1) * (d1 + 1) <= LINE_PACK_BITS:
+    else:
+        s = _line_bound(p, q_band).bit_length() + 1
         at = 1 << s
-    else:
-        at = None
-    if at is None:
-        q_bands = [[u for u, _ in q_band], [v for _, v in q_band]]
-    else:
-        q_bands = [[u - at * v for u, v in q_band]]
-        counter.count(adds=d2 + 1, muls=d2 + 1)
-    q_rows = [row for band in q_bands for row in rows(band, d1)]
+    q_rows = rows([u - at * v for u, v in q_band], d1)
+    counter.count(adds=d2 + 1, muls=d2 + 1)
     for k, pk in enumerate(rows(p, d2)):
         w = n - 1 - k
         nonzero = sum(1 for row in q_rows if row[k])
@@ -363,16 +350,8 @@ def sylvester_line_dets(
                 row[k + 1 :] = [lead * a - f * b for a, b in zip(row[k + 1 :], pk[k + 1 :])]
             else:
                 row[k + 1 :] = [lead * a for a in row[k + 1 :]]
-    rest = [row[d2:] for row in q_rows]
     sign = -1 if e * d2 % 2 else 1
-    if at is None:
-        blocks = [
-            [[u - y * v for u, v in zip(ur, vr)] for ur, vr in zip(rest[:d1], rest[d1:])]
-            for y in ys
-        ]
-        counter.count(adds=len(ys) * d1 * d1, muls=len(ys) * d1 * d1)
-        return [sign * _bareiss(block, lead**d2, counter) for block in blocks]
-    det = sign * _bareiss(rest, lead**d2, counter)
+    det = sign * _bareiss([row[d2:] for row in q_rows], lead**d2, counter)
     if len(ys) == 1:
         return [det]
     coeffs = _signed_digits(det, s, d1 + 1)

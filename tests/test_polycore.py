@@ -199,19 +199,21 @@ def test_substitute_check_rejects_zero_polynomial():
         substitute_check(BiPoly.zeros(1, 1), HYPERBOLA)
 
 
-# --- the one-point and the D+1-point proof ---------------------------------------
+# --- the one-point proof against the D+1-point proof ------------------------------
 
 
-def _verdict_both_ways(F, P):
-    """``substitute_check`` at the one packed point and at the D + 1 points
-    0..D; the two verdicts must be the same."""
-    verdicts = []
-    for bits in (10**9, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polycore, "PROOF_PACK_BITS", bits)
-            verdicts.append(substitute_check(F, P))
-    assert verdicts[0] == verdicts[1], (F, P)
-    return verdicts[0]
+def _checked_verdict(F, P):
+    """``substitute_check``, which must agree with the D+1-point proof: the
+    cleared numerator N has degree <= D, so it is 0 iff it vanishes at the
+    integers 0..D."""
+    grid = polycore._cleared(F.coeffs)
+    comps = [*polycore._cleared((P.u1.coeffs, P.v1.coeffs)),
+             *polycore._cleared((P.u2.coeffs, P.v2.coeffs))]
+    D = F.m * (max(map(len, comps[:2])) - 1) + F.n * (max(map(len, comps[2:])) - 1)
+    points = ([polycore._horner(c, t) for c in comps] for t in range(D + 1))
+    verdict = substitute_check(F, P)
+    assert verdict == (not any(polycore._numerator(grid, pt) for pt in points)), (F, P)
+    return verdict
 
 
 def _seeded_corpus():
@@ -227,12 +229,12 @@ def _seeded_corpus():
 def _assert_only_the_equation_vanishes(F, P):
     """F vanishes along P, and no +1 perturbation of one coefficient does,
     by both proofs."""
-    assert substitute_check(F, P) and _verdict_both_ways(F, P)
+    assert _checked_verdict(F, P)
     for i in range(F.m + 1):
         for j in range(F.n + 1):
             rows = [list(row) for row in F.coeffs]
             rows[i][j] += 1
-            assert not _verdict_both_ways(BiPoly(rows), P), (P, i, j)
+            assert not _checked_verdict(BiPoly(rows), P), (P, i, j)
 
 
 def test_substitute_check_rejects_every_one_coefficient_perturbation():
@@ -250,31 +252,29 @@ def _wide_curve(rng, d, bits):
     return RatParam(poly(d - 1), poly(d), poly(d), poly(d - 1))
 
 
-def test_substitute_check_on_curves_above_the_packing_limit(monkeypatch):
+def test_substitute_check_on_wide_coefficient_curves():
     rng = random.Random(909)
     for d in (2, 3):
         P = _wide_curve(rng, d, 32)
-        F = implicitize(P).F
-        _assert_only_the_equation_vanishes(F, P)
-        points = []
-
-        def spy(grid, ps, numerators=polycore._numerators):
-            points.append(list(ps))
-            return numerators(grid, points[-1])
-
-        monkeypatch.setattr(polycore, "_numerators", spy)
-        assert substitute_check(F, P)
-        monkeypatch.undo()
-        assert len(points[-1]) == 2 * d * d + 1  # N at 0..D
+        _assert_only_the_equation_vanishes(implicitize(P).F, P)
 
 
 def test_substitute_check_with_a_zero_numerator():
     P = RatParam(UniPoly.zero(), UniPoly([3, 1]), UniPoly([0, 1]), UniPoly([2, 0, 1]))
     assert P.u1.is_zero
-    assert _verdict_both_ways(BiPoly([[0], [1]]), P)  # x
-    assert _verdict_both_ways(BiPoly([[0, 0], [1, 5], [2, 0]]), P)  # x + 5xy + 2x^2
-    assert not _verdict_both_ways(BiPoly([[-1], [1]]), P)  # x - 1
-    assert not _verdict_both_ways(BiPoly([[0, 1], [1, 0]]), P)  # y + x
+    assert _checked_verdict(BiPoly([[0], [1]]), P)  # x
+    assert _checked_verdict(BiPoly([[0, 0], [1, 5], [2, 0]]), P)  # x + 5xy + 2x^2
+    assert not _checked_verdict(BiPoly([[-1], [1]]), P)  # x - 1
+    assert not _checked_verdict(BiPoly([[0, 1], [1, 0]]), P)  # y + x
+
+
+def test_substitute_check_at_the_edge_of_its_bound():
+    # along x = y = t, F = x - c gives N(t) = t - c, B = c + 1 and
+    # T = 2**bitlen(c + 1) > c: a T one bit short of that would be a root
+    P = RatParam(UniPoly([0, 1]), UniPoly.one(), UniPoly([0, 1]), UniPoly.one())
+    for c in [*range(1, 40), *(2**k + e for k in range(6, 80) for e in (-1, 0, 1))]:
+        assert not _checked_verdict(BiPoly([[-c], [1]]), P), c
+    assert _checked_verdict(BiPoly([[0, -1], [1, 0]]), P)  # x - y
 
 
 def test_verify_a_constant_component_through_main(capsys):
@@ -315,7 +315,7 @@ def test_substitute_check_agrees_with_sympy_substitution():
             cases += [(F, P), (times_x, P), (BiPoly(grid), P)]
     verdicts = []
     for F, P in cases:
-        verdicts.append(_verdict_both_ways(F, P))
+        verdicts.append(_checked_verdict(F, P))
         assert verdicts[-1] == _sympy_vanishes(F, P), (F, P)
     assert True in verdicts and False in verdicts
 

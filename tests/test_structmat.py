@@ -494,27 +494,14 @@ def _uncleared_sylvester(p_band, q_band, x0, y0):
     return MatQ(rows)
 
 
-def _line_dets_both_ways(S, x0, ys):
-    """The kernel's values with every multi-node line packed into one
-    evaluation and with none packed; the two must be identical."""
-    out = []
-    for bits in (10**9, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(structmat, "LINE_PACK_BITS", bits)
-            out.append(sylvester_line_dets(S, x0, ys, OpCounter()))
-    assert out[0] == out[1]
-    return out[0]
-
-
 def _assert_line_matches_reference(S, bands, x0, ys):
-    """The kernel on the int matrix ``S``, packed and not, against both
-    references: ``S`` evaluated and eliminated, and the uncleared
-    ``bands``' determinant times L1**d2 * L2**d1.  ``S`` must be ``bands``
-    cleared."""
+    """The kernel on the int matrix ``S`` against both references: ``S``
+    evaluated and eliminated, and the uncleared ``bands``' determinant
+    times L1**d2 * L2**d1.  ``S`` must be ``bands`` cleared."""
     p, q = bands
     (l1, cp), (l2, cq) = _clear(p), _clear(q)
     assert (S.p_band, S.q_band) == (tuple(cp), tuple(cq))
-    got = _line_dets_both_ways(S, x0, ys)
+    got = sylvester_line_dets(S, x0, ys, OpCounter())
     assert all(type(v) is int for v in got)
     assert got == [det_bareiss(eval_polymat(S, x0, y), OpCounter()) for y in ys]
     scale = l1 ** (len(q) - 1) * l2 ** (len(p) - 1)
@@ -582,7 +569,7 @@ def test_line_kernel_needs_integer_bands():
     P = RatParam(UniPoly([1, Fraction(1, 2)]), UniPoly.one(), UniPoly([0, 1]), UniPoly.one())
     S = build_parametric_sylvester(P)
     assert S.p_band == ((1, 0), (2, 2))  # cleared by 2
-    assert _line_dets_both_ways(S, 0, [0, 2]) == [-2, -4]  # 2x - 2 - y
+    assert sylvester_line_dets(S, 0, [0, 2], OpCounter()) == [-2, -4]  # 2x - 2 - y
 
 
 def test_line_kernel_edge_lines():
@@ -592,17 +579,28 @@ def test_line_kernel_edge_lines():
     p_zero = [(2, 1), (4, 2), (-2, -1), (6, 3)]  # p = u1 - x0*v1 = 0 at x0 = 2
     for p_band, x0 in ((lead_zero, 3), (p_zero, 2)):
         _assert_line_matches_reference(PolyMat(p_band, q_band), (p_band, q_band), x0, ys)
-    assert _line_dets_both_ways(PolyMat(p_zero, q_band), 2, ys) == [0] * len(ys)
+    assert sylvester_line_dets(PolyMat(p_zero, q_band), 2, ys, OpCounter()) == [0] * len(ys)
     # R = 0: p = t^2 + t - 2 at x0 = 0, u2 and v2 share its root t = 1
     p_band = [(1, 0), (1, 1), (-2, 3)]
     q_band = [(2, 1), (3, -5), (-5, 4)]  # (t-1)(2t+5), (t-1)(t-4)
     _assert_line_matches_reference(PolyMat(p_band, q_band), (p_band, q_band), 0, ys)
-    assert _line_dets_both_ways(PolyMat(p_band, q_band), 0, ys) == [0] * len(ys)
+    assert sylvester_line_dets(PolyMat(p_band, q_band), 0, ys, OpCounter()) == [0] * len(ys)
     # Res_t(t^3 - 7, t - y) = 7 - y^3: a negative top digit over two zero ones
     p_band = [(1, 0), (0, 0), (0, 0), (-7, 0)]
     q_band = [(1, 0), (0, 1)]
     _assert_line_matches_reference(PolyMat(p_band, q_band), (p_band, q_band), 0, ys)
-    assert _line_dets_both_ways(PolyMat(p_band, q_band), 0, ys) == [7 - y**3 for y in ys]
+    assert sylvester_line_dets(PolyMat(p_band, q_band), 0, ys, OpCounter()) == [7 - y**3 for y in ys]
+    # 64-bit numerators over 64-bit denominators: a packed y of thousands of bits
+    rng = random.Random(77)
+
+    def wide(count):
+        return [tuple(Fraction(rng.getrandbits(64) - 2**63, rng.getrandbits(64) | 1)
+                      for _ in "uv") for _ in range(count)]
+
+    p_band, q_band = wide(6), wide(5)
+    S = PolyMat(_clear(p_band)[1], _clear(q_band)[1])
+    for x0 in (-1, 2):
+        _assert_line_matches_reference(S, (p_band, q_band), x0, list(range(-3, 18)))
 
 
 _SHRUNKEN_BOUND = (
