@@ -2,10 +2,10 @@
 
 For curves with both degree bounds equal to d, the interpolation space has
 dimension N = (d+1)^2.  The solve stage costs roughly N^3 exact
-operations for the unstructured method, N^2 for the transposed-Vandermonde
-method, and N^1.5 for the Kronecker grid method — and the grid method also
-keeps its interpolation data tiny, while prime-power nodes blow the data
-up to hundreds of bits.
+operations per prime of its modular solve for the unstructured method, N^2
+for the transposed-Vandermonde method, and N^1.5 for the Kronecker grid
+method — and the grid method also keeps its interpolation data tiny, while
+prime-power nodes blow the data up to hundreds of bits.
 """
 
 import random

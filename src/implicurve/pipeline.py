@@ -11,7 +11,8 @@ dictates the structure (and cost) of the linear algebra:
 ``method_unstructured``
     Nodes are points on the curve itself, swept from t = 0, 1, 2, ...
     F is a nullspace vector of a dense N x N homogeneous system — no
-    structure, cubic-cost elimination.
+    structure, cubic-cost elimination, run modulo 61-bit primes.  CRT and
+    rational reconstruction rebuild F, and the vanishing proof accepts it.
 
 ``method_dual_vandermonde``
     Nodes are geometric points (p1^k, p2^k) for two distinct primes.  The
@@ -35,8 +36,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from math import isqrt
+from itertools import count, groupby, islice, takewhile
+from math import gcd, isqrt, prod
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -47,18 +48,18 @@ from .polycore import (
     RatParam,
     _cleared,
     _horner,
-    _horner_xy,
     bipoly_canonicalize,
     component_degrees,
+    modular_primes,
     substitute_check,
 )
 from .structmat import (
     InternalConsistencyError,
     MatQ,
+    ModEchelon,
     OpCounter,
     build_parametric_sylvester,
     kron_solve,
-    nullspace,
     sylvester_line_dets,
     vandermonde_solve_dual,
 )
@@ -74,9 +75,9 @@ MAX_NODE_PRIME = 2**32
 
 
 class DegenerateInputError(ValueError):
-    """Raised when the interpolation problem stays underdetermined: the
-    parametrization traces a curve whose equation is not unique in the
-    ambient space even after extra nodes (e.g. a multiply-traced line)."""
+    """Raised when the interpolation problem stays underdetermined: two
+    independent polynomials of the degree box are proven to vanish on the
+    curve even after extra nodes (e.g. on a multiply-traced line)."""
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,10 @@ class ImplicitResult:
 
     ``data_counter`` covers building the linear system (for the determinant
     methods that is ``det_evals`` Sylvester determinants); ``solve_counter``
-    covers the linear solve.  ``counter`` merges the two.  ``verified`` is
-    the exact vanishing proof of F along the parametrization and
-    ``degree_tight`` records whether F attains both degree bounds.
+    covers the linear solve, summed over the ``primes`` of a modular solve.
+    ``counter`` merges the two.  ``verified`` is the exact vanishing proof
+    of F along the parametrization and ``degree_tight`` records whether F
+    attains both degree bounds.
     """
 
     F: BiPoly
@@ -128,8 +130,12 @@ class ImplicitResult:
     data_counter: OpCounter
     solve_counter: OpCounter
     verified: bool
-    degree_tight: bool
     det_evals: int = 0
+    primes: int = 0
+
+    @property
+    def degree_tight(self) -> bool:
+        return self.F.m == self.bounds.m and self.F.n == self.bounds.n
 
     @property
     def counter(self) -> OpCounter:
@@ -180,63 +186,101 @@ def nodes_on_curve(P: RatParam, count: int) -> list[tuple[Rat, Rat]]:
     return [next(gen) for _ in range(count)]
 
 
-def interpolation_matrix(
-    points: Sequence[tuple[Rat, Rat]],
-    m: int,
-    n: int,
-    counter: OpCounter | None = None,
-) -> MatQ:
-    """Collocation matrix of the monomial basis x^i y^j (i-major) at ``points``."""
-    c = counter if counter is not None else OpCounter()
-    rows = []
-    for (x0, y0) in points:
-        xp = [Fraction(1)]
-        for _ in range(m):
-            xp.append(xp[-1] * x0)
-        yp = [Fraction(1)]
-        for _ in range(n):
-            yp.append(yp[-1] * y0)
-        c.count(muls=m + n)
-        row = []
-        for i in range(m + 1):
-            for j in range(n + 1):
-                row.append(xp[i] * yp[j])
-        c.count(muls=(m + 1) * (n + 1))
-        rows.append(row)
-    return MatQ(rows)
+def interpolation_matrix(points: Sequence[tuple[Rat, Rat]], m: int, n: int) -> MatQ:
+    """Collocation matrix of the monomial basis x^i y^j (i-major) at
+    ``points``, in rationals; ``method_unstructured`` clears its rows."""
+    return MatQ([[x0**i * y0**j for i in range(m + 1) for j in range(n + 1)] for x0, y0 in points])
 
 
 def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
     """Implicitize by interpolating zero values at points on the curve.
 
-    The homogeneous system A c = 0 over the first N curve points normally
-    has a one-dimensional nullspace spanned by the implicit polynomial.  If
-    several independent polynomials vanish at the chosen points, up to 2N
-    more points are appended before giving up with ``DegenerateInputError``.
+    A c = 0 over the first N curve points normally has a one-dimensional
+    nullspace, spanned by F.  Its integer rows are eliminated mod primes;
+    while the first leaves a nullity above 1, up to 2N more points extend
+    its echelon form.  CRT and rational reconstruction rebuild the null
+    vectors, and ``substitute_check`` must prove each.  As rank mod p <=
+    rank over Q, a nullity of 1 mod p then means F spans the nullspace; two
+    proven vectors raise ``DegenerateInputError``.  Past 2*H**2, H the
+    product of the rows' 1-norms (Hadamard), reconstruction must have
+    succeeded: ``InternalConsistencyError``.
     """
     bounds = degree_bounds(P)
+    m, n, N = bounds.m, bounds.n, bounds.N
     data_c = OpCounter()
     solve_c = OpCounter()
-    gen = curve_points(P)
-    points = [next(gen) for _ in range(bounds.N - 1)]
-    for extra in range(2 * bounds.N + 1):
-        points.append(next(gen))
-        A = interpolation_matrix(points, bounds.m, bounds.n, data_c)
-        basis = nullspace(A, solve_c)
-        if len(basis) <= 1:
-            break
-    for row in A.entries:
-        data_c.observe_many(row)
-    if not basis:
-        raise InternalConsistencyError(
-            "interpolation system has full rank; no implicit polynomial found"
-        )
-    if len(basis) > 1:
-        raise DegenerateInputError(
-            f"nullspace still {len(basis)}-dimensional after {extra} extra nodes"
-        )
-    F_raw = BiPoly.from_flat(basis[0], bounds.m, bounds.n)
-    return _finish(P, bounds, F_raw, data_c, solve_c, det_evals=0)
+    points = curve_points(P)
+    primes = modular_primes()
+    rows = [_collocation_row(next(points), m, n, data_c) for _ in range(N)]
+    ech = ModEchelon(next(primes), N, solve_c, rows)
+    while len(ech.free) > 1 and len(rows) < 3 * N:
+        rows.append(_collocation_row(next(points), m, n, data_c))
+        ech.add(rows[-1])
+    limit = 2 * prod(sum(map(abs, row)) for row in rows) ** 2
+    best = None
+    for used in count(1):
+        if not ech.free:  # rank mod p <= rank over Q < N, as F is a null vector
+            raise InternalConsistencyError("interpolation system has full rank mod p")
+        key = (-len(ech.free), ech.free)
+        if best is None or key > best:  # an unlucky prime has more or earlier free columns
+            best, modulus, acc = key, ech.p, ech.null_vectors()
+        elif key == best:
+            acc = _crt(acc, modulus, ech.null_vectors(), ech.p)
+            modulus *= ech.p
+        if key == best:
+            proven = list(islice(_proven(P, acc, modulus, bounds), 2))
+            if len(ech.free) == 1 and proven:
+                return ImplicitResult(proven[0], bounds, data_c, solve_c, True, primes=used)
+            if len(proven) == 2:
+                raise DegenerateInputError(
+                    f"two independent equations vanish on the curve at {len(rows)} points"
+                )
+        if modulus > limit:
+            raise InternalConsistencyError("no proven candidate within the Hadamard bound")
+        ech = ModEchelon(next(primes), N, solve_c, rows)
+
+
+def _collocation_row(point: tuple[Rat, Rat], m: int, n: int, counter: OpCounter) -> list[int]:
+    """The collocation row at the point (a/b, c/e) in lowest terms, cleared
+    to integers: entry (i, j) is a^i b^(m-i) c^j e^(n-j)."""
+    a, b, c, e = (v for t in point for v in (t.numerator, t.denominator))
+    xs = [a**i * b ** (m - i) for i in range(m + 1)]
+    ys = [c**j * e ** (n - j) for j in range(n + 1)]
+    row = [u * w for u in xs for w in ys]
+    counter.count(muls=m + n + len(row))
+    counter.observe(max(map(abs, row)))
+    return row
+
+
+def _crt(acc: list[list[int]], modulus: int, vecs: list[list[int]], p: int) -> list[list[int]]:
+    """The vectors that are ``acc`` mod ``modulus`` and ``vecs`` mod ``p``."""
+    k = pow(modulus, -1, p)
+    return [[a + modulus * ((v - a) * k % p) for a, v in zip(av, vv)] for av, vv in zip(acc, vecs)]
+
+
+def _proven(P: RatParam, vecs: list[list[int]], modulus: int, bounds: DegreeBounds):
+    """The canonical F of each vector in ``vecs`` that has a rational
+    reconstruction mod ``modulus``, when ``substitute_check`` proves it."""
+    for vec in vecs:
+        values = (_rational_reconstruction(u, modulus) for u in vec)
+        flat = list(takewhile(lambda v: v is not None, values))
+        if len(flat) == len(vec):  # then F is 1 at its free column, so nonzero
+            F = bipoly_canonicalize(BiPoly.from_flat(flat, bounds.m, bounds.n))
+            if substitute_check(F, P):
+                yield F
+
+
+def _rational_reconstruction(u: int, modulus: int) -> Rat | None:
+    """The unique r/s = u mod ``modulus`` with |r|, s <= sqrt(modulus/2) and
+    gcd(r, s) = 1, or None (Wang's half-extended Euclid)."""
+    bound = isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, u % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def method_dual_vandermonde(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
@@ -331,7 +375,10 @@ def _from_determinants(
         _observe_node_powers(data_c, nodes)
     F_raw = BiPoly.from_flat(solve(data, solve_c), bounds.m, bounds.n)
     _check_interpolation_data(F_raw, points, data)
-    return _finish(P, bounds, F_raw, data_c, solve_c, det_evals=bounds.N)
+    if F_raw.is_zero:
+        raise InternalConsistencyError("interpolation produced the zero polynomial")
+    F = bipoly_canonicalize(F_raw)
+    return ImplicitResult(F, bounds, data_c, solve_c, substitute_check(F, P), det_evals=bounds.N)
 
 
 def _integer_nodes(points: Sequence[tuple[Rat | int, Rat | int]]) -> list[tuple[int, int]]:
@@ -360,35 +407,15 @@ def _check_interpolation_data(
     rescaling, which may change the overall scale).  Both schemes use
     integer nodes (any other node raises ``InternalConsistencyError``), so
     with F_raw and the data cleared by one common scale the comparison runs
-    in plain ints.
+    in plain ints, F_raw reduced once per grid line x = x0 to a polynomial
+    in y.
     """
     *grid, cleared = _cleared([*F_raw.coeffs, data])
-    for (x0, y0), datum in zip(_integer_nodes(points), cleared):
-        if _horner_xy(grid, x0, y0) != datum:
-            raise InternalConsistencyError(
-                f"interpolant fails to reproduce its datum at node {(x0, y0)}"
-            )
-
-
-def _finish(
-    P: RatParam,
-    bounds: DegreeBounds,
-    F_raw: BiPoly,
-    data_c: OpCounter,
-    solve_c: OpCounter,
-    det_evals: int,
-) -> ImplicitResult:
-    if F_raw.is_zero:
-        raise InternalConsistencyError("interpolation produced the zero polynomial")
-    F = bipoly_canonicalize(F_raw)
-    verified = substitute_check(F, P)
-    degree_tight = F.m == bounds.m and F.n == bounds.n
-    return ImplicitResult(
-        F=F,
-        bounds=bounds,
-        data_counter=data_c,
-        solve_counter=solve_c,
-        verified=verified,
-        degree_tight=degree_tight,
-        det_evals=det_evals,
-    )
+    columns, values = list(zip(*grid)), iter(cleared)
+    for x0, line in groupby(_integer_nodes(points), key=itemgetter(0)):
+        in_y = [_horner(col, x0) for col in columns]
+        for _, y0 in line:
+            if _horner(in_y, y0) != next(values):
+                raise InternalConsistencyError(
+                    f"interpolant fails to reproduce its datum at node {(x0, y0)}"
+                )

@@ -8,7 +8,8 @@ components of a curve parametrization), bivariate polynomials on a
 rectangular coefficient grid (:class:`BiPoly`, candidate implicit
 equations), rational parametrizations of plane curves (:class:`RatParam`)
 with the degree rule every method applies (:func:`component_degrees`),
-the text form of both polynomial kinds (``format_*``), and
+the text form of both polynomial kinds (``format_*``), the 61-bit primes
+of the modular computations (:func:`modular_primes`), and
 :func:`substitute_check`, the predicate that decides whether a bivariate
 polynomial vanishes identically along a parametrization.
 
@@ -18,9 +19,10 @@ No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Rat = Fraction
 
@@ -258,7 +260,7 @@ class BiPoly:
 
 def bipoly_eval(F: BiPoly, x0: Rat | int, y0: Rat | int) -> Rat:
     """Evaluate ``F`` at a rational point by nested Horner's rule."""
-    return _horner_xy(F.coeffs, x0, y0)
+    return _horner([_horner(row, y0) for row in F.coeffs], x0)
 
 
 def bipoly_canonicalize(F: BiPoly) -> BiPoly:
@@ -364,7 +366,8 @@ def component_degrees(P: RatParam) -> tuple[int, int]:
     return d1, d2
 
 
-#: The prime of the modular coprimality proof in :func:`lowest_terms`.
+#: The prime of the modular coprimality proof in :func:`lowest_terms`, and
+#: the first of :func:`modular_primes`.
 COPRIME_PRIME = (1 << 61) - 1
 
 
@@ -413,6 +416,33 @@ def coprime_mod_prime(u: UniPoly, v: UniPoly) -> bool:
     return True
 
 
+_PRIMES = [COPRIME_PRIME]
+
+
+def modular_primes() -> Iterator[int]:
+    """The primes below 2**61 in descending order, from ``COPRIME_PRIME``.
+    Each is found once per process and cached; the sequence is fixed, so
+    the shared cache changes no result."""
+    for k in count():
+        if k == len(_PRIMES):
+            q = _PRIMES[-1] - 2
+            while not _miller_rabin(q):
+                q -= 2
+            _PRIMES.append(q)
+        yield _PRIMES[k]
+
+
+def _miller_rabin(q: int) -> bool:
+    """Miller-Rabin to the first twelve prime bases, which decides
+    primality exactly for every odd q with 37 < q < 3.1 * 10**23."""
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2**s, d odd
+    d = (q - 1) >> s
+    return all(
+        pow(a, d, q) == 1 or any(pow(a, d << r, q) == q - 1 for r in range(s))
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    )
+
+
 def substitute_check(F: BiPoly, P: RatParam) -> bool:
     """Decide whether F(x(t), y(t)) vanishes identically.
 
@@ -456,9 +486,3 @@ def _horner(coeffs: Sequence[Rat | int], t: Rat | int) -> Rat | int:
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
-
-
-def _horner_xy(grid: Sequence[Sequence[Rat | int]], x: Rat | int, y: Rat | int) -> Rat | int:
-    """Value at (x, y) of the polynomial with ``grid[i][j]`` the coefficient
-    of x**i * y**j."""
-    return _horner([_horner(row, y) for row in grid], x)

@@ -14,8 +14,9 @@ and the d1 x d1 remainder is eliminated once, by Kronecker substitution.
 
 Solvers come in two flavours.  General-purpose: fraction-free Bareiss
 determinants (`det_bareiss`), Gaussian elimination (`solve_general`), and
-fraction-free nullspace extraction (`nullspace`); the two fraction-free
-eliminations share one exact-division step.  Structured:
+the row echelon form mod a prime of integer rows (`ModEchelon`), grown a
+row at a time, whose null vectors the unstructured pipeline combines over
+several primes.  Structured:
 Björck-Pereyra elimination for primal and transposed Vandermonde systems
 (`vandermonde_solve_primal` / `vandermonde_solve_dual`), and a two-stage
 solver for systems whose matrix is the Kronecker product of two Vandermonde
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm as _int_lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .polycore import BiPoly, Rat, RatParam, _as_rat, _cleared, _horner, component_degrees
@@ -49,8 +51,9 @@ class SingularMatrixError(ValueError):
 class InternalConsistencyError(RuntimeError):
     """Raised when a self-check that can only fail on an implementation bug
     fails: a nonexact fraction-free division, non-integer interpolation
-    nodes, interpolation data not reproduced, or a computed F that does not
-    vanish along the input parametrization."""
+    nodes, interpolation data not reproduced, a modular solve with no
+    proven candidate within its Hadamard bound, or a computed F that does
+    not vanish along the input parametrization."""
 
 
 class OpCounter:
@@ -259,33 +262,31 @@ def _bareiss(a: list[list[int]], prev: int, counter: OpCounter) -> int:
                 return 0
             a[k], a[r] = a[r], a[k]
             sign = -sign
-        _fraction_free_step(a, k, k, prev, counter)
+        _fraction_free_step(a, k, prev, counter)
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
 
-def _fraction_free_step(
-    a: list[list[int]], r: int, col: int, prev: int, counter: OpCounter
-) -> None:
-    """One Bareiss step, in place: every row below row ``r`` becomes
-    (pivot*row - row[col]*a[r]) / prev right of ``col``, with pivot =
-    a[r][col] and ``prev`` the previous pivot (1 at first).  Each division
+def _fraction_free_step(a: list[list[int]], k: int, prev: int, counter: OpCounter) -> None:
+    """One Bareiss step, in place: every row below row ``k`` becomes
+    (pivot*row - row[k]*a[k]) / prev right of column ``k``, with pivot =
+    a[k][k] and ``prev`` the previous pivot (1 at first).  Each division
     is exact by Sylvester's identity, and checked: a remainder raises
     ``InternalConsistencyError``.
     """
-    ak = a[r]
-    pivot = ak[col]
-    below = a[r + 1 :]
-    w = len(ak) - 1 - col
-    nonzero = sum(1 for ai in below if ai[col])
+    ak = a[k]
+    pivot = ak[k]
+    below = a[k + 1 :]
+    w = len(ak) - 1 - k
+    nonzero = sum(1 for ai in below if ai[k])
     counter.count(adds=nonzero * w, muls=(len(below) + nonzero) * w, divs=len(below) * w)
     for ai in below:
-        fac = ai[col]
+        fac = ai[k]
         if fac:
-            nums = [x * pivot - fac * y for x, y in zip(ai[col + 1 :], ak[col + 1 :])]
+            nums = [x * pivot - fac * y for x, y in zip(ai[k + 1 :], ak[k + 1 :])]
         else:
-            nums = [x * pivot for x in ai[col + 1 :]]
-        row = ai[: col + 1]
+            nums = [x * pivot for x in ai[k + 1 :]]
+        row = ai[: k + 1]
         for num in nums:
             q, rem = divmod(num, prev)
             if rem:
@@ -420,46 +421,55 @@ def solve_general(M: MatQ, b: Sequence[Rat | int], counter: OpCounter) -> list[R
     return x
 
 
-def nullspace(M: MatQ, counter: OpCounter | None = None) -> list[tuple[Rat, ...]]:
-    """Basis of the right nullspace of ``M``: one vector per free column,
-    that variable 1 and the other free ones 0 (the reduced-row-echelon
-    basis), so the result is empty exactly when ``M`` has full column rank.
-
-    Rows are scaled to integers and reduced by downward fraction-free
-    elimination; a column with no pivot is zero in every remaining row, and
-    is skipped.  With d the last pivot, d times each vector is integral
-    (Cramer's rule), so back-substitution runs in ints, each division
-    checked exact.  The optional counter records the operations.
+class ModEchelon:
+    """Row echelon form mod a prime ``p`` of integer rows of one ``width``,
+    grown a row at a time: a new row is reduced by the stored rows (pivot
+    entry 1, zeros left of it) in pivot order, and a nonzero remainder is
+    stored under its first nonzero column.  The pivot columns are those of
+    the reduced row echelon form, whatever the row order; the rest are free.
     """
-    c = counter if counter is not None else OpCounter()
-    a, _ = _int_rows(M, c)
-    pivots: list[int] = []
-    d = 1
-    for col in range(M.cols):
-        r = len(pivots)
-        pr = next((i for i in range(r, M.rows) if a[i][col]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        _fraction_free_step(a, r, col, d, c)
-        d = a[r][col]
-        pivots.append(col)
-        if r + 1 == M.rows:
-            break
-    rank = len(pivots)
-    basis = []
-    for fc in (j for j in range(M.cols) if j not in pivots):
-        v = [0] * M.cols
-        v[fc] = d
-        for r in range(rank - 1, -1, -1):
-            row = a[r]
-            num = -row[fc] * d - sum(row[j] * v[j] for j in pivots[r + 1 :])
-            v[pivots[r]], rem = divmod(num, row[pivots[r]])
-            if rem:
-                raise InternalConsistencyError("nullspace back-substitution is not exact")
-        c.count(adds=rank * (rank - 1) // 2, muls=rank * (rank + 1) // 2, divs=2 * rank)
-        basis.append(tuple(Fraction(x, d) for x in v))
-    return basis
+
+    def __init__(self, p: int, width: int, counter: OpCounter, rows: Sequence = ()) -> None:
+        self.p, self.width, self.counter = p, width, counter
+        self.rows: dict[int, list[int]] = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def free(self) -> tuple[int, ...]:
+        return tuple(j for j in range(self.width) if j not in self.rows)
+
+    def add(self, row: Sequence[int]) -> None:
+        p, w = self.p, self.width
+        r = [x % p for x in row]
+        ops = 0
+        for col in sorted(self.rows):
+            f = r[col] % p
+            if f:  # entries are reduced once, at the end
+                r[col:] = [x - f * y for x, y in zip(r[col:], self.rows[col][col:])]
+                ops += w - col
+        self.counter.count(adds=ops, muls=ops)
+        r = [x % p for x in r]
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is not None:
+            inv = pow(r[lead], -1, p)
+            self.rows[lead] = [x * inv % p for x in r]
+            self.counter.count(muls=w, divs=1)
+
+    def null_vectors(self) -> list[list[int]]:
+        """The reduced-row-echelon nullspace basis mod p, by back-substitution:
+        for each free column f, the null vector that is 1 at f and 0 at the
+        other free columns."""
+        basis = []
+        for f in self.free:
+            v = [0] * self.width
+            v[f] = 1
+            for col in sorted(self.rows, reverse=True):
+                tail = self.rows[col][col + 1 :]
+                v[col] = -sum(map(mul, tail, v[col + 1 :])) % self.p
+                self.counter.count(adds=len(tail), muls=len(tail))
+            basis.append(v)
+        return basis
 
 
 def _check_nodes(nodes: Sequence[Rat]) -> None:

@@ -28,7 +28,7 @@ from implicurve.cli import format_ratfun, main
 
 from util import CUBIC, HYPERBOLA, rand_ratparam
 
-IDENTITY_DIGEST = "63c0c961e28689be27edfb4216f1bef6402380e6281b05520a65524cc2b5c014"
+IDENTITY_DIGEST = "a78ccf89e46512f733817d85d69bc9b33aa0ee8884bdcfd5d355c194a009fa1f"
 
 
 def _corpus():

@@ -27,6 +27,7 @@ from implicurve import (
     build_parametric_sylvester,
     degree_bounds,
     implicitize,
+    kron_solve,
     method_dual_vandermonde,
     method_kronecker,
     method_unstructured,
@@ -34,7 +35,11 @@ from implicurve import (
     poly_eval,
     poly_gcd,
     substitute_check,
+    sylvester_line_dets,
+    vandermonde_solve_dual,
 )
+from implicurve import pipeline, structmat
+from implicurve.cli import main
 from implicurve.pipeline import (
     MAX_NODE_PRIME,
     _check_interpolation_data,
@@ -43,6 +48,7 @@ from implicurve.pipeline import (
     curve_points,
     interpolation_matrix,
 )
+from implicurve.polycore import COPRIME_PRIME, modular_primes
 
 from util import CUBIC, CUBIC_F_RAW, CUBIC_GRID_DATA, HYPERBOLA, HYPERBOLA_F, rand_ratparam
 
@@ -231,6 +237,68 @@ def test_degenerate_multiple_tracing_detected():
         assert r.verified
 
 
+def test_improper_inputs_raise_from_one_elimination(monkeypatch, capsys):
+    # both trace their curve several times; every null vector of the 3N
+    # points is a multiple of the true equation, and two of them are proven
+    eliminations = []
+
+    def counted(*args):
+        eliminations.append(args[0])
+        return structmat.ModEchelon(*args)
+
+    monkeypatch.setattr(pipeline, "ModEchelon", counted)
+    t2, t3, one = UniPoly([0, 0, 1]), UniPoly([0, 0, 0, 1]), UniPoly.one()
+    for x, y, texts in ((t2, t2, ("t^2", "t^2")),
+                        (t3, UniPoly([1, 0, 0, -1, 0, 0, 1]), ("t^3", "t^6-t^3+1"))):
+        eliminations.clear()
+        with pytest.raises(DegenerateInputError, match="two independent equations"):
+            method_unstructured(RatParam(x, one, y, one))
+        assert eliminations == [COPRIME_PRIME]
+        argv = ["implicitize", "--method", "unstructured", "--x", texts[0], "--y", texts[1]]
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def test_unlucky_first_primes_give_the_same_F(monkeypatch):
+    # mod 2 and mod 3 the rank drops or the free column moves; the CRT
+    # restarts on the first prime with a later free column
+    monkeypatch.setattr(
+        pipeline, "modular_primes", lambda: itertools.chain([2, 3], modular_primes())
+    )
+    rng = random.Random(31)
+    for P in [HYPERBOLA, CUBIC] + [rand_ratparam(rng, d) for d in (2, 3, 3, 4)]:
+        r = method_unstructured(P)
+        assert r.F == method_kronecker(P).F and r.verified and r.primes >= 2
+
+
+def test_wide_coefficients_need_several_primes():
+    rng = random.Random(41)
+
+    def wide(degree):
+        cs = [Fraction(rng.randint(-2**32, 2**32), rng.randint(1, 2**32)) for _ in range(degree)]
+        return UniPoly(cs + [Fraction(rng.randint(1, 2**32), rng.randint(1, 2**32))])
+
+    P = RatParam(wide(2), wide(3), wide(1), wide(3))
+    r = method_unstructured(P)
+    assert r.primes >= 2 and r.verified
+    assert r.F == method_kronecker(P).F
+
+
+def test_a_candidate_that_fails_the_proof_is_never_returned(monkeypatch):
+    real = pipeline._rational_reconstruction
+
+    def skewed(u, modulus):
+        value = real(u, modulus)
+        return value + 1 if value is not None and modulus == COPRIME_PRIME else value
+
+    monkeypatch.setattr(pipeline, "_rational_reconstruction", skewed)
+    r = method_unstructured(CUBIC)
+    assert r.F == CUBIC_F and r.primes == 2
+    monkeypatch.setattr(pipeline, "substitute_check", lambda F, P: False)
+    with pytest.raises(InternalConsistencyError, match="Hadamard"):
+        method_unstructured(CUBIC)
+
+
 def test_constant_component_degenerate_for_determinant_methods():
     # every method rejects a constant x(t) or y(t), the unstructured one too
     const, line = (UniPoly([7]), UniPoly([2])), (UniPoly([0, 1]), UniPoly.one())
@@ -325,6 +393,30 @@ def test_interpolation_check_compares_exactly_on_integer_nodes():
             _check_interpolation_data(CUBIC_F_RAW, points, off)
 
 
+def test_every_perturbed_datum_fails_the_interpolation_check():
+    P = rand_ratparam(random.Random(37), 4, exact=True)
+    b = degree_bounds(P)
+    S = build_parametric_sylvester(P)
+    xs, ys = list(range(b.m + 1)), list(range(b.n + 1))
+    alphas = [2**i * 3**j for i in xs for j in ys]
+    kron_points = [(x, y) for x in xs for y in ys]
+    kron_data = [v for x in xs for v in sylvester_line_dets(S, x, ys, OpCounter())]
+    dual_points = [(2**k, 3**k) for k in range(b.N)]
+    dual_data = [sylvester_line_dets(S, x, [y], OpCounter())[0] for x, y in dual_points]
+    for points, data, F_flat in (
+        (kron_points, kron_data, kron_solve(xs, ys, kron_data, OpCounter())),
+        (dual_points, dual_data, vandermonde_solve_dual(alphas, dual_data, OpCounter())),
+    ):
+        F_raw = BiPoly.from_flat(F_flat, b.m, b.n)
+        _check_interpolation_data(F_raw, points, data)
+        for k in range(len(data)):
+            for delta in (1, -1):
+                off = list(data)
+                off[k] += delta
+                with pytest.raises(InternalConsistencyError, match=rf"node \({points[k][0]}, "):
+                    _check_interpolation_data(F_raw, points, off)
+
+
 def test_rational_curves_interpolate_the_cleared_data():
     # the bands are cleared once, so the data (and the raw F) carry the
     # constant L1**d2 * L2**d1; the canonical F does not
@@ -358,8 +450,12 @@ def test_pipeline_checks_still_run_under_python_O():
         "from implicurve import BiPoly, InternalConsistencyError\n"
         "from implicurve.pipeline import _check_interpolation_data\n"
         "from implicurve.structmat import OpCounter, _bareiss\n"
+        "from implicurve import RatParam, UniPoly, pipeline\n"
+        "pipeline.substitute_check = lambda F, P: False  # the Hadamard stop\n"
+        "hyperbola = RatParam(*(UniPoly(c) for c in ([1, 1], [2, 1], [3, 1], [4, 1])))\n"
         "calls = (lambda: _check_interpolation_data(BiPoly([[1]]), [(Fraction(1, 2), 0)], [1]),\n"
-        "         lambda: _bareiss([[1, 2], [3, 5]], 2, OpCounter()))\n"
+        "         lambda: _bareiss([[1, 2], [3, 5]], 2, OpCounter()),\n"
+        "         lambda: pipeline.method_unstructured(hyperbola))\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -373,7 +469,7 @@ def test_pipeline_checks_still_run_under_python_O():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised", "raised"]
+    assert proc.stdout.split() == ["raised"] * 3
 
 
 @pytest.mark.parametrize("constant", ["x", "y"])

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import subprocess
@@ -11,13 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 import implicurve
 from implicurve import structmat
-from implicurve.pipeline import interpolation_matrix, nodes_on_curve
+from implicurve.pipeline import _collocation_row, interpolation_matrix, nodes_on_curve
+from implicurve.polycore import COPRIME_PRIME, _cleared
 from implicurve.structmat import InternalConsistencyError, _bareiss
 from implicurve import (
     BiPoly,
     DegenerateParametrizationError,
     DuplicateNodeError,
     MatQ,
+    ModEchelon,
     OpCounter,
     PolyMat,
     RatParam,
@@ -29,7 +32,6 @@ from implicurve import (
     det_bareiss,
     eval_polymat,
     kron_solve,
-    nullspace,
     solve_general,
     sylvester_line_dets,
     vandermonde_solve_dual,
@@ -237,46 +239,53 @@ def test_solve_general_rejects_singular():
         solve_general(MatQ([[1, 2], [2, 4]]), [1, 1], OpCounter())
 
 
+def _mod_p(values, p=COPRIME_PRIME):
+    return [Fraction(v).numerator * pow(Fraction(v).denominator, -1, p) % p for v in values]
+
+
+def _echelon(rows, p=COPRIME_PRIME, counter=None):
+    """``ModEchelon`` of rational ``rows``, each cleared to integers first."""
+    return ModEchelon(p, len(rows[0]), counter or OpCounter(), [_cleared([r])[0] for r in rows])
+
+
 def test_nullspace_of_collocation_matrix():
-    A = MatQ(
-        [
-            [1, Fraction(3, 4), Fraction(1, 2), Fraction(3, 8)],
-            [1, Fraction(4, 5), Fraction(2, 3), Fraction(8, 15)],
-            [1, Fraction(5, 6), Fraction(3, 4), Fraction(5, 8)],
-            [1, Fraction(6, 7), Fraction(4, 5), Fraction(24, 35)],
-        ]
-    )
-    basis = nullspace(A)
-    assert len(basis) == 1
-    v = basis[0]
-    # proportional to (2, -3, -1, 2)
-    lam = v[0] / 2
-    assert lam != 0
-    assert v == tuple(lam * w for w in (2, -3, -1, 2))
+    A = [
+        [1, Fraction(3, 4), Fraction(1, 2), Fraction(3, 8)],
+        [1, Fraction(4, 5), Fraction(2, 3), Fraction(8, 15)],
+        [1, Fraction(5, 6), Fraction(3, 4), Fraction(5, 8)],
+        [1, Fraction(6, 7), Fraction(4, 5), Fraction(24, 35)],
+    ]
+    ech = _echelon(A)
+    assert ech.free == (3,)
+    # proportional to (2, -3, -1, 2), normalized at the free column
+    assert ech.null_vectors() == [_mod_p(Fraction(w, 2) for w in (2, -3, -1, 2))]
 
 
 def test_nullspace_dimensions_and_residual():
-    assert nullspace(MatQ.identity(3)) == []
-    basis = nullspace(MatQ([[1, 1]]))
-    assert basis == [(Fraction(-1), Fraction(1))]
+    p = COPRIME_PRIME
+    assert _echelon([[int(i == j) for j in range(3)] for i in range(3)]).null_vectors() == []
+    assert _echelon([[1, 1]]).null_vectors() == [[p - 1, 1]]
     rng = random.Random(15)
     for _ in range(25):
         rows_n = rng.randint(1, 4)
         cols_n = rng.randint(1, 5)
         rows = [[rand_frac(rng, -3, 3, 2) for _ in range(cols_n)] for _ in range(rows_n)]
-        M = MatQ(rows)
-        basis = nullspace(M)
+        ech = _echelon(rows)
+        basis = ech.null_vectors()
         for v in basis:
-            assert matvec(rows, list(v)) == [0] * rows_n
+            assert all(sum(map(operator.mul, _mod_p(r), v)) % p == 0 for r in rows)
         # rank-nullity: pivot count + basis size = column count
-        assert len(basis) <= cols_n
+        assert len(ech.rows) + len(basis) == cols_n and len(ech.free) == len(basis)
 
 
-def test_nullspace_counter_is_optional_but_counts():
-    A = MatQ([[1, 2, 3], [4, 5, 6]])
+def test_mod_echelon_counts_each_reduction():
     c = OpCounter()
-    nullspace(A, c)
-    assert c.adds > 0 or c.divs > 0
+    ech = ModEchelon(7, 3, c, [[1, 2, 3], [4, 5, 6]])
+    # the second row is reduced once, over all 3 columns; each pivot row is
+    # scaled by its inverse pivot (3 muls, 1 div)
+    assert (c.adds, c.muls, c.divs) == (3, 3 + 2 * 3, 2)
+    ech.null_vectors()  # back-substitution: tails of length 1 and 2
+    assert (c.adds, c.muls, c.divs) == (6, 12, 2)
 
 
 def test_nullspace_matches_sympy():
@@ -284,7 +293,7 @@ def test_nullspace_matches_sympy():
 
     def oracle(rows):
         M = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in rows])
-        return [tuple(Fraction(int(e.p), int(e.q)) for e in v) for v in M.nullspace()]
+        return [_mod_p(Fraction(int(e.p), int(e.q)) for e in v) for v in M.nullspace()]
 
     def variants(rows):
         """The matrix, with a zero row, with a zero column, and with a zero
@@ -307,11 +316,16 @@ def test_nullspace_matches_sympy():
                 for i in range(rows_n)
             ]
             for M in variants(rows):
-                assert nullspace(MatQ(M)) == oracle(M), M
+                assert _echelon(M).null_vectors() == oracle(M), M
     for count in (16, 17):
-        A = interpolation_matrix(nodes_on_curve(CUBIC, count), 3, 3)
-        basis = nullspace(A)
-        assert len(basis) == 1 and basis == oracle(A.entries)
+        points = nodes_on_curve(CUBIC, count)
+        A = interpolation_matrix(points, 3, 3)
+        rows = [_collocation_row(pt, 3, 3, OpCounter()) for pt in points]
+        # the integer row is the rational one times b^3 e^3, (a/b, c/e) the point
+        for (x0, y0), row, want in zip(points, rows, A.entries):
+            assert row == [v * (x0.denominator * y0.denominator) ** 3 for v in want]
+        ech = ModEchelon(COPRIME_PRIME, 16, OpCounter(), rows)
+        assert ech.free == (15,) and ech.null_vectors() == oracle(A.entries)
 
 
 # --- Vandermonde solvers --------------------------------------------------------
