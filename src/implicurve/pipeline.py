@@ -46,8 +46,10 @@ from .polycore import (
     DegenerateParametrizationError,
     Rat,
     RatParam,
+    _MR_BASES,
     _cleared,
     _horner,
+    _miller_rabin,
     bipoly_canonicalize,
     component_degrees,
     modular_primes,
@@ -69,8 +71,8 @@ METHOD_DUAL_VANDERMONDE = "dual-vandermonde"
 METHOD_KRONECKER = "kronecker"
 METHODS = (METHOD_UNSTRUCTURED, METHOD_DUAL_VANDERMONDE, METHOD_KRONECKER)
 
-#: Largest accepted node prime.  Primality is tested by trial division, so
-#: the cap bounds that test (to 2^16 divisions) as well as the node sizes.
+#: Largest accepted node prime; it bounds the node sizes.  Primality is
+#: decided exactly by ``_miller_rabin``, which holds far beyond the cap.
 MAX_NODE_PRIME = 2**32
 
 
@@ -89,10 +91,6 @@ class DegreeBounds:
     N: int
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
-
-
 @dataclass
 class MethodConfig:
     """Pipeline selection plus the node primes ``p1``/``p2`` of the
@@ -107,7 +105,8 @@ class MethodConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if max(self.p1, self.p2) > MAX_NODE_PRIME:
             raise ValueError(f"node primes must not exceed {MAX_NODE_PRIME}")
-        if not (_is_prime(self.p1) and _is_prime(self.p2)):
+        if not all(p in _MR_BASES if p < 38 else p % 2 and _miller_rabin(p)
+                   for p in (self.p1, self.p2)):
             raise ValueError("node primes p1 and p2 must both be prime")
         if self.p1 == self.p2:
             raise ValueError("node primes p1 and p2 must be distinct")
@@ -398,21 +397,20 @@ def _observe_node_powers(counter: OpCounter, nodes: Sequence[Rat]) -> None:
 
 
 def _check_interpolation_data(
-    F_raw: BiPoly, points: Sequence[tuple[Rat | int, Rat | int]], data: Sequence[Rat | int]
+    F_raw: BiPoly, points: Sequence[tuple[int, int]], data: Sequence[Rat | int]
 ) -> None:
     """Re-evaluate the raw interpolant at every node against its datum.
 
     For the determinant methods the solved polynomial *is* the resultant,
     so it must reproduce each determinant exactly (before canonical
-    rescaling, which may change the overall scale).  Both schemes use
-    integer nodes (any other node raises ``InternalConsistencyError``), so
-    with F_raw and the data cleared by one common scale the comparison runs
-    in plain ints, F_raw reduced once per grid line x = x0 to a polynomial
-    in y.
+    rescaling, which may change the overall scale).  The nodes are the int
+    pairs of :func:`_integer_nodes`, so with F_raw and the data cleared by
+    one common scale the comparison runs in plain ints, F_raw reduced once
+    per grid line x = x0 to a polynomial in y.
     """
     *grid, cleared = _cleared([*F_raw.coeffs, data])
     columns, values = list(zip(*grid)), iter(cleared)
-    for x0, line in groupby(_integer_nodes(points), key=itemgetter(0)):
+    for x0, line in groupby(points, key=itemgetter(0)):
         in_y = [_horner(col, x0) for col in columns]
         for _, y0 in line:
             if _horner(in_y, y0) != next(values):

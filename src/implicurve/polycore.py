@@ -432,14 +432,18 @@ def modular_primes() -> Iterator[int]:
         yield _PRIMES[k]
 
 
+#: The primes up to 37: the bases of ``_miller_rabin``.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _miller_rabin(q: int) -> bool:
-    """Miller-Rabin to the first twelve prime bases, which decides
-    primality exactly for every odd q with 37 < q < 3.1 * 10**23."""
+    """Miller-Rabin to the bases ``_MR_BASES``, which decides primality
+    exactly for every odd q with 37 < q < 3.1 * 10**23."""
     s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2**s, d odd
     d = (q - 1) >> s
     return all(
         pow(a, d, q) == 1 or any(pow(a, d << r, q) == q - 1 for r in range(s))
-        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+        for a in _MR_BASES
     )
 
 

@@ -8,9 +8,10 @@ evaluated there.  `eval_polymat` + `det_bareiss` compute that value at one
 node and are the reference kernels.  The bands are integers from
 construction: `build_parametric_sylvester` clears each component pair of a
 rational curve, which scales every determinant by a known constant.  The
-pipelines call `sylvester_line_dets` per grid line x = x0: the Bareiss
-steps of the rows of p = u1 - x0*v1 are shared by every node of the line,
-and the d1 x d1 remainder is eliminated once, by Kronecker substitution.
+pipelines call `sylvester_line_dets` per grid line x = x0: the rows of
+p = u1 - x0*v1 leave the remainders of t**i * q mod p, each found from the
+one before by one reduction step, and the d1 x d1 remainder is eliminated
+once per line, its nodes packed into one by Kronecker substitution.
 
 Solvers come in two flavours.  General-purpose: fraction-free Bareiss
 determinants (`det_bareiss`), Gaussian elimination (`solve_general`), and
@@ -300,64 +301,68 @@ def sylvester_line_dets(
 ) -> list[int]:
     """Determinants of ``S`` at (x0, y), for every int y in ``ys`` in order.
 
-    The d2 rows of p = u1 - x0*v1 are the same for every y, so their d2
-    Bareiss steps run once per call.  They pivot on p's effective
-    leading coefficient a_e (the first nonzero one) in the columns e..e+d2-1,
-    taken first; this column order adds the sign (-1)**(e*d2).  The p block
-    is then upper triangular with diagonal a_e, so each step is the
-    division-free update row <- a_e*row - row[k]*p_row_k; the elimination
-    of the d1 x d1 remainder continues from the last p-pivot a_e**d2.  A
-    single y has its q rows u2 - y*v2 reduced directly.  Several y are
-    packed into one, y = 2**s with s = bitlen(B) + 1, where B
-    (:func:`_line_bound`) bounds every coefficient of R(y) = det S(x0, y),
+    With p = u1 - x0*v1 and q = u2 - y*v2, det S(x0, y) is the resultant
+    Res(p, q) = a**d2 * det q(C_p), a the leading coefficient of p
+    (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  Its d1
+    remainder rows r_i = a**d2 * rem(t**i * q, p) are what eliminating the
+    q rows by the d2 rows of p would leave: r_0 comes from a**d2 * q by
+    one step per degree above d1 - 1, and r_{i+1} from t*r_i by one step,
+    each step r - (r[0]/a) * t**j * p with the lead dropped.  Its divisions
+    are exact, as a**d2 clears every quotient, and checked.  The
+    elimination of the d1 x d1 remainder continues from the pivot a**d2.
+    If the e leading coefficients of p vanish at x0, expanding along the
+    first column e times gives det = (-1)**(e*d2) * q_0**e *
+    Res(p[e:], q), q_0 the formal lead of q; a constant p[e:] = a leaves
+    a**d2, and p = 0 leaves 0.  A single y has its q reduced directly.
+    Several y are packed into one, y = 2**s with s = bitlen(B) + 1, where
+    B (:func:`_line_bound`) bounds every coefficient of R(y) = det S(x0, y),
     of degree <= d1: R's coefficients are the signed base-2**s digits of
     R(2**s) (Kronecker substitution), and Horner gives the node values.
-    If p vanishes at x0, every determinant is 0.
     """
     p_band, q_band = S.p_band, S.q_band
     d1, d2 = len(p_band) - 1, len(q_band) - 1
-    n = d1 + d2
     p = [u - x0 * v for u, v in p_band]
     counter.count(adds=d1 + 1, muls=d1 + 1)
     e = next((s for s, c in enumerate(p) if c), None)
     if e is None:
         return [0] * len(ys)
-    lead = p[e]
-    cols = [*range(e, e + d2), *range(e), *range(e + d2, n)]
-
-    def rows(band: list[int], count: int) -> list[list[int]]:
-        """``count`` Sylvester rows of ``band``, columns in pivot order."""
-        out = []
-        for r in range(count):
-            row = [0] * n
-            row[r : r + len(band)] = band
-            out.append([row[c] for c in cols])
-        return out
-
     if len(ys) == 1:
         at = ys[0]
     else:
         s = _line_bound(p, q_band).bit_length() + 1
         at = 1 << s
-    q_rows = rows([u - at * v for u, v in q_band], d1)
-    counter.count(adds=d2 + 1, muls=d2 + 1)
-    for k, pk in enumerate(rows(p, d2)):
-        w = n - 1 - k
-        nonzero = sum(1 for row in q_rows if row[k])
-        counter.count(adds=nonzero * w, muls=(len(q_rows) + nonzero) * w)
-        for row in q_rows:
-            f = row[k]
-            if f:
-                row[k + 1 :] = [lead * a - f * b for a, b in zip(row[k + 1 :], pk[k + 1 :])]
-            else:
-                row[k + 1 :] = [lead * a for a in row[k + 1 :]]
-    sign = -1 if e * d2 % 2 else 1
-    det = sign * _bareiss([row[d2:] for row in q_rows], lead**d2, counter)
+    q = [u - at * v for u, v in q_band]
+    a, tail = p[e], p[e + 1 :]
+    k = len(tail)
+    r = [a**d2 * c for c in q]
+    while len(r) > k:
+        r = _remainder_step(r, a, tail)
+    rows = [[0] * (k - len(r)) + r]
+    while len(rows) < k:
+        rows.append(_remainder_step(rows[-1] + [0], a, tail))
+    steps = max(d2 + 1 - k, 0) + k - 1
+    counter.count(adds=d2 + 1 + steps * k, muls=2 * (d2 + 1) + e + steps * k, divs=steps * k)
+    det = _bareiss(rows[::-1], a**d2, counter) if k else a**d2
+    det *= (-q[0] if d2 % 2 else q[0]) ** e  # the e zero leads of p
     if len(ys) == 1:
         return [det]
     coeffs = _signed_digits(det, s, d1 + 1)
     counter.count(adds=(len(ys) + 1) * d1 + 1, muls=len(ys) * d1)
     return [_horner(coeffs, y) for y in ys]
+
+
+def _remainder_step(r: list[int], a: int, tail: list[int]) -> list[int]:
+    """r - (c/a) * t**j * p with c = r[0] and j = len(r) - 1 - deg p, lead
+    dropped; p is a followed by ``tail``.  A nonexact division raises
+    ``InternalConsistencyError``."""
+    c = r[0]
+    out = []
+    for x, y in zip(r[1:], tail):
+        quo, rem = divmod(c * y, a)
+        if rem:
+            raise InternalConsistencyError("remainder row hit a nonexact division")
+        out.append(x - quo)
+    return out + r[len(tail) + 1 :]
 
 
 def _line_bound(p: list[int], q_band: Sequence[tuple[int, int]]) -> int:

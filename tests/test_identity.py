@@ -10,10 +10,16 @@ documents, with their wall times removed, are hashed too.
 
 A refactor must leave ``IDENTITY_DIGEST`` unchanged.  A change that alters
 a result or a count by design must update the digest and say why in
-CHANGES.md.
+CHANGES.md.  Run as a script, this file prints the hashed lines, one per
+result or bench document, so that a digest change can be diffed field by
+field between two checkouts:
+
+    PYTHONPATH=src python tests/test_identity.py > lines.txt
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from random import Random
 
@@ -28,7 +34,7 @@ from implicurve.cli import format_ratfun, main
 
 from util import CUBIC, HYPERBOLA, rand_ratparam
 
-IDENTITY_DIGEST = "a78ccf89e46512f733817d85d69bc9b33aa0ee8884bdcfd5d355c194a009fa1f"
+IDENTITY_DIGEST = "5bac0b12d389a2ade00a44296c50956c5094f7a65c18365a745ffc5ce3fe9821"
 
 
 def _corpus():
@@ -52,20 +58,30 @@ def _result_line(r):
     return json.dumps([coeffs, counts, r.det_evals, r.verified, r.degree_tight])
 
 
-def _bench_line(P, capsys):
+def _bench_line(P):
     argv = ["bench", "--x", format_ratfun(P.u1, P.v1), "--y", format_ratfun(P.u2, P.v2), "--json"]
-    assert main(argv) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    doc = json.loads(out.getvalue())
     for record in doc["methods"]:
         del record["wall_ms"]
     return json.dumps(doc, sort_keys=True)
 
 
-def test_results_and_reports_match_the_pinned_digest(capsys):
+def identity_lines():
     lines = []
     for degree, P in _corpus():
         for cfg in _configs(degree):
             lines.append(_result_line(implicitize(P, cfg)))
-    lines += [_bench_line(P, capsys) for P in (HYPERBOLA, CUBIC)]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return lines + [_bench_line(P) for P in (HYPERBOLA, CUBIC)]
+
+
+def test_results_and_reports_match_the_pinned_digest():
+    digest = hashlib.sha256("\n".join(identity_lines()).encode()).hexdigest()
     assert digest == IDENTITY_DIGEST
+
+
+if __name__ == "__main__":
+    print("\n".join(identity_lines()))

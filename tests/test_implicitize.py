@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -44,6 +45,7 @@ from implicurve.pipeline import (
     MAX_NODE_PRIME,
     _check_interpolation_data,
     _from_determinants,
+    _integer_nodes,
     _observe_node_powers,
     curve_points,
     interpolation_matrix,
@@ -187,6 +189,24 @@ def test_method_config_validation():
     with pytest.raises(ValueError, match="must not exceed"):
         MethodConfig(p1=2, p2=MAX_NODE_PRIME + 15)
     MethodConfig(p1=2, p2=MAX_NODE_PRIME - 5)
+
+
+def test_node_primality_agrees_with_trial_division():
+    def is_prime(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    def accepted(p):
+        try:
+            MethodConfig(p1=p, p2=3 if p == 2 else 2)
+        except ValueError:
+            return False
+        return True
+
+    assert [p for p in range(-5, 20000) if accepted(p) != is_prime(p)] == []
+    # 2047 and 3215031751 are strong pseudoprimes to the bases 2 and 2, 3, 5, 7;
+    # 4294967291 is the largest prime below 2^32
+    for p in (2047, 3215031751, 4294967291):
+        assert accepted(p) == is_prime(p) == (p == 4294967291)
 
 
 def test_implicitize_dispatch_and_merged_counter():
@@ -435,9 +455,9 @@ def test_non_integer_nodes_raise_a_typed_error():
     half = Fraction(1, 2)
     points = [(Fraction(i), Fraction(j)) for i in range(2) for j in range(2)]
     data = [2, -1, 1, 0]  # HYPERBOLA_F on the unit grid
-    _check_interpolation_data(HYPERBOLA_F, points, data)
+    _check_interpolation_data(HYPERBOLA_F, _integer_nodes(points), data)
     with pytest.raises(InternalConsistencyError, match="integers"):
-        _check_interpolation_data(HYPERBOLA_F, [(half, 0)] + points[1:], data)
+        _integer_nodes([(half, 0)] + points[1:])
     with pytest.raises(InternalConsistencyError, match="integers"):
         _from_determinants(
             HYPERBOLA, degree_bounds(HYPERBOLA), [(0, half)] + points[1:], [], None
@@ -447,14 +467,15 @@ def test_non_integer_nodes_raise_a_typed_error():
 def test_pipeline_checks_still_run_under_python_O():
     code = (
         "from fractions import Fraction\n"
-        "from implicurve import BiPoly, InternalConsistencyError\n"
-        "from implicurve.pipeline import _check_interpolation_data\n"
-        "from implicurve.structmat import OpCounter, _bareiss\n"
+        "from implicurve import InternalConsistencyError\n"
+        "from implicurve.pipeline import _integer_nodes\n"
+        "from implicurve.structmat import OpCounter, _bareiss, _remainder_step\n"
         "from implicurve import RatParam, UniPoly, pipeline\n"
         "pipeline.substitute_check = lambda F, P: False  # the Hadamard stop\n"
         "hyperbola = RatParam(*(UniPoly(c) for c in ([1, 1], [2, 1], [3, 1], [4, 1])))\n"
-        "calls = (lambda: _check_interpolation_data(BiPoly([[1]]), [(Fraction(1, 2), 0)], [1]),\n"
+        "calls = (lambda: _integer_nodes([(Fraction(1, 2), 0)]),\n"
         "         lambda: _bareiss([[1, 2], [3, 5]], 2, OpCounter()),\n"
+        "         lambda: _remainder_step([1, 0], 2, [1]),\n"
         "         lambda: pipeline.method_unstructured(hyperbola))\n"
         "for call in calls:\n"
         "    try:\n"
@@ -469,7 +490,7 @@ def test_pipeline_checks_still_run_under_python_O():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 3
+    assert proc.stdout.split() == ["raised"] * 4
 
 
 @pytest.mark.parametrize("constant", ["x", "y"])

@@ -617,6 +617,69 @@ def test_line_kernel_edge_lines():
         _assert_line_matches_reference(S, (p_band, q_band), x0, list(range(-3, 18)))
 
 
+def test_line_kernel_vanishing_leads_of_p_and_q():
+    # lc(p)(3) = 0 and q's formal lead 4 - 2y vanishes at y0 = 2: the
+    # expansion along the first column gives q_0**e * Res = 0 there
+    p_band = [(3, 1), (4, 2), (-2, -1), (6, 3)]
+    q_band = [(4, 2), (-3, 0), (5, 1)]
+    S = PolyMat(p_band, q_band)
+    assert sylvester_line_dets(S, 3, [2], OpCounter()) == [0]
+    for ys in ([2], [-1, 0, 2, 5]):
+        _assert_line_matches_reference(S, (p_band, q_band), 3, ys)
+    assert sylvester_line_dets(S, 3, [-1, 0, 2, 5], OpCounter())[2] == 0
+    assert sylvester_line_dets(S, 3, [1], OpCounter()) != [0]
+
+
+def test_line_kernel_constant_p_at_x0():
+    # p = u1 - 3*v1 = [0, 0, -8] at x0 = 3: det = (-1)**(2*d2) q_0**2 * (-8)**d2
+    p_band = [(3, 1), (6, 2), (-5, 1)]
+    q_bands = ([(1, 2), (-3, 0), (5, 1)], [(2, -1), (7, 3)], [(1, 1), (0, 2), (3, 0), (-4, 5)])
+    for q_band in q_bands:
+        d2 = len(q_band) - 1
+        S = PolyMat(p_band, q_band)
+        for ys in ([4], [-3, -1, 0, 2, 5]):
+            _assert_line_matches_reference(S, (p_band, q_band), 3, ys)
+            want = [(q_band[0][0] - y * q_band[0][1]) ** 2 * (-8) ** d2 for y in ys]
+            assert sylvester_line_dets(S, 3, ys, OpCounter()) == want
+
+
+def test_line_kernel_single_nodes_with_unequal_degrees():
+    # r_0 = a**d2 * rem(q, p) takes d2 - d1 + 1 steps for d2 >= d1, none below
+    rng = random.Random(53)
+    for d1, d2 in ((1, 4), (2, 5), (3, 6), (4, 1), (5, 2), (6, 3)):
+        for _ in range(3):
+            p_band = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(d1 + 1)]
+            q_band = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(d2 + 1)]
+            S = PolyMat(p_band, q_band)
+            for x0 in (-2, 1, 8):
+                _assert_line_matches_reference(S, (p_band, q_band), x0, [rng.randint(-9, 9)])
+                _assert_line_matches_reference(S, (p_band, q_band), x0, [-4, 0, 3])
+
+
+def test_dual_run_through_a_node_where_lc_p_vanishes():
+    # x = 4 + w/v1 with deg w < deg v1: at the dual node x0 = 2**2 the lead
+    # of p = u1 - x0*v1 vanishes, with e = 1, 2 and 3 zero leads
+    y = (UniPoly([1, -2, 1]), UniPoly([2, 1]))
+    for u1, v1, e in (([17, 1, 4], [3, 0, 1], 1), ([17, 0, 4], [3, 0, 1], 2),
+                      ([5, 0, 0, 8], [1, 0, 0, 2], 3)):
+        P = RatParam(UniPoly(u1), UniPoly(v1), *y)
+        S, bands = build_parametric_sylvester(P), _rational_bands(P)
+        assert 2 < degree_bounds(P).N
+        p = [u - 4 * v for u, v in S.p_band]
+        assert p[:e] == [0] * e and p[e]
+        _assert_line_matches_reference(S, bands, 4, [3**2])
+        _assert_line_matches_reference(S, bands, 4, [-2, 0, 9, 11])
+        dual = implicurve.method_dual_vandermonde(P)
+        assert dual.verified and dual.F == implicurve.method_kronecker(P).F
+
+
+def test_remainder_step_checks_its_division():
+    # t - (1/2) * 1 is no integer row: 1 * 1 is not divisible by a = 2
+    # (the check under python -O: test_pipeline_checks_still_run_under_python_O)
+    with pytest.raises(InternalConsistencyError, match="remainder row hit a nonexact"):
+        structmat._remainder_step([1, 0], 2, [1])
+
+
 _SHRUNKEN_BOUND = (
     "from implicurve import OpCounter, PolyMat, sylvester_line_dets, structmat\n"
     "structmat._line_bound = lambda p, q_band: 1\n"
