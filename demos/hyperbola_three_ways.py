@@ -8,21 +8,18 @@ is a free choice, and each choice turns the linear algebra into something
 different.  This script walks through all three.
 """
 
-from fractions import Fraction
-
 from implicurve import (
     OpCounter,
     RatParam,
     UniPoly,
     build_parametric_sylvester,
     degree_bounds,
-    det_bareiss,
-    eval_polymat,
     format_bipoly,
     method_dual_vandermonde,
     method_kronecker,
     method_unstructured,
     nodes_on_curve,
+    sylvester_line_dets,
 )
 
 P = RatParam(UniPoly([1, 1]), UniPoly([2, 1]), UniPoly([3, 1]), UniPoly([4, 1]))
@@ -41,8 +38,8 @@ print(f"   -> F(x, y) = {format_bipoly(r.F)}\n")
 print("2) geometric nodes (2^k, 3^k) off the curve:")
 S = build_parametric_sylvester(P)
 for k in range(bounds.N):
-    x0, y0 = Fraction(2**k), Fraction(3**k)
-    d = det_bareiss(eval_polymat(S, x0, y0), OpCounter())
+    x0, y0 = 2**k, 3**k
+    [d] = sylvester_line_dets(S, x0, [y0], OpCounter())
     print(f"   node ({x0}, {y0}): Sylvester determinant = {d}")
 print("   The determinant at a point equals F there, so these are")
 print("   interpolation data; the matrix becomes a transposed Vandermonde")
@@ -53,7 +50,7 @@ print(f"   -> F(x, y) = {format_bipoly(r.F)}\n")
 print("3) tensor grid nodes {0,1} x {0,1}:")
 for i in range(bounds.m + 1):
     for j in range(bounds.n + 1):
-        d = det_bareiss(eval_polymat(S, Fraction(i), Fraction(j)), OpCounter())
+        [d] = sylvester_line_dets(S, i, [j], OpCounter())
         print(f"   node ({i}, {j}): determinant = {d}")
 print("   The matrix factors as a Kronecker product of two 2x2 Vandermonde")
 print("   matrices; the solve splits into per-row and per-column sweeps.")

@@ -1,19 +1,19 @@
-"""The structured solvers, head to head with general elimination.
+"""The structured solvers and their exact operation counts.
 
 Vandermonde systems (primal and transposed) fall to the Björck-Pereyra
 sweeps in O(s^2) exact operations; Kronecker products of two Vandermonde
-matrices split into independent small solves.  General Gaussian
-elimination gets the same answers — at cubic cost.
+matrices split into independent small solves.  Multiplying a solution back
+into its matrix recovers the right-hand side exactly, which proves it, as
+the matrix is invertible on distinct nodes; general Gaussian elimination
+would find the same answer at cubic cost.
 """
 
 import random
 from fractions import Fraction
 
 from implicurve import (
-    MatQ,
     OpCounter,
     kron_solve,
-    solve_general,
     vandermonde_solve_dual,
     vandermonde_solve_primal,
 )
@@ -38,14 +38,11 @@ print(f"power sums {moments} over nodes {nodes}")
 print(f"solution: {sol}")
 print(f"cost: {c.muls} muls, {c.divs} divs, {c.adds} adds\n")
 
-print("— same dual system through general elimination —")
-s = len(nodes)
-VT = MatQ([[Fraction(t) ** k for t in nodes] for k in range(s)])
-cg = OpCounter()
-sol_g = solve_general(VT, moments, cg)
-print(f"solution: {sol_g}  (identical: {sol_g == sol})")
-print(f"cost: {cg.muls} muls, {cg.divs} divs, {cg.adds} adds")
-print("structured vs general mul+div:", c.muldivs, "vs", cg.muldivs, "\n")
+print("— the dual solution multiplied back —")
+VT = [[t**k for t in nodes] for k in range(len(nodes))]
+back = [sum(e * x for e, x in zip(row, sol)) for row in VT]
+print(f"V^T * solution = {back}  (equals the moments: {back == moments})")
+print(f"structured mul+div: {c.muldivs} = s(s-1); general elimination needs O(s^3)\n")
 
 print("— Kronecker-product system, never formed explicitly —")
 xs, ys = [0, 1, 2], [0, 1]

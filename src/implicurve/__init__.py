@@ -15,26 +15,19 @@ from .polycore import (
     RatParam,
     UniPoly,
     bipoly_canonicalize,
-    bipoly_eval,
     format_bipoly,
     format_ratfun,
     format_unipoly,
-    poly_eval,
     poly_gcd,
     substitute_check,
 )
 from .structmat import (
     DuplicateNodeError,
-    MatQ,
     ModEchelon,
     OpCounter,
     PolyMat,
-    SingularMatrixError,
     build_parametric_sylvester,
-    det_bareiss,
-    eval_polymat,
     kron_solve,
-    solve_general,
     sylvester_line_dets,
     vandermonde_solve_dual,
     vandermonde_solve_primal,
@@ -73,7 +66,6 @@ __all__ = [
     "DuplicateNodeError",
     "ImplicitResult",
     "InternalConsistencyError",
-    "MatQ",
     "ModEchelon",
     "METHOD_DUAL_VANDERMONDE",
     "METHOD_KRONECKER",
@@ -85,14 +77,10 @@ __all__ = [
     "PolyMat",
     "Rat",
     "RatParam",
-    "SingularMatrixError",
     "UniPoly",
     "bipoly_canonicalize",
-    "bipoly_eval",
     "build_parametric_sylvester",
     "degree_bounds",
-    "det_bareiss",
-    "eval_polymat",
     "implicitize",
     "kron_solve",
     "method_dual_vandermonde",
@@ -106,9 +94,7 @@ __all__ = [
     "format_unipoly",
     "parse_poly_xy",
     "parse_rational_function",
-    "poly_eval",
     "poly_gcd",
-    "solve_general",
     "substitute_check",
     "sylvester_line_dets",
     "vandermonde_solve_dual",

@@ -313,6 +313,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             unknown = [s for s in names if s not in CLI_METHODS]
             if unknown:
                 raise ValueError(f"unknown methods: {', '.join(unknown)}")
+            if not names:
+                raise ValueError("--methods names no method")
         if args.repeat < 1:
             raise ValueError("--repeat must be at least 1")
     except ValueError as exc:
@@ -393,15 +395,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 #: A JSON string coefficient: an integer or a quotient of integers, as
 #: ``implicitize --json`` writes them.  Decimal strings are refused, since
-#: ``Fraction("1e2000000")`` would build a 2-million-digit integer.
+#: ``Fraction("1e2000000")`` would build a 2-million-digit integer, and so
+#: are JSON numbers other than ints: a float is a binary fraction.
 _JSON_COEFF = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
 
 
 def _load_poly(source: str) -> BiPoly:
     """A polynomial from an expression, from a JSON grid as ``implicitize
     --json`` writes it (each degree capped at ``MAX_EXPONENT`` as in an
-    expression, each string coefficient ``p`` or ``p/q``), or from a file
-    holding either; bad input raises ``ValueError``."""
+    expression, each coefficient a JSON int or a string ``p`` or ``p/q``),
+    or from a file holding either; bad input raises ``ValueError``."""
     text = source
     if os.path.isfile(source):
         with open(source) as fh:
@@ -414,13 +417,13 @@ def _load_poly(source: str) -> BiPoly:
         raise ValueError('a JSON polynomial needs "coeffs": a list of coefficient rows')
     if len(rows) > MAX_EXPONENT + 1 or any(len(row) > MAX_EXPONENT + 1 for row in rows):
         raise ValueError(f"JSON grid degree exceeds the maximum {MAX_EXPONENT}")
-    bad = next((c for row in rows for c in row
-                if isinstance(c, str) and not _JSON_COEFF.fullmatch(c)), None)
-    if bad is not None:
-        raise ValueError(f"bad JSON coefficient: {bad!r} is not p or p/q")
+    bad = [c for row in rows for c in row if type(c) is not int
+           and not (isinstance(c, str) and _JSON_COEFF.fullmatch(c))]
+    if bad:
+        raise ValueError(f"bad JSON coefficient: {bad[0]!r} is not an int, p or p/q")
     try:
         return BiPoly([[Fraction(c) for c in row] for row in rows])
-    except (TypeError, ZeroDivisionError, OverflowError) as exc:
+    except ZeroDivisionError as exc:
         raise ValueError(f"bad JSON coefficient: {exc}") from None
 
 

@@ -57,7 +57,6 @@ from .polycore import (
 )
 from .structmat import (
     InternalConsistencyError,
-    MatQ,
     ModEchelon,
     OpCounter,
     build_parametric_sylvester,
@@ -103,6 +102,8 @@ class MethodConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        if not all(isinstance(p, int) and not isinstance(p, bool) for p in (self.p1, self.p2)):
+            raise ValueError("node primes p1 and p2 must be ints")
         if max(self.p1, self.p2) > MAX_NODE_PRIME:
             raise ValueError(f"node primes must not exceed {MAX_NODE_PRIME}")
         if not all(p in _MR_BASES if p < 38 else p % 2 and _miller_rabin(p)
@@ -183,12 +184,6 @@ def nodes_on_curve(P: RatParam, count: int) -> list[tuple[Rat, Rat]]:
         raise ValueError("node count must be positive")
     gen = curve_points(P)
     return [next(gen) for _ in range(count)]
-
-
-def interpolation_matrix(points: Sequence[tuple[Rat, Rat]], m: int, n: int) -> MatQ:
-    """Collocation matrix of the monomial basis x^i y^j (i-major) at
-    ``points``, in rationals; ``method_unstructured`` clears its rows."""
-    return MatQ([[x0**i * y0**j for i in range(m + 1) for j in range(n + 1)] for x0, y0 in points])
 
 
 def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:

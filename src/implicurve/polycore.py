@@ -58,10 +58,6 @@ class UniPoly:
     def one(cls) -> UniPoly:
         return cls((1,))
 
-    @classmethod
-    def constant(cls, c: Rat | int) -> UniPoly:
-        return cls((c,))
-
     @property
     def degree(self) -> int | float:
         """Degree of the polynomial; ``MINUS_INFINITY`` for the zero poly."""
@@ -110,14 +106,6 @@ class UniPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> UniPoly:
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = UniPoly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def __divmod__(self, divisor: UniPoly) -> tuple[UniPoly, UniPoly]:
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by the zero polynomial")
@@ -135,9 +123,6 @@ class UniPoly:
                     rem[k + j] -= c * oc
         return UniPoly(quo), UniPoly(rem[:d])
 
-    def __call__(self, t0: Rat | int) -> Rat:
-        return poly_eval(self, t0)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
@@ -146,11 +131,6 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly<{format_unipoly(self)}>"
-
-
-def poly_eval(p: UniPoly, t0: Rat | int) -> Rat:
-    """Evaluate ``p`` at the rational point ``t0`` by Horner's rule."""
-    return _as_rat(_horner(p.coeffs, t0))
 
 
 def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -197,10 +177,6 @@ class BiPoly:
         return cls([[0] * (n + 1) for _ in range(m + 1)])
 
     @classmethod
-    def constant(cls, c: Rat | int) -> BiPoly:
-        return cls([[c]])
-
-    @classmethod
     def from_flat(cls, flat: Sequence[Rat | int], m: int, n: int) -> BiPoly:
         """Reshape an i-major coefficient vector of length (m+1)(n+1)."""
         if len(flat) != (m + 1) * (n + 1):
@@ -229,12 +205,6 @@ class BiPoly:
                 return j
         return MINUS_INFINITY
 
-    def get(self, i: int, j: int) -> Rat:
-        """Coefficient of x**i y**j, zero outside the stored grid."""
-        if 0 <= i <= self.m and 0 <= j <= self.n:
-            return self.coeffs[i][j]
-        return Fraction(0)
-
     def scale(self, factor: Rat | int) -> BiPoly:
         f = _as_rat(factor)
         return BiPoly([[c * f for c in row] for row in self.coeffs])
@@ -256,11 +226,6 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly<m={self.m}, n={self.n}, coeffs={self.coeffs!r}>"
-
-
-def bipoly_eval(F: BiPoly, x0: Rat | int, y0: Rat | int) -> Rat:
-    """Evaluate ``F`` at a rational point by nested Horner's rule."""
-    return _horner([_horner(row, y0) for row in F.coeffs], x0)
 
 
 def bipoly_canonicalize(F: BiPoly) -> BiPoly:
@@ -336,13 +301,6 @@ class RatParam:
         self.u1, self.v1, reduced1 = lowest_terms(u1, v1)
         self.u2, self.v2, reduced2 = lowest_terms(u2, v2)
         self.was_reduced = reduced1 or reduced2
-
-    def x_at(self, t0: Rat | int) -> Rat:
-        """Value of the x-component at ``t0`` (the denominator must not vanish)."""
-        return poly_eval(self.u1, t0) / poly_eval(self.v1, t0)
-
-    def y_at(self, t0: Rat | int) -> Rat:
-        return poly_eval(self.u2, t0) / poly_eval(self.v2, t0)
 
     def __repr__(self) -> str:
         return f"RatParam<x={self.u1!r}/{self.v1!r}, y={self.u2!r}/{self.v2!r}>"

@@ -1,24 +1,23 @@
 """Exact matrix kernels: Sylvester construction, determinants, solvers.
 
-The heart of the package.  `MatQ` is a dense matrix of rationals and
-`PolyMat` the Sylvester matrix of a parametrization, stored as its two
+The heart of the package, in plain ints wherever a division is exact.
+`PolyMat` is the Sylvester matrix of a parametrization, stored as its two
 coefficient bands; its entries have degree at most one in x and in y, and
 its determinant at a point (x0, y0) is the implicit curve polynomial
-evaluated there.  `eval_polymat` + `det_bareiss` compute that value at one
-node and are the reference kernels.  The bands are integers from
-construction: `build_parametric_sylvester` clears each component pair of a
-rational curve, which scales every determinant by a known constant.  The
-pipelines call `sylvester_line_dets` per grid line x = x0: the rows of
+evaluated there.  The bands are integers from construction:
+`build_parametric_sylvester` clears each component pair of a rational
+curve, which scales every determinant by a known constant.  The pipelines
+call `sylvester_line_dets` per grid line x = x0: the rows of
 p = u1 - x0*v1 leave the remainders of t**i * q mod p, each found from the
 one before by one reduction step, and the d1 x d1 remainder is eliminated
-once per line, its nodes packed into one by Kronecker substitution.
+once per line by fraction-free Bareiss steps, its nodes packed into one by
+Kronecker substitution.
 
-Solvers come in two flavours.  General-purpose: fraction-free Bareiss
-determinants (`det_bareiss`), Gaussian elimination (`solve_general`), and
-the row echelon form mod a prime of integer rows (`ModEchelon`), grown a
-row at a time, whose null vectors the unstructured pipeline combines over
-several primes.  Structured:
-Björck-Pereyra elimination for primal and transposed Vandermonde systems
+Each node scheme has its solver.  The unstructured scheme keeps the row
+echelon form mod a prime of its integer rows (`ModEchelon`), grown a row
+at a time, whose null vectors the pipeline combines over several primes.
+The determinant schemes solve structured systems: Björck-Pereyra
+elimination for primal and transposed Vandermonde systems
 (`vandermonde_solve_primal` / `vandermonde_solve_dual`), and a two-stage
 solver for systems whose matrix is the Kronecker product of two Vandermonde
 matrices (`kron_solve`), which never forms the product matrix.  Both
@@ -34,19 +33,14 @@ report how large their interpolation data grew.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm as _int_lcm, prod
 from operator import mul
 from typing import Sequence
 
-from .polycore import BiPoly, Rat, RatParam, _as_rat, _cleared, _horner, component_degrees
+from .polycore import Rat, RatParam, _cleared, _horner, component_degrees
 
 
 class DuplicateNodeError(ValueError):
     """Raised when interpolation nodes that must be distinct repeat."""
-
-
-class SingularMatrixError(ValueError):
-    """Raised when a linear solve meets a singular coefficient matrix."""
 
 
 class InternalConsistencyError(RuntimeError):
@@ -107,38 +101,6 @@ class OpCounter:
         )
 
 
-class MatQ:
-    """Dense matrix of rationals (row-major tuple of tuples)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries: Sequence[Sequence[Rat | int]]) -> None:
-        if not entries or not entries[0]:
-            raise ValueError("matrix must have at least one row and one column")
-        width = len(entries[0])
-        grid = []
-        for row in entries:
-            if len(row) != width:
-                raise ValueError("matrix rows must have equal length")
-            grid.append(tuple(_as_rat(c) for c in row))
-        self.entries: tuple[tuple[Rat, ...], ...] = tuple(grid)
-        self.rows: int = len(grid)
-        self.cols: int = width
-
-    @classmethod
-    def identity(cls, n: int) -> MatQ:
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MatQ) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(("MatQ", self.entries))
-
-    def __repr__(self) -> str:
-        return f"MatQ<{self.rows}x{self.cols}>"
-
-
 class PolyMat:
     """Parametric Sylvester matrix, stored as its two integer coefficient bands.
 
@@ -147,8 +109,7 @@ class PolyMat:
     descending t-degree; a non-integer coefficient raises ``ValueError``.
     With d1 = len(p_band) - 1 and d2 = len(q_band) - 1 the matrix has order
     d1 + d2: d2 rows of p, each shifted one column further right, then d1
-    rows of q the same way.  ``entries`` is a read-only view of the matrix
-    as bivariate polynomials of degree <= 1 in x and in y.
+    rows of q the same way.
     """
 
     __slots__ = ("p_band", "q_band", "order")
@@ -158,30 +119,15 @@ class PolyMat:
     ) -> None:
         if len(p_band) < 2 or len(q_band) < 2:
             raise ValueError("both bands must have t-degree at least 1")
-        if any(c.denominator != 1 for band in (p_band, q_band) for pair in band for c in pair):
+        if not all(isinstance(c, (int, Fraction)) and c.denominator == 1
+                   for band in (p_band, q_band) for pair in band for c in pair):
             raise ValueError("Sylvester bands must have integer coefficients")
         self.p_band = tuple((int(u), int(v)) for u, v in p_band)
         self.q_band = tuple((int(u), int(v)) for u, v in q_band)
         self.order: int = len(p_band) + len(q_band) - 2
 
-    @property
-    def entries(self) -> tuple[tuple[BiPoly, ...], ...]:
-        return _sylvester_layout(
-            tuple(BiPoly([[u], [-v]]) for u, v in self.p_band),
-            tuple(BiPoly([[u, -v]]) for u, v in self.q_band),
-            BiPoly.zeros(),
-        )
-
     def __repr__(self) -> str:
         return f"PolyMat<order={self.order}>"
-
-
-def _sylvester_layout(p: tuple, q: tuple, zero) -> tuple[tuple, ...]:
-    """Sylvester rows of the bands ``p`` and ``q``, padded with ``zero``."""
-    d1, d2 = len(p) - 1, len(q) - 1
-    rows = [(zero,) * r + p + (zero,) * (d2 - 1 - r) for r in range(d2)]
-    rows += [(zero,) * r + q + (zero,) * (d1 - 1 - r) for r in range(d1)]
-    return tuple(rows)
 
 
 def build_parametric_sylvester(P: RatParam) -> PolyMat:
@@ -201,48 +147,6 @@ def build_parametric_sylvester(P: RatParam) -> PolyMat:
         cu, cv = (c + [0] * (d + 1 - len(c)) for c in _cleared((u.coeffs, v.coeffs)))
         bands.append(list(zip(reversed(cu), reversed(cv))))
     return PolyMat(*bands)
-
-
-def eval_polymat(S: PolyMat, x0: Rat | int, y0: Rat | int) -> MatQ:
-    """Evaluate ``S`` at the rational point (x0, y0).
-
-    Each band is evaluated once, u - x0*v resp. u - y0*v, and laid out with
-    one shared zero.  For a rational curve ``S`` is the cleared matrix of
-    :func:`build_parametric_sylvester`.
-    """
-    return MatQ(
-        _sylvester_layout(
-            tuple(u - x0 * v for u, v in S.p_band),
-            tuple(u - y0 * v for u, v in S.q_band),
-            0,
-        )
-    )
-
-
-def det_bareiss(M: MatQ, counter: OpCounter) -> Rat:
-    """Determinant by fraction-free Bareiss elimination.
-
-    Rows are first cleared to integers (multiplying by the lcm of their
-    denominators, divided back out at the end), then eliminated by
-    ``_bareiss``.  A rational curve's Sylvester matrix is the cleared one.
-    """
-    if M.rows != M.cols:
-        raise ValueError("determinant requires a square matrix")
-    a, denom = _int_rows(M, counter)
-    det = _bareiss(a, 1, counter)
-    if denom == 1:
-        return Fraction(det)
-    counter.count(divs=1)
-    return Fraction(det, denom)
-
-
-def _int_rows(M: MatQ, counter: OpCounter) -> tuple[list[list[int]], int]:
-    """Each row of ``M`` scaled to integers by the lcm of its denominators,
-    and the product of those scales."""
-    scales = [_int_lcm(*(c.denominator for c in row)) for row in M.entries]
-    counter.count(muls=M.cols * sum(l != 1 for l in scales))
-    a = [[c.numerator * (l // c.denominator) for c in row] for row, l in zip(M.entries, scales)]
-    return a, prod(scales)
 
 
 def _bareiss(a: list[list[int]], prev: int, counter: OpCounter) -> int:
@@ -385,45 +289,6 @@ def _signed_digits(value: int, s: int, count: int) -> list[int]:
     if value:
         raise InternalConsistencyError("packed determinant exceeds its coefficient bound")
     return digits
-
-
-def solve_general(M: MatQ, b: Sequence[Rat | int], counter: OpCounter) -> list[Rat]:
-    """Solve M x = b by exact Gaussian elimination with back substitution.
-
-    Pivots are the first nonzero entry in each column; a column without one
-    raises ``SingularMatrixError``.
-    """
-    if M.rows != M.cols:
-        raise ValueError("solve_general requires a square matrix")
-    n = M.rows
-    if len(b) != n:
-        raise ValueError("right-hand side length does not match the matrix")
-    aug = [list(row) + [_as_rat(b[i])] for i, row in enumerate(M.entries)]
-    for k in range(n):
-        pr = next((r for r in range(k, n) if aug[r][k] != 0), None)
-        if pr is None:
-            raise SingularMatrixError("coefficient matrix is singular")
-        if pr != k:
-            aug[k], aug[pr] = aug[pr], aug[k]
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            if aug[i][k] == 0:
-                continue
-            f = aug[i][k] / pivot
-            counter.count(divs=1)
-            for j in range(k + 1, n + 1):
-                aug[i][j] -= f * aug[k][j]
-            counter.count(adds=n - k, muls=n - k)
-            aug[i][k] = Fraction(0)
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = aug[k][n]
-        for j in range(k + 1, n):
-            acc -= aug[k][j] * x[j]
-        counter.count(adds=n - 1 - k, muls=n - 1 - k)
-        x[k] = acc / aug[k][k]
-        counter.count(divs=1)
-    return x
 
 
 class ModEchelon:

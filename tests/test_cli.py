@@ -266,9 +266,11 @@ def test_implicitize_json_document_verifies(tmp_path, capsys):
         ({"coeffs": [["1"]] * (MAX_EXPONENT + 2)}, "exceeds the maximum"),
         ({"coeffs": [["1e2000000", "1"], ["1", "0"]]}, "bad JSON coefficient"),
         ({"coeffs": [["1.5", "1"], ["1", "0"]]}, "bad JSON coefficient"),
+        ({"coeffs": [[True]]}, "bad JSON coefficient"),
+        ({"coeffs": [[1.5]]}, "bad JSON coefficient"),
     ],
     ids=["zero-denominator", "not-a-grid", "null-coefficient", "y-degree-over-cap",
-         "x-degree-over-cap", "decimal-exponent", "decimal-point"],
+         "x-degree-over-cap", "decimal-exponent", "decimal-point", "json-bool", "json-float"],
 )
 def test_cmd_verify_rejects_malformed_json_grids(doc, message, capsys):
     code = main(["verify", "--x", "t", "--y", "t", "--poly", json.dumps(doc)])
@@ -278,8 +280,8 @@ def test_cmd_verify_rejects_malformed_json_grids(doc, message, capsys):
 
 
 def test_cmd_verify_accepts_json_grids_at_the_cap(capsys):
-    # x - y^64 on the curve x = t^64, y = t
-    doc = {"coeffs": [["0"] * MAX_EXPONENT + ["-1"], ["1"] + ["0"] * MAX_EXPONENT]}
+    # x - y^64 on the curve x = t^64, y = t; a JSON int is a coefficient too
+    doc = {"coeffs": [["0"] * MAX_EXPONENT + [-1], [1] + ["0"] * MAX_EXPONENT]}
     argv = ["verify", "--x", f"t^{MAX_EXPONENT}", "--y", "t", "--poly", json.dumps(doc)]
     assert main(argv) == 0
     assert "PASS" in capsys.readouterr().out
@@ -333,6 +335,10 @@ def test_cmd_bench_json_report(capsys):
 def test_cmd_bench_method_subset_and_errors(capsys):
     assert main(["bench", "--x", "t", "--y", "t^2", "--methods", "kron,dualvand"]) == 0
     assert main(["bench", "--x", "t", "--y", "t^2", "--methods", "nope"]) == 1
+    capsys.readouterr()
+    for names in (",", "", " , "):  # no method ran: an input error, not a disagreement
+        assert main(["bench", "--x", "t", "--y", "t^2", "--methods", names]) == 1
+        assert capsys.readouterr().err.startswith("error: --methods names no method")
     assert main(["bench", "--x", "t", "--y", "t^2", "--repeat", "0"]) == 1
     assert main(["bench", "--x", "1", "--y", "t"]) == 2
     capsys.readouterr()

@@ -24,7 +24,6 @@ from implicurve import (
     RatParam,
     UniPoly,
     bipoly_canonicalize,
-    bipoly_eval,
     build_parametric_sylvester,
     degree_bounds,
     implicitize,
@@ -33,7 +32,6 @@ from implicurve import (
     method_kronecker,
     method_unstructured,
     nodes_on_curve,
-    poly_eval,
     poly_gcd,
     substitute_check,
     sylvester_line_dets,
@@ -44,17 +42,22 @@ from implicurve.cli import main
 from implicurve.pipeline import (
     MAX_NODE_PRIME,
     _check_interpolation_data,
+    _collocation_row,
     _from_determinants,
     _integer_nodes,
     _observe_node_powers,
     curve_points,
-    interpolation_matrix,
 )
 from implicurve.polycore import COPRIME_PRIME, modular_primes
 
 from util import CUBIC, CUBIC_F_RAW, CUBIC_GRID_DATA, HYPERBOLA, HYPERBOLA_F, rand_ratparam
 
 CUBIC_F = bipoly_canonicalize(CUBIC_F_RAW)
+
+
+def _at(p, t):
+    """The value of the polynomial ``p`` at ``t``, from the definition."""
+    return sum(c * t**k for k, c in enumerate(p.coeffs))
 
 
 def test_degree_bounds_cross_over():
@@ -107,21 +110,19 @@ def test_nodes_on_curve_rejects_nonpositive_count():
         nodes_on_curve(HYPERBOLA, 0)
 
 
-def test_interpolation_matrix_row_is_monomial_basis():
+def test_collocation_row_is_monomial_basis():
+    # entry (i, j), i-major, is x0^i y0^j times b^m e^n, (x0, y0) = (a/b, c/e)
     pts = nodes_on_curve(HYPERBOLA, 4)
-    A = interpolation_matrix(pts, 1, 1)
-    assert A.entries[0] == (
-        Fraction(1),
-        Fraction(3, 4),
-        Fraction(1, 2),
-        Fraction(3, 8),
-    )
-    assert A.entries[2] == (
-        Fraction(1),
-        Fraction(5, 6),
-        Fraction(3, 4),
-        Fraction(5, 8),
-    )
+    assert pts[0] == (Fraction(1, 2), Fraction(3, 4)) and pts[2] == (Fraction(3, 4), Fraction(5, 6))
+    assert _collocation_row(pts[0], 1, 1, OpCounter()) == [8, 6, 4, 3]  # 8 * (1, 3/4, 1/2, 3/8)
+    assert _collocation_row(pts[2], 1, 1, OpCounter()) == [24, 20, 18, 15]
+    rng = random.Random(3)
+    for m, n in ((1, 1), (2, 3), (3, 2)):
+        for _ in range(5):
+            x0, y0 = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in "xy")
+            scale = x0.denominator**m * y0.denominator**n
+            want = [x0**i * y0**j * scale for i in range(m + 1) for j in range(n + 1)]
+            assert _collocation_row((x0, y0), m, n, OpCounter()) == want
 
 
 def test_method_unstructured_hyperbola():
@@ -189,6 +190,10 @@ def test_method_config_validation():
     with pytest.raises(ValueError, match="must not exceed"):
         MethodConfig(p1=2, p2=MAX_NODE_PRIME + 15)
     MethodConfig(p1=2, p2=MAX_NODE_PRIME - 5)
+    # a float or bool prime is refused up front, not deep in the solve
+    for p1, p2 in ((2.0, 3), (2, 3.0), (True, 3), (Fraction(2), 3)):
+        with pytest.raises(ValueError, match="must be ints"):
+            MethodConfig(method=METHOD_DUAL_VANDERMONDE, p1=p1, p2=p2)
 
 
 def test_node_primality_agrees_with_trial_division():
@@ -235,11 +240,10 @@ def test_interpolation_data_is_determinant_of_final_polynomial():
     # Theorem behind the determinant methods: the datum at a node is the
     # implicit polynomial (up to the canonical scale) evaluated there.
     r = method_kronecker(CUBIC)
-    raw_scale = None
     for i in range(4):
         for j in range(4):
-            val = bipoly_eval(r.F, i, j)
-            want = bipoly_eval(CUBIC_F, i, j)
+            val = sum(c * i**a * j**b for a, row in enumerate(r.F.coeffs) for b, c in enumerate(row))
+            want = sum(c * i**a * j**b for a, row in enumerate(CUBIC_F.coeffs) for b, c in enumerate(row))
             assert val == want
 
 
@@ -344,8 +348,9 @@ def test_curve_points_matches_the_rational_sweep():
         """The sweep in Fraction arithmetic, as it was first written."""
         pts = []
         for t in range(stop):
-            if poly_eval(P.v1, t) != 0 and poly_eval(P.v2, t) != 0:
-                pt = (P.x_at(t), P.y_at(t))
+            u1, v1, u2, v2 = (_at(p, t) for p in (P.u1, P.v1, P.u2, P.v2))
+            if v1 != 0 and v2 != 0:
+                pt = (u1 / v1, u2 / v2)
                 if pt not in pts:
                     pts.append(pt)
         return pts
@@ -518,8 +523,9 @@ def _proven_proper(P):
     """
     proper = 0
     for t0 in range(12):
-        if P.v1(t0) and P.v2(t0):
-            fibres = (u.scale(v(t0)) - v.scale(u(t0)) for u, v in ((P.u1, P.v1), (P.u2, P.v2)))
+        if _at(P.v1, t0) and _at(P.v2, t0):
+            fibres = (u.scale(_at(v, t0)) - v.scale(_at(u, t0))
+                      for u, v in ((P.u1, P.v1), (P.u2, P.v2)))
             proper += poly_gcd(*fibres).degree == 1
     return proper >= 3
 

@@ -8,31 +8,25 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import implicurve
 from implicurve import structmat
-from implicurve.pipeline import _collocation_row, interpolation_matrix, nodes_on_curve
+from implicurve.pipeline import _collocation_row, nodes_on_curve
 from implicurve.polycore import COPRIME_PRIME, _cleared
 from implicurve.structmat import InternalConsistencyError, _bareiss
 from implicurve import (
-    BiPoly,
     DegenerateParametrizationError,
     DuplicateNodeError,
-    MatQ,
     ModEchelon,
     OpCounter,
     PolyMat,
     RatParam,
-    SingularMatrixError,
     UniPoly,
-    bipoly_eval,
     build_parametric_sylvester,
     degree_bounds,
-    det_bareiss,
-    eval_polymat,
     kron_solve,
-    solve_general,
     sylvester_line_dets,
     vandermonde_solve_dual,
     vandermonde_solve_primal,
@@ -84,31 +78,30 @@ def test_opcounter_observes_an_int_as_its_fraction():
 # --- Sylvester construction ---------------------------------------------------
 
 
+def _sylvester_rows(p, q):
+    """The Sylvester matrix of the coefficient lists ``p`` and ``q``, both
+    in descending t-degree: len(q) - 1 shifted rows of p, then len(p) - 1
+    of q, zero padded."""
+    n = len(p) + len(q) - 2
+    rows = [[0] * r + p + [0] * (n - r - len(p)) for r in range(len(q) - 1)]
+    rows += [[0] * r + q + [0] * (n - r - len(q)) for r in range(len(p) - 1)]
+    return rows
+
+
 def test_sylvester_hyperbola_entries():
     S = build_parametric_sylvester(HYPERBOLA)
     assert S.order == 2
-    assert S.entries[0][0] == BiPoly([[1], [-1]])  # 1 - x
-    assert S.entries[0][1] == BiPoly([[1], [-2]])  # 1 - 2x
-    assert S.entries[1][0] == BiPoly([[1, -1]])  # 1 - y
-    assert S.entries[1][1] == BiPoly([[3, -4]])  # 3 - 4y
+    assert S.p_band == ((1, 1), (1, 2))  # row 0: (1 - x, 1 - 2x)
+    assert S.q_band == ((1, 1), (3, 4))  # row 1: (1 - y, 3 - 4y)
 
 
 def test_sylvester_cubic_entries():
     S = build_parametric_sylvester(CUBIC)
     assert S.order == 6
-    x = BiPoly([[0], [1]])
-    y = BiPoly([[0, 1]])
-    const = BiPoly.constant
     # row 0: (-x, 2, 2, 1-5x, 0, 0), shifted right in rows 1-2
-    expected_p = [-x, const(2), const(2), BiPoly([[1], [-5]])]
-    expected_q = [const(1), BiPoly([[-3, -1]]), const(1), BiPoly([[-1, 3]])]
-    zero = BiPoly.zeros()
-    for r in range(3):
-        for col in range(6):
-            want = expected_p[col - r] if r <= col <= r + 3 else zero
-            assert S.entries[r][col] == want
-            want = expected_q[col - r] if r <= col <= r + 3 else zero
-            assert S.entries[3 + r][col] == want
+    assert S.p_band == ((0, 1), (2, 0), (2, 0), (1, 5))
+    # row 3: (1, -3-y, 1, -1+3y, 0, 0), shifted right in rows 4-5
+    assert S.q_band == ((1, 0), (-3, 1), (1, 0), (-1, -3))
 
 
 def test_sylvester_mixed_degrees():
@@ -116,13 +109,8 @@ def test_sylvester_mixed_degrees():
     P = RatParam(UniPoly([0, 1]), UniPoly.one(), UniPoly([0, 0, 1]), UniPoly.one())
     S = build_parametric_sylvester(P)
     assert S.order == 3
-    x = BiPoly([[0], [1]])
-    y = BiPoly([[0, 1]])
-    one = BiPoly.constant(1)
-    zero = BiPoly.zeros()
-    assert S.entries[0] == (one, -x, zero)
-    assert S.entries[1] == (zero, one, -x)
-    assert S.entries[2] == (one, zero, -y)
+    assert S.p_band == ((1, 0), (0, 1))  # rows (1, -x, 0) and (0, 1, -x)
+    assert S.q_band == ((1, 0), (0, 0), (0, 1))  # row (1, 0, -y)
 
 
 def test_sylvester_rejects_constant_components():
@@ -136,107 +124,57 @@ def test_sylvester_rejects_constant_components():
         )
 
 
-def test_eval_polymat_values():
-    S = build_parametric_sylvester(HYPERBOLA)
-    M = eval_polymat(S, Fraction(1, 2), Fraction(3, 4))
-    assert M.entries == MatQ([[Fraction(1, 2), 0], [Fraction(1, 4), 0]]).entries
-    M2 = eval_polymat(S, 2, 3)
-    assert M2.entries == MatQ([[-1, -3], [-2, -9]]).entries
-
-
 def test_polymat_det_agrees_with_cofactor_after_evaluation():
     rng = random.Random(11)
     for P in (HYPERBOLA, CUBIC):
         S = build_parametric_sylvester(P)
         for _ in range(5):
-            x0, y0 = rand_frac(rng), rand_frac(rng)
-            M = eval_polymat(S, x0, y0)
-            assert det_bareiss(M, OpCounter()) == cofactor_det(
-                [list(r) for r in M.entries]
-            )
+            x0, y0 = rng.randint(-9, 9), rng.randint(-9, 9)
+            rows = _sylvester_rows([u - x0 * v for u, v in S.p_band],
+                                   [u - y0 * v for u, v in S.q_band])
+            assert sylvester_line_dets(S, x0, [y0], OpCounter()) == [cofactor_det(rows)]
 
 
 # --- determinants --------------------------------------------------------------
 
 
+def _det(rows):
+    """``_bareiss`` on a copy of the integer ``rows``."""
+    return _bareiss([list(r) for r in rows], 1, OpCounter())
+
+
 def test_det_examples():
-    c = OpCounter()
-    assert det_bareiss(MatQ([[2]]), c) == 2
-    assert det_bareiss(MatQ([[1, 2], [3, 4]]), c) == -2
-    assert det_bareiss(MatQ.identity(5), c) == 1
-    assert det_bareiss(MatQ([[0, 1], [1, 0]]), c) == -1  # needs a row swap
-    assert det_bareiss(MatQ([[1, 2], [2, 4]]), c) == 0
-    assert det_bareiss(MatQ([[Fraction(1, 2), 0], [7, Fraction(2, 3)]]), c) == Fraction(1, 3)
-
-
-def test_det_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        det_bareiss(MatQ([[1, 2, 3], [4, 5, 6]]), OpCounter())
+    assert _det([[2]]) == 2
+    assert _det([[1, 2], [3, 4]]) == -2
+    assert _det([[int(i == j) for j in range(5)] for i in range(5)]) == 1
+    assert _det([[0, 1], [1, 0]]) == -1  # needs a row swap
+    assert _det([[1, 2], [2, 4]]) == 0
+    assert _det([[3, 0], [42, 4]]) == 6**2 * Fraction(1, 3)  # [[1/2, 0], [7, 2/3]], rows times 6
 
 
 def test_det_matches_cofactor_expansion():
     rng = random.Random(12)
     for trial in range(120):
         n = rng.randint(2, 5)
-        if trial % 2:
-            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        else:
-            rows = [[rand_frac(rng) for _ in range(n)] for _ in range(n)]
-        assert det_bareiss(MatQ(rows), OpCounter()) == cofactor_det(rows)
+        bound = 9 if trial % 2 else 999
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        assert _det(rows) == cofactor_det(rows)
 
 
 def test_det_triangular_is_diagonal_product():
     rng = random.Random(13)
     for _ in range(20):
         n = rng.randint(2, 6)
-        rows = [
-            [rand_frac(rng) if j <= i else Fraction(0) for j in range(n)]
-            for i in range(n)
-        ]
-        want = Fraction(1)
-        for i in range(n):
-            want *= rows[i][i]
-        assert det_bareiss(MatQ(rows), OpCounter()) == want
+        rows = [[rng.randint(-9, 9) if j <= i else 0 for j in range(n)] for i in range(n)]
+        assert _det(rows) == math.prod(rows[i][i] for i in range(n))
 
 
 def test_det_zero_column_and_zero_row():
-    assert det_bareiss(MatQ([[0, 1, 2], [0, 3, 4], [0, 5, 6]]), OpCounter()) == 0
-    assert det_bareiss(MatQ([[1, 1, 2], [0, 0, 0], [0, 5, 6]]), OpCounter()) == 0
+    assert _det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
+    assert _det([[1, 1, 2], [0, 0, 0], [0, 5, 6]]) == 0
 
 
-# --- general solver / nullspace -------------------------------------------------
-
-
-def test_solve_general_moment_system():
-    # power sums of the nodes (1, 3, 2, 6) against coefficients (2, -3, -1, 2)
-    A = MatQ([[1, 1, 1, 1], [1, 3, 2, 6], [1, 9, 4, 36], [1, 27, 8, 216]])
-    c = solve_general(A, [0, 3, 43, 345], OpCounter())
-    assert c == [2, -3, -1, 2]
-
-
-def test_solve_general_identity_and_random_cramer():
-    rng = random.Random(14)
-    assert solve_general(MatQ.identity(4), [5, 6, 7, 8], OpCounter()) == [5, 6, 7, 8]
-    for _ in range(30):
-        n = rng.randint(2, 4)
-        rows = [[rand_frac(rng) for _ in range(n)] for _ in range(n)]
-        d = cofactor_det(rows)
-        if d == 0:
-            continue
-        b = [rand_frac(rng) for _ in range(n)]
-        x = solve_general(MatQ(rows), b, OpCounter())
-        # Cramer's rule, column by column
-        for j in range(n):
-            cols = [
-                [rows[i][k] if k != j else b[i] for k in range(n)] for i in range(n)
-            ]
-            assert x[j] == cofactor_det(cols) / d
-        assert matvec(rows, x) == b
-
-
-def test_solve_general_rejects_singular():
-    with pytest.raises(SingularMatrixError):
-        solve_general(MatQ([[1, 2], [2, 4]]), [1, 1], OpCounter())
+# --- nullspace mod p --------------------------------------------------------------
 
 
 def _mod_p(values, p=COPRIME_PRIME):
@@ -289,8 +227,6 @@ def test_mod_echelon_counts_each_reduction():
 
 
 def test_nullspace_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-
     def oracle(rows):
         M = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in rows])
         return [_mod_p(Fraction(int(e.p), int(e.q)) for e in v) for v in M.nullspace()]
@@ -319,13 +255,13 @@ def test_nullspace_matches_sympy():
                 assert _echelon(M).null_vectors() == oracle(M), M
     for count in (16, 17):
         points = nodes_on_curve(CUBIC, count)
-        A = interpolation_matrix(points, 3, 3)
+        A = [[x0**i * y0**j for i in range(4) for j in range(4)] for x0, y0 in points]
         rows = [_collocation_row(pt, 3, 3, OpCounter()) for pt in points]
         # the integer row is the rational one times b^3 e^3, (a/b, c/e) the point
-        for (x0, y0), row, want in zip(points, rows, A.entries):
+        for (x0, y0), row, want in zip(points, rows, A):
             assert row == [v * (x0.denominator * y0.denominator) ** 3 for v in want]
         ech = ModEchelon(COPRIME_PRIME, 16, OpCounter(), rows)
-        assert ech.free == (15,) and ech.null_vectors() == oracle(A.entries)
+        assert ech.free == (15,) and ech.null_vectors() == oracle(A)
 
 
 # --- Vandermonde solvers --------------------------------------------------------
@@ -359,6 +295,8 @@ def test_vandermonde_residuals_are_zero():
 
 
 def test_vandermonde_agree_with_general_solver():
+    # V is invertible on distinct nodes, so a zero residual proves that a
+    # solve returned the one solution any general solver finds
     rng = random.Random(17)
     for _ in range(40):
         s = rng.randint(2, 8)
@@ -366,12 +304,8 @@ def test_vandermonde_agree_with_general_solver():
         nodes = rng.sample(pool, s)
         rhs = [rand_frac(rng) for _ in range(s)]
         V = vandermonde_rows(nodes)
-        assert vandermonde_solve_primal(nodes, rhs, OpCounter()) == solve_general(
-            MatQ(V), rhs, OpCounter()
-        )
-        assert vandermonde_solve_dual(nodes, rhs, OpCounter()) == solve_general(
-            MatQ(transpose(V)), rhs, OpCounter()
-        )
+        assert matvec(V, vandermonde_solve_primal(nodes, rhs, OpCounter())) == rhs
+        assert matvec(transpose(V), vandermonde_solve_dual(nodes, rhs, OpCounter())) == rhs
 
 
 def test_vandermonde_error_cases():
@@ -447,22 +381,26 @@ def test_bareiss_divisions_stay_exact_on_large_random_matrices():
     for _ in range(10):
         n = rng.randint(6, 8)
         rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
-        det_bareiss(MatQ(rows), OpCounter())
+        assert _det(rows) == cofactor_det(rows)
 
 
 def test_banded_evaluation_matches_entries_view_and_cofactor():
+    # the entries view: the formal matrix of u - x*v and u - y*v in sympy
     rng = random.Random(21)
     curves = [HYPERBOLA, CUBIC] + [rand_ratparam(rng, 3, rational=True) for _ in range(4)]
+    x, y = sympy.symbols("x y")
     for P in curves:
         S = build_parametric_sylvester(P)
-        view = S.entries
-        assert len(view) == S.order and all(len(row) == S.order for row in view)
+        view = sympy.Matrix(_sylvester_rows([u - x * v for u, v in S.p_band],
+                                            [u - y * v for u, v in S.q_band]))
+        assert view.shape == (S.order, S.order)
         for _ in range(4):
-            x0, y0 = rand_frac(rng), rand_frac(rng)
-            rows = [[bipoly_eval(e, x0, y0) for e in row] for row in view]
-            M = eval_polymat(S, x0, y0)
-            assert M.entries == MatQ(rows).entries
-            assert det_bareiss(M, OpCounter()) == cofactor_det(rows)
+            x0, y0 = rng.randint(-9, 9), rng.randint(-9, 9)
+            rows = _sylvester_rows([u - x0 * v for u, v in S.p_band],
+                                   [u - y0 * v for u, v in S.q_band])
+            at = view.subs({x: x0, y: y0})
+            assert at == sympy.Matrix(rows)
+            assert sylvester_line_dets(S, x0, [y0], OpCounter()) == [at.det()] == [cofactor_det(rows)]
 
 
 def test_polymat_bands_must_depend_on_the_parameter():
@@ -470,7 +408,7 @@ def test_polymat_bands_must_depend_on_the_parameter():
         PolyMat([(1, 0)], [(1, 0), (0, 1)])
     S = PolyMat([(1, 0), (0, 1)], [(1, 0), (2, 3)])  # p = t - x, q = t + 2 - 3y
     assert S.order == 2
-    assert S.entries == ((BiPoly([[1], [0]]), BiPoly([[0], [-1]])), (BiPoly.constant(1), BiPoly([[2, -3]])))
+    assert (S.p_band, S.q_band) == (((1, 0), (0, 1)), ((1, 0), (2, 3)))
 
 
 def test_bareiss_raises_a_typed_error_on_a_nonexact_division():
@@ -499,29 +437,22 @@ def _clear(band):
 
 
 def _uncleared_sylvester(p_band, q_band, x0, y0):
-    """The ``Fraction`` Sylvester matrix of the rational bands at (x0, y0)."""
-    p = [Fraction(u) - x0 * v for u, v in p_band]
-    q = [Fraction(u) - y0 * v for u, v in q_band]
-    n = len(p) + len(q) - 2
-    rows = [[0] * r + p + [0] * (n - r - len(p)) for r in range(len(q) - 1)]
-    rows += [[0] * r + q + [0] * (n - r - len(q)) for r in range(len(p) - 1)]
-    return MatQ(rows)
+    """The ``Fraction`` Sylvester rows of the rational bands at (x0, y0)."""
+    return _sylvester_rows([Fraction(u) - x0 * v for u, v in p_band],
+                           [Fraction(u) - y0 * v for u, v in q_band])
 
 
 def _assert_line_matches_reference(S, bands, x0, ys):
-    """The kernel on the int matrix ``S`` against both references: ``S``
-    evaluated and eliminated, and the uncleared ``bands``' determinant
-    times L1**d2 * L2**d1.  ``S`` must be ``bands`` cleared."""
+    """The kernel on the int matrix ``S`` against sympy's determinant of
+    the uncleared ``bands``' Sylvester matrix times L1**d2 * L2**d1.  ``S``
+    must be ``bands`` cleared."""
     p, q = bands
     (l1, cp), (l2, cq) = _clear(p), _clear(q)
     assert (S.p_band, S.q_band) == (tuple(cp), tuple(cq))
     got = sylvester_line_dets(S, x0, ys, OpCounter())
     assert all(type(v) is int for v in got)
-    assert got == [det_bareiss(eval_polymat(S, x0, y), OpCounter()) for y in ys]
     scale = l1 ** (len(q) - 1) * l2 ** (len(p) - 1)
-    assert got == [
-        scale * det_bareiss(_uncleared_sylvester(p, q, x0, y), OpCounter()) for y in ys
-    ]
+    assert got == [scale * sympy.Matrix(_uncleared_sylvester(p, q, x0, y)).det() for y in ys]
 
 
 def _curve_with_vanishing_lead(rng, d1, d2, rational, drop):
@@ -578,8 +509,9 @@ def test_line_kernel_property(data):
 
 
 def test_line_kernel_needs_integer_bands():
-    with pytest.raises(ValueError, match="integer coefficients"):
-        PolyMat([(Fraction(1, 2), 0), (1, 1)], [(1, 0), (0, 1)])
+    for bad in (Fraction(1, 2), 1.5, 2.0, "1"):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            PolyMat([(bad, 0), (1, 1)], [(1, 0), (0, 1)])
     P = RatParam(UniPoly([1, Fraction(1, 2)]), UniPoly.one(), UniPoly([0, 1]), UniPoly.one())
     S = build_parametric_sylvester(P)
     assert S.p_band == ((1, 0), (2, 2))  # cleared by 2
@@ -737,7 +669,7 @@ def test_primal_solve_on_integer_data_of_no_integer_polynomial():
     ]
     for nodes, values in cases:
         got = vandermonde_solve_primal(nodes, values, OpCounter())
-        assert got == solve_general(MatQ(vandermonde_rows(nodes)), values, OpCounter())
+        assert matvec(vandermonde_rows(nodes), got) == values
         ref = vandermonde_solve_primal([Fraction(t) for t in nodes], values, OpCounter())
         assert got == ref
     half = Fraction(1, 2)
@@ -832,7 +764,7 @@ def test_dual_solve_on_integer_moments_of_no_integer_vector():
     ]
     for nodes, b in cases:
         got = vandermonde_solve_dual(nodes, b, OpCounter())
-        assert got == solve_general(MatQ(transpose(vandermonde_rows(nodes))), b, OpCounter())
+        assert matvec(transpose(vandermonde_rows(nodes)), got) == b
         assert got == _bjorck_pereyra_reference(nodes, b, dual=True)[0]
         assert any(type(v) is Fraction for v in got), nodes
     half = Fraction(1, 2)

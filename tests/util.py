@@ -6,7 +6,7 @@ import math
 import random
 from fractions import Fraction
 
-from implicurve import BiPoly, MatQ, RatParam, UniPoly, degree_bounds
+from implicurve import BiPoly, RatParam, UniPoly, degree_bounds
 
 
 def frac(a, b=1):
