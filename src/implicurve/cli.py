@@ -412,7 +412,10 @@ def _load_poly(source: str) -> BiPoly:
     text = text.strip()
     if not text.startswith("{"):
         return parse_poly_xy(text)
-    rows = json.loads(text).get("coeffs")
+    try:
+        rows = json.loads(text).get("coeffs")
+    except RecursionError:
+        raise ValueError("JSON polynomial nested too deeply") from None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError('a JSON polynomial needs "coeffs": a list of coefficient rows')
     if len(rows) > MAX_EXPONENT + 1 or any(len(row) > MAX_EXPONENT + 1 for row in rows):

@@ -9,9 +9,11 @@ rectangular coefficient grid (:class:`BiPoly`, candidate implicit
 equations), rational parametrizations of plane curves (:class:`RatParam`)
 with the degree rule every method applies (:func:`component_degrees`),
 the text form of both polynomial kinds (``format_*``), the 61-bit primes
-of the modular computations (:func:`modular_primes`), and
-:func:`substitute_check`, the predicate that decides whether a bivariate
-polynomial vanishes identically along a parametrization.
+of the modular computations (:func:`modular_primes`), the integer
+:func:`resultant` behind lowest terms and the Sylvester determinants, the
+:class:`OpCounter` that tallies such work, and :func:`substitute_check`,
+the predicate that decides whether a bivariate polynomial vanishes
+identically along a parametrization.
 
 No floating point is used anywhere.
 """
@@ -32,6 +34,65 @@ MINUS_INFINITY = float("-inf")
 
 def _as_rat(value: Rat | int) -> Rat:
     return value if isinstance(value, Fraction) else Fraction(value)
+
+
+class InternalConsistencyError(RuntimeError):
+    """Raised when a self-check that can only fail on an implementation bug
+    fails: a nonexact division in the subresultant PRS, a packed
+    determinant beyond its coefficient bound, non-integer interpolation
+    nodes, interpolation data not reproduced, a modular solve with no
+    proven candidate within its Hadamard bound, or a computed F that does
+    not vanish along the input parametrization."""
+
+
+class OpCounter:
+    """Tally of exact rational operations plus a bit-size high-water mark.
+
+    ``observe`` never counts as an operation: it only records how many bits
+    the numerator/denominator of a value needs, so callers can report the
+    size of the data their algorithm actually touched.
+    """
+
+    __slots__ = ("adds", "muls", "divs", "max_bits")
+
+    def __init__(self, adds: int = 0, muls: int = 0, divs: int = 0, max_bits: int = 0) -> None:
+        self.adds = adds
+        self.muls = muls
+        self.divs = divs
+        self.max_bits = max_bits
+
+    def count(self, adds: int = 0, muls: int = 0, divs: int = 0) -> None:
+        self.adds += adds
+        self.muls += muls
+        self.divs += divs
+
+    def observe(self, value: Rat | int) -> None:
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if bits > self.max_bits:
+            self.max_bits = bits
+
+    def observe_many(self, values) -> None:
+        for v in values:
+            self.observe(v)
+
+    def merged(self, other: OpCounter) -> OpCounter:
+        """Combined counter: counts add up, bit marks take the max."""
+        return OpCounter(
+            self.adds + other.adds,
+            self.muls + other.muls,
+            self.divs + other.divs,
+            max(self.max_bits, other.max_bits),
+        )
+
+    @property
+    def muldivs(self) -> int:
+        return self.muls + self.divs
+
+    def __repr__(self) -> str:
+        return (
+            f"OpCounter(adds={self.adds}, muls={self.muls}, "
+            f"divs={self.divs}, max_bits={self.max_bits})"
+        )
 
 
 class UniPoly:
@@ -146,6 +207,65 @@ def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         _, r = divmod(a, b)
         a, b = b, r
     return a.scale(1 / a.leading)
+
+
+def resultant(a: Sequence[int], b: Sequence[int], counter: OpCounter) -> int:
+    """Res(a, b), the determinant of the Sylvester matrix of two integer
+    polynomials given by their coefficients in descending degree with
+    nonzero leads; a zero polynomial (no coefficients) gives 0.
+
+    Collins's subresultant PRS (Collins, *J. ACM* 1967; Brown & Traub,
+    *J. ACM* 1971; Cohen, *A Course in Computational Algebraic Number
+    Theory*, Alg. 3.3.7): each step replaces (a, b) by (b, r / (g *
+    h**delta)), r = lc(b)**(delta + 1) * a mod b the pseudo-remainder and
+    delta = deg a - deg b; then g = lc(b) and h = g**delta / h**(delta - 1),
+    both 1 at first.  These divisions are exact, their results being
+    Sylvester minors, and checked: a remainder raises
+    ``InternalConsistencyError``.  A step of two odd degrees flips the
+    sign, as Res(a, b) = (-1)**(deg a * deg b) * Res(b, a).  A degree drop
+    above 1 (a non-normal sequence) needs no other rule, and a zero
+    remainder means a common root.
+    """
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    g = h = 1
+    adds = muls = divs = 0
+    while len(b) > 1:
+        m, n = len(a) - 1, len(b) - 1
+        delta = m - n
+        if m * n % 2:
+            sign = -sign
+        lead, tail = b[0], b[1:]
+        r = a
+        for _ in range(delta + 1):
+            c = r[0]
+            r = [lead * x - c * y for x, y in zip(r[1:], tail)] + [lead * x for x in r[n + 1 :]]
+        while r and not r[0]:
+            del r[0]
+        den = g * h**delta
+        a, b = b, [_exact(x, den) for x in r]
+        g = a[0]
+        if delta:
+            h = _exact(g**delta, h ** (delta - 1))
+        adds += (delta + 1) * n
+        muls += (delta + 1) * (m + n) - delta * (delta + 1) // 2 + 2
+        divs += len(b) + 1
+    counter.count(adds, muls, divs)
+    if not b:
+        return 0
+    n = len(a) - 1
+    return sign * _exact(b[0] ** n, h ** (n - 1)) if n else sign
+
+
+def _exact(num: int, den: int) -> int:
+    """num / den, which must be exact: a remainder raises
+    ``InternalConsistencyError``."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise InternalConsistencyError("subresultant PRS hit a nonexact division")
+    return quo
 
 
 class BiPoly:
@@ -324,54 +444,23 @@ def component_degrees(P: RatParam) -> tuple[int, int]:
     return d1, d2
 
 
-#: The prime of the modular coprimality proof in :func:`lowest_terms`, and
-#: the first of :func:`modular_primes`.
+#: 2**61 - 1, the first of :func:`modular_primes`.
 COPRIME_PRIME = (1 << 61) - 1
 
 
 def lowest_terms(u: UniPoly, v: UniPoly) -> tuple[UniPoly, UniPoly, bool]:
     """``u/v`` with the gcd cancelled, and whether it was nonconstant.
 
-    Pairs that :func:`coprime_mod_prime` cannot prove coprime go through
-    the exact ``Fraction`` Euclid.
+    The pair is coprime exactly when the :func:`resultant` of its
+    coefficients, cleared to integers, is nonzero; a pair with resultant 0
+    is divided by its monic gcd, from the exact Euclid of :func:`poly_gcd`.
     """
-    if not coprime_mod_prime(u, v):
+    cu, cv = _cleared((u.coeffs, v.coeffs))
+    if not resultant(cu[::-1], cv[::-1], OpCounter()):
         g = poly_gcd(u, v)
         if g.degree > 0:
             return divmod(u, g)[0], divmod(v, g)[0], True
     return u, v, False
-
-
-def coprime_mod_prime(u: UniPoly, v: UniPoly) -> bool:
-    """True only if ``u`` and ``v`` are proven coprime over Q.
-
-    Both are reduced modulo p = ``COPRIME_PRIME`` when p divides no
-    denominator and neither leading numerator, so both degrees survive.
-    The primitive gcd over Q divides both integer-cleared polynomials in
-    Z[t] and its leading coefficient divides theirs, so deg gcd over Q <=
-    deg gcd mod p, and a constant gcd mod p proves coprimality.  False
-    means "not proven", never "not coprime".
-    """
-    p = COPRIME_PRIME
-    if u.is_zero or v.is_zero or u.leading.numerator % p == 0 or v.leading.numerator % p == 0:
-        return False
-    if any(c.denominator % p == 0 for c in u.coeffs + v.coeffs):
-        return False
-    a = [c.numerator * pow(c.denominator, -1, p) % p for c in u.coeffs]
-    b = [c.numerator * pow(c.denominator, -1, p) % p for c in v.coeffs]
-    while len(b) > 1:  # Euclid mod p: a, b = b, a mod b
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            f, shift = a[-1] * inv % p, len(a) - len(b)
-            for k in range(len(b) - 1):
-                a[shift + k] = (a[shift + k] - f * b[k]) % p
-            a.pop()
-            while a and not a[-1]:
-                a.pop()
-        if not a:
-            return False
-        a, b = b, a
-    return True
 
 
 _PRIMES = [COPRIME_PRIME]

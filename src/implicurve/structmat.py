@@ -7,11 +7,10 @@ its determinant at a point (x0, y0) is the implicit curve polynomial
 evaluated there.  The bands are integers from construction:
 `build_parametric_sylvester` clears each component pair of a rational
 curve, which scales every determinant by a known constant.  The pipelines
-call `sylvester_line_dets` per grid line x = x0: the rows of
-p = u1 - x0*v1 leave the remainders of t**i * q mod p, each found from the
-one before by one reduction step, and the d1 x d1 remainder is eliminated
-once per line by fraction-free Bareiss steps, its nodes packed into one by
-Kronecker substitution.
+call `sylvester_line_dets` per grid line x = x0: the determinant is the
+resultant of p = u1 - x0*v1 and q = u2 - y*v2, which the subresultant PRS
+of `polycore.resultant` computes once per line, its nodes packed into one
+by Kronecker substitution.
 
 Each node scheme has its solver.  The unstructured scheme keeps the row
 echelon form mod a prime of its integer rows (`ModEchelon`), grown a row
@@ -36,69 +35,20 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .polycore import Rat, RatParam, _cleared, _horner, component_degrees
+from .polycore import (
+    InternalConsistencyError,
+    OpCounter,
+    Rat,
+    RatParam,
+    _cleared,
+    _horner,
+    component_degrees,
+    resultant,
+)
 
 
 class DuplicateNodeError(ValueError):
     """Raised when interpolation nodes that must be distinct repeat."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """Raised when a self-check that can only fail on an implementation bug
-    fails: a nonexact fraction-free division, non-integer interpolation
-    nodes, interpolation data not reproduced, a modular solve with no
-    proven candidate within its Hadamard bound, or a computed F that does
-    not vanish along the input parametrization."""
-
-
-class OpCounter:
-    """Tally of exact rational operations plus a bit-size high-water mark.
-
-    ``observe`` never counts as an operation: it only records how many bits
-    the numerator/denominator of a value needs, so callers can report the
-    size of the data their algorithm actually touched.
-    """
-
-    __slots__ = ("adds", "muls", "divs", "max_bits")
-
-    def __init__(self, adds: int = 0, muls: int = 0, divs: int = 0, max_bits: int = 0) -> None:
-        self.adds = adds
-        self.muls = muls
-        self.divs = divs
-        self.max_bits = max_bits
-
-    def count(self, adds: int = 0, muls: int = 0, divs: int = 0) -> None:
-        self.adds += adds
-        self.muls += muls
-        self.divs += divs
-
-    def observe(self, value: Rat | int) -> None:
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-        if bits > self.max_bits:
-            self.max_bits = bits
-
-    def observe_many(self, values) -> None:
-        for v in values:
-            self.observe(v)
-
-    def merged(self, other: OpCounter) -> OpCounter:
-        """Combined counter: counts add up, bit marks take the max."""
-        return OpCounter(
-            self.adds + other.adds,
-            self.muls + other.muls,
-            self.divs + other.divs,
-            max(self.max_bits, other.max_bits),
-        )
-
-    @property
-    def muldivs(self) -> int:
-        return self.muls + self.divs
-
-    def __repr__(self) -> str:
-        return (
-            f"OpCounter(adds={self.adds}, muls={self.muls}, "
-            f"divs={self.divs}, max_bits={self.max_bits})"
-        )
 
 
 class PolyMat:
@@ -149,77 +99,24 @@ def build_parametric_sylvester(P: RatParam) -> PolyMat:
     return PolyMat(*bands)
 
 
-def _bareiss(a: list[list[int]], prev: int, counter: OpCounter) -> int:
-    """Determinant of the integer matrix ``a`` (eliminated in place) by
-    fraction-free Bareiss elimination continued from the pivot ``prev``.
-
-    With ``prev`` = 1 this is the determinant of ``a``.  Continued after k
-    steps of an elimination of a larger matrix, it is that matrix's
-    determinant.  A zero pivot is repaired by a row swap, and a column with
-    no pivot means the determinant is zero.
-    """
-    n = len(a)
-    sign = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            r = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if r is None:
-                return 0
-            a[k], a[r] = a[r], a[k]
-            sign = -sign
-        _fraction_free_step(a, k, prev, counter)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _fraction_free_step(a: list[list[int]], k: int, prev: int, counter: OpCounter) -> None:
-    """One Bareiss step, in place: every row below row ``k`` becomes
-    (pivot*row - row[k]*a[k]) / prev right of column ``k``, with pivot =
-    a[k][k] and ``prev`` the previous pivot (1 at first).  Each division
-    is exact by Sylvester's identity, and checked: a remainder raises
-    ``InternalConsistencyError``.
-    """
-    ak = a[k]
-    pivot = ak[k]
-    below = a[k + 1 :]
-    w = len(ak) - 1 - k
-    nonzero = sum(1 for ai in below if ai[k])
-    counter.count(adds=nonzero * w, muls=(len(below) + nonzero) * w, divs=len(below) * w)
-    for ai in below:
-        fac = ai[k]
-        if fac:
-            nums = [x * pivot - fac * y for x, y in zip(ai[k + 1 :], ak[k + 1 :])]
-        else:
-            nums = [x * pivot for x in ai[k + 1 :]]
-        row = ai[: k + 1]
-        for num in nums:
-            q, rem = divmod(num, prev)
-            if rem:
-                raise InternalConsistencyError("fraction-free elimination hit a nonexact division")
-            row.append(q)
-        ai[:] = row
-
-
 def sylvester_line_dets(
     S: PolyMat, x0: int, ys: Sequence[int], counter: OpCounter
 ) -> list[int]:
     """Determinants of ``S`` at (x0, y), for every int y in ``ys`` in order.
 
-    With p = u1 - x0*v1 and q = u2 - y*v2, det S(x0, y) is the resultant
-    Res(p, q) = a**d2 * det q(C_p), a the leading coefficient of p
-    (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 6).  Its d1
-    remainder rows r_i = a**d2 * rem(t**i * q, p) are what eliminating the
-    q rows by the d2 rows of p would leave: r_0 comes from a**d2 * q by
-    one step per degree above d1 - 1, and r_{i+1} from t*r_i by one step,
-    each step r - (r[0]/a) * t**j * p with the lead dropped.  Its divisions
-    are exact, as a**d2 clears every quotient, and checked.  The
-    elimination of the d1 x d1 remainder continues from the pivot a**d2.
-    If the e leading coefficients of p vanish at x0, expanding along the
-    first column e times gives det = (-1)**(e*d2) * q_0**e *
-    Res(p[e:], q), q_0 the formal lead of q; a constant p[e:] = a leaves
-    a**d2, and p = 0 leaves 0.  A single y has its q reduced directly.
-    Several y are packed into one, y = 2**s with s = bitlen(B) + 1, where
-    B (:func:`_line_bound`) bounds every coefficient of R(y) = det S(x0, y),
+    With p = u1 - x0*v1 and q = u2 - y*v2, det S(x0, y) is the resultant of
+    p and q at their formal degrees d1 and d2, once the vanishing leads are
+    stripped by expanding along the first column.  If the e leading
+    coefficients of p vanish at x0, e expansions give det = (-1)**(e*d2) *
+    q_0**e * Res(p[e:], q), q_0 the formal lead of q; p = 0 leaves 0.  If
+    then the f leading coefficients of q vanish, f more give a**f *
+    Res(p[e:], q[f:]), a = p[e], with no sign.  So a constant p[e:] needs no
+    rule of its own: it leaves a**f * a**(d2 - f) = a**d2, and q_0 = 0
+    gives 0 through q_0**e.  The :func:`resultant` is taken as (-1)**(m*n) *
+    Res(q[f:], p[e:]), m and n their degrees, so that the PRS first reduces
+    the wide (packed) q by the narrow p.  A single y takes q directly.
+    Several y are packed into one, y = 2**s with s = bitlen(B) + 1, where B
+    (:func:`_line_bound`) bounds every coefficient of R(y) = det S(x0, y),
     of degree <= d1: R's coefficients are the signed base-2**s digits of
     R(2**s) (Kronecker substitution), and Horner gives the node values.
     """
@@ -236,37 +133,15 @@ def sylvester_line_dets(
         s = _line_bound(p, q_band).bit_length() + 1
         at = 1 << s
     q = [u - at * v for u, v in q_band]
-    a, tail = p[e], p[e + 1 :]
-    k = len(tail)
-    r = [a**d2 * c for c in q]
-    while len(r) > k:
-        r = _remainder_step(r, a, tail)
-    rows = [[0] * (k - len(r)) + r]
-    while len(rows) < k:
-        rows.append(_remainder_step(rows[-1] + [0], a, tail))
-    steps = max(d2 + 1 - k, 0) + k - 1
-    counter.count(adds=d2 + 1 + steps * k, muls=2 * (d2 + 1) + e + steps * k, divs=steps * k)
-    det = _bareiss(rows[::-1], a**d2, counter) if k else a**d2
+    counter.count(adds=d2 + 1, muls=d2 + 3)
+    f = next((s for s, c in enumerate(q) if c), d2 + 1)
+    det = (-1) ** ((d1 - e) * (d2 - f) % 2) * p[e] ** f * resultant(q[f:], p[e:], counter)
     det *= (-q[0] if d2 % 2 else q[0]) ** e  # the e zero leads of p
     if len(ys) == 1:
         return [det]
     coeffs = _signed_digits(det, s, d1 + 1)
     counter.count(adds=(len(ys) + 1) * d1 + 1, muls=len(ys) * d1)
     return [_horner(coeffs, y) for y in ys]
-
-
-def _remainder_step(r: list[int], a: int, tail: list[int]) -> list[int]:
-    """r - (c/a) * t**j * p with c = r[0] and j = len(r) - 1 - deg p, lead
-    dropped; p is a followed by ``tail``.  A nonexact division raises
-    ``InternalConsistencyError``."""
-    c = r[0]
-    out = []
-    for x, y in zip(r[1:], tail):
-        quo, rem = divmod(c * y, a)
-        if rem:
-            raise InternalConsistencyError("remainder row hit a nonexact division")
-        out.append(x - quo)
-    return out + r[len(tail) + 1 :]
 
 
 def _line_bound(p: list[int], q_band: Sequence[tuple[int, int]]) -> int:

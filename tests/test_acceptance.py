@@ -26,7 +26,7 @@ from implicurve import (
     vandermonde_solve_primal,
 )
 from implicurve.cli import format_ratfun, parse_rational_function
-from implicurve.structmat import _bareiss
+from implicurve.polycore import resultant
 
 from util import (
     CUBIC,
@@ -41,6 +41,7 @@ from util import (
     rand_frac,
     rand_ratparam,
     rand_unipoly,
+    sylvester_rows,
     transpose,
     vandermonde_rows,
 )
@@ -152,12 +153,14 @@ def test_criterion_5_cross_method_agreement_random():
 def test_criterion_6_determinant_oracle():
     rng = random.Random(303)
     for trial in range(120):
-        n = rng.randint(2, 5)
+        n = rng.randint(2, 5)  # the Sylvester order d1 + d2
+        d1 = rng.randint(1, n - 1)
         bound = 20 if trial % 2 else 10**6
-        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        # _bareiss checks the exactness of each internal division itself
-        assert _bareiss([list(r) for r in rows], 1, OpCounter()) == cofactor_det(rows)
-    _ok(6, "120 Bareiss determinants equal cofactor expansion, divisions exact")
+        p, q = ([rng.randint(-bound, bound) for _ in range(d + 1)] for d in (d1, n - d1))
+        p[0], q[0] = p[0] or bound, q[0] or bound
+        # resultant checks the exactness of each internal division itself
+        assert resultant(p, q, OpCounter()) == cofactor_det(sylvester_rows(p, q))
+    _ok(6, "120 PRS resultants equal cofactor expansion of the Sylvester matrix, divisions exact")
 
 
 def test_criterion_7_complexity_scaling():

@@ -279,6 +279,14 @@ def test_cmd_verify_rejects_malformed_json_grids(doc, message, capsys):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+def test_cmd_verify_rejects_deeply_nested_json(capsys):
+    # 200000 nested lists overflow the JSON decoder's recursion
+    poly = '{"coeffs": ' + "[" * 200_000 + "]" * 200_000 + "}"
+    assert main(["verify", "--x", "t", "--y", "t", "--poly", poly]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
 def test_cmd_verify_accepts_json_grids_at_the_cap(capsys):
     # x - y^64 on the curve x = t^64, y = t; a JSON int is a coefficient too
     doc = {"coeffs": [["0"] * MAX_EXPONENT + [-1], [1] + ["0"] * MAX_EXPONENT]}

@@ -34,7 +34,7 @@ from implicurve.cli import format_ratfun, main
 
 from util import CUBIC, HYPERBOLA, rand_ratparam
 
-IDENTITY_DIGEST = "5bac0b12d389a2ade00a44296c50956c5094f7a65c18365a745ffc5ce3fe9821"
+IDENTITY_DIGEST = "ecd715315629016df49d7d9ab625f9f12d0659008b943735720a46fb9e13c4d9"
 
 
 def _corpus():

@@ -474,13 +474,13 @@ def test_pipeline_checks_still_run_under_python_O():
         "from fractions import Fraction\n"
         "from implicurve import InternalConsistencyError\n"
         "from implicurve.pipeline import _integer_nodes\n"
-        "from implicurve.structmat import OpCounter, _bareiss, _remainder_step\n"
+        "from implicurve.polycore import OpCounter, resultant\n"
         "from implicurve import RatParam, UniPoly, pipeline\n"
         "pipeline.substitute_check = lambda F, P: False  # the Hadamard stop\n"
         "hyperbola = RatParam(*(UniPoly(c) for c in ([1, 1], [2, 1], [3, 1], [4, 1])))\n"
         "calls = (lambda: _integer_nodes([(Fraction(1, 2), 0)]),\n"
-        "         lambda: _bareiss([[1, 2], [3, 5]], 2, OpCounter()),\n"
-        "         lambda: _remainder_step([1, 0], 2, [1]),\n"
+        "         lambda: resultant([1, 0, 0, 8], [Fraction(1, 2), 0], OpCounter()),\n"
+        "         lambda: resultant([1, 0, 0], [1, Fraction(1, 2)], OpCounter()),\n"
         "         lambda: pipeline.method_unstructured(hyperbola))\n"
         "for call in calls:\n"
         "    try:\n"

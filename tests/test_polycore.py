@@ -17,8 +17,10 @@ from implicurve import polycore
 from implicurve.cli import main
 from implicurve.polycore import (
     COPRIME_PRIME,
-    coprime_mod_prime,
+    OpCounter,
+    _cleared,
     lowest_terms,
+    resultant,
 )
 
 from util import (
@@ -338,26 +340,27 @@ def test_coprime_fast_path_agrees_with_exact_euclid():
         u, v = _rand_pair(rng, rational=trial % 2 == 1)
         exact = _lowest_terms_by_euclid(u, v)
         assert lowest_terms(u, v) == exact
-        if coprime_mod_prime(u, v):
-            assert not exact[2]  # a proof never contradicts the exact gcd
+        if not u.is_zero:  # a nonzero resultant exactly when the gcd is constant
+            cu, cv = _cleared((u.coeffs, v.coeffs))
+            assert (resultant(cu[::-1], cv[::-1], OpCounter()) != 0) == (not exact[2])
         reduced += exact[2]
         P = RatParam(u, v, UniPoly([3, 1]), UniPoly([4, 1]))
         assert (P.u1, P.v1, P.was_reduced) == exact
     assert 50 < reduced < 250
-
-
-def test_coprime_mod_prime_leaves_unprovable_pairs_to_euclid():
-    p = COPRIME_PRIME
-    t = UniPoly([0, 1])
-    assert coprime_mod_prime(UniPoly([1, 1]), UniPoly([2, 1]))
-    assert coprime_mod_prime(UniPoly([5]), t)
-    assert not coprime_mod_prime(UniPoly.zero(), t)  # zero numerator
-    assert not coprime_mod_prime(UniPoly([1, Fraction(1, p)]), UniPoly([2, 1]))  # denominator
-    assert not coprime_mod_prime(UniPoly([1, p]), UniPoly([2, 1]))  # leading coefficient
-    assert not coprime_mod_prime(UniPoly([-1, 0, 1]), UniPoly([-1, 1]))  # common factor
-    # (t + 1) and (t + 1 + p) share a root mod p only: coprime, but unproven
-    u, v = UniPoly([1, 1]), UniPoly([1 + p, 1])
-    assert not coprime_mod_prime(u, v)
-    assert lowest_terms(u, v) == (u, v, False)
-    # a zero numerator reduces against a nonconstant denominator
-    assert lowest_terms(UniPoly.zero(), UniPoly([2, 2])) == (UniPoly.zero(), UniPoly([2]), True)
+    # edge inputs: a zero numerator, a denominator or a lead divisible by
+    # the prime p = COPRIME_PRIME, a common factor, t + 1 against t + 1 + p
+    # (a root shared mod p only) and a constant against t
+    p, t = COPRIME_PRIME, UniPoly([0, 1])
+    pairs = [
+        (UniPoly.zero(), UniPoly([2, 2])),
+        (UniPoly([1, Fraction(1, p)]), UniPoly([2, 1])),
+        (UniPoly([1, p]), UniPoly([2, 1])),
+        (UniPoly([-1, 0, 1]), UniPoly([-1, 1])),
+        (UniPoly([1, 1]), UniPoly([1 + p, 1])),
+        (UniPoly([5]), t),
+    ]
+    for u, v in pairs:
+        assert lowest_terms(u, v) == _lowest_terms_by_euclid(u, v)
+    assert lowest_terms(*pairs[0]) == (UniPoly.zero(), UniPoly([2]), True)
+    assert lowest_terms(*pairs[3]) == (UniPoly([1, 1]), UniPoly.one(), True)
+    assert lowest_terms(*pairs[4]) == (*pairs[4], False)

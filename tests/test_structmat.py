@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 import implicurve
 from implicurve import structmat
 from implicurve.pipeline import _collocation_row, nodes_on_curve
-from implicurve.polycore import COPRIME_PRIME, _cleared
-from implicurve.structmat import InternalConsistencyError, _bareiss
+from implicurve.polycore import COPRIME_PRIME, _cleared, resultant
+from implicurve.structmat import InternalConsistencyError
 from implicurve import (
     DegenerateParametrizationError,
     DuplicateNodeError,
@@ -43,6 +43,7 @@ from util import (
     rand_frac,
     rand_ratparam,
     rand_unipoly,
+    sylvester_rows,
     transpose,
     vandermonde_rows,
 )
@@ -76,16 +77,6 @@ def test_opcounter_observes_an_int_as_its_fraction():
 
 
 # --- Sylvester construction ---------------------------------------------------
-
-
-def _sylvester_rows(p, q):
-    """The Sylvester matrix of the coefficient lists ``p`` and ``q``, both
-    in descending t-degree: len(q) - 1 shifted rows of p, then len(p) - 1
-    of q, zero padded."""
-    n = len(p) + len(q) - 2
-    rows = [[0] * r + p + [0] * (n - r - len(p)) for r in range(len(q) - 1)]
-    rows += [[0] * r + q + [0] * (n - r - len(q)) for r in range(len(p) - 1)]
-    return rows
 
 
 def test_sylvester_hyperbola_entries():
@@ -130,48 +121,116 @@ def test_polymat_det_agrees_with_cofactor_after_evaluation():
         S = build_parametric_sylvester(P)
         for _ in range(5):
             x0, y0 = rng.randint(-9, 9), rng.randint(-9, 9)
-            rows = _sylvester_rows([u - x0 * v for u, v in S.p_band],
+            rows = sylvester_rows([u - x0 * v for u, v in S.p_band],
                                    [u - y0 * v for u, v in S.q_band])
             assert sylvester_line_dets(S, x0, [y0], OpCounter()) == [cofactor_det(rows)]
 
 
-# --- determinants --------------------------------------------------------------
+# --- resultants by the subresultant PRS ------------------------------------------
 
 
-def _det(rows):
-    """``_bareiss`` on a copy of the integer ``rows``."""
-    return _bareiss([list(r) for r in rows], 1, OpCounter())
+def _res(p, q):
+    """``resultant`` of the descending coefficient lists ``p`` and ``q``."""
+    return resultant(p, q, OpCounter())
 
 
 def test_det_examples():
-    assert _det([[2]]) == 2
-    assert _det([[1, 2], [3, 4]]) == -2
-    assert _det([[int(i == j) for j in range(5)] for i in range(5)]) == 1
-    assert _det([[0, 1], [1, 0]]) == -1  # needs a row swap
-    assert _det([[1, 2], [2, 4]]) == 0
-    assert _det([[3, 0], [42, 4]]) == 6**2 * Fraction(1, 3)  # [[1/2, 0], [7, 2/3]], rows times 6
+    # Res(a, b) = lc(a)**deg b * the product of b over the roots of a
+    examples = [
+        ([1, -3], [1, -5], -2),  # b(3)
+        ([1, 0, -2], [1, -1], -1),  # (sqrt 2 - 1)(-sqrt 2 - 1)
+        ([1, -1], [1, 0, -2], -1),  # (-1)**(1*2) times the line above
+        ([1, 0], [1, 0, 0, 2], 2),  # b(0)
+        ([1, 0, 0, 2], [1, 0], -2),  # deg 3 * deg 1 is odd: the swap's sign
+        ([1, 0, 0, 0, 1], [1, 0, 0, 0], 1),  # remainder 1: a degree drop of 3
+        ([1, 0, 0, 0, 1], [1, 0, 0, -3], 82),  # remainder 3t + 1: a drop of 2
+        # degrees 5, 4, 2, 1, 0: the drop of 2 comes after h = 2, so the
+        # scale becomes g**2 / h, not g**2
+        ([-3, -2, 0, 1, 0, -3], [2, 0, 0, 3, 0], -8073),
+        ([3], [1, 0, 1], 9),  # a constant c gives c**deg
+        ([1, 0, 1], [3], 9),
+        ([3], [5], 1),  # the empty Sylvester matrix
+    ]
+    for p, q, want in examples:
+        assert _res(p, q) == want == sympy.Matrix(sylvester_rows(p, q)).det(), (p, q)
+
+
+def _rand_coeffs(rng, d, bound):
+    """d + 1 descending coefficients in [-bound, bound], a nonzero lead;
+    half the draws keep each lower coefficient with probability 1/3 only,
+    so that degree drops above 1 (non-normal sequences) are common."""
+    sparse = rng.random() < 0.5
+    cs = [rng.randint(-bound, bound) if not sparse or rng.random() < 1 / 3 else 0
+          for _ in range(d + 1)]
+    cs[0] = cs[0] or bound
+    return cs
 
 
 def test_det_matches_cofactor_expansion():
     rng = random.Random(12)
     for trial in range(120):
-        n = rng.randint(2, 5)
+        m = rng.randint(0, 4)
+        n = rng.randint(0, 6 - m)
         bound = 9 if trial % 2 else 999
-        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        assert _det(rows) == cofactor_det(rows)
+        p, q = _rand_coeffs(rng, m, bound), _rand_coeffs(rng, n, bound)
+        if trial % 5 == 0 and m and n:  # a common root: p(1) = q(1) = 0
+            p[-1] -= sum(p)
+            q[-1] -= sum(q)
+        want = cofactor_det(sylvester_rows(p, q)) if m + n else 1
+        assert _res(p, q) == want, (p, q)
+        assert _res(q, p) == (-1) ** (m * n) * want
 
 
 def test_det_triangular_is_diagonal_product():
+    # q = c at y0 with d2 vanishing formal leads: the Sylvester matrix is
+    # upper triangular, det = a**d2 * c**d1 (the kernel's rule a**f * Res,
+    # no sign).  p = c at x0 with d1 vanishing leads: a row permutation of
+    # a triangular matrix, det = (-1)**(d1*d2) * q_0**d1 * c**d2.
     rng = random.Random(13)
     for _ in range(20):
-        n = rng.randint(2, 6)
-        rows = [[rng.randint(-9, 9) if j <= i else 0 for j in range(n)] for i in range(n)]
-        assert _det(rows) == math.prod(rows[i][i] for i in range(n))
+        d1, d2 = rng.randint(1, 5), rng.randint(1, 5)
+        x0, y0, c = rng.randint(-5, 5), rng.randint(-5, 5), rng.choice([-3, -1, 2, 7])
+
+        def band(d, at, lead):
+            vs = [rng.randint(-4, 4) for _ in range(d + 1)]
+            pairs = [(at * v + rng.randint(-9, 9), v) for v in vs]
+            if lead:
+                pairs[0] = (at * vs[0] + lead, vs[0])
+            return pairs
+
+        def vanishing(d, at):
+            vs = [rng.randint(-4, 4) for _ in range(d + 1)]
+            return [(at * v, v) for v in vs[:-1]] + [(at * vs[-1] + c, vs[-1])]
+
+        for p_band, q_band in ((band(d1, x0, rng.choice([-2, 1, 5])), vanishing(d2, y0)),
+                               (vanishing(d1, x0), band(d2, y0, 0))):
+            rows = sylvester_rows([u - x0 * v for u, v in p_band],
+                                  [u - y0 * v for u, v in q_band])
+            a, q0 = rows[0][0], rows[d2][0]
+            if p_band[0][0] != x0 * p_band[0][1]:
+                assert all(rows[i][j] == 0 for i in range(d1 + d2) for j in range(i))
+                want = a**d2 * c**d1
+            else:
+                want = (-1) ** (d1 * d2) * q0**d1 * c**d2
+            got = sylvester_line_dets(PolyMat(p_band, q_band), x0, [y0], OpCounter())
+            assert got == [want] == [cofactor_det(rows)]
+            _assert_line_matches_reference(PolyMat(p_band, q_band), (p_band, q_band), x0,
+                                           [y0, y0 + 1, 0])
 
 
 def test_det_zero_column_and_zero_row():
-    assert _det([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0
-    assert _det([[1, 1, 2], [0, 0, 0], [0, 5, 6]]) == 0
+    # a zero polynomial gives zero rows, a common root dependent columns
+    assert _res([], [1, 2]) == _res([1, 2], []) == _res([], []) == 0
+    assert _res([1, 0, -1], [1, -1]) == 0  # t**2 - 1 and t - 1
+    assert _res([2, 3, -2], [2, 5, 2]) == 0  # (2t - 1)(t + 2) and (2t + 1)(t + 2)
+    # the kernel: q = 0 at y0 = 2, under a nonconstant p and under a
+    # constant p[e:] (its zero leads leave a zero first column)
+    q_band = [(4, 2), (-2, -1), (6, 3)]
+    for p_band in ([(1, 0), (3, 1), (-2, 5)], [(3, 1), (6, 2), (-5, 1)]):
+        S = PolyMat(p_band, q_band)
+        assert sylvester_line_dets(S, 3, [2], OpCounter()) == [0]
+        _assert_line_matches_reference(S, (p_band, q_band), 3, [2])
+        _assert_line_matches_reference(S, (p_band, q_band), 3, [-1, 2, 4])
 
 
 # --- nullspace mod p --------------------------------------------------------------
@@ -372,16 +431,16 @@ def test_kron_solve_error_cases():
         kron_solve([0, 1], [0, 1], [1, 2, 3], OpCounter())
 
 
-# --- exactness of Bareiss under stress ------------------------------------------
+# --- exactness of the PRS under stress ----------------------------------------
 
 
-def test_bareiss_divisions_stay_exact_on_large_random_matrices():
-    # every internal division asserts exactness; survival is the property
+def test_prs_divisions_stay_exact_on_large_random_pairs():
+    # every internal division checks its exactness; survival is the property
     rng = random.Random(20)
     for _ in range(10):
-        n = rng.randint(6, 8)
-        rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
-        assert _det(rows) == cofactor_det(rows)
+        m, n = rng.randint(5, 8), rng.randint(5, 8)
+        p, q = _rand_coeffs(rng, m, 99), _rand_coeffs(rng, n, 99)
+        assert _res(p, q) == sympy.Matrix(sylvester_rows(p, q)).det()
 
 
 def test_banded_evaluation_matches_entries_view_and_cofactor():
@@ -391,12 +450,12 @@ def test_banded_evaluation_matches_entries_view_and_cofactor():
     x, y = sympy.symbols("x y")
     for P in curves:
         S = build_parametric_sylvester(P)
-        view = sympy.Matrix(_sylvester_rows([u - x * v for u, v in S.p_band],
+        view = sympy.Matrix(sylvester_rows([u - x * v for u, v in S.p_band],
                                             [u - y * v for u, v in S.q_band]))
         assert view.shape == (S.order, S.order)
         for _ in range(4):
             x0, y0 = rng.randint(-9, 9), rng.randint(-9, 9)
-            rows = _sylvester_rows([u - x0 * v for u, v in S.p_band],
+            rows = sylvester_rows([u - x0 * v for u, v in S.p_band],
                                    [u - y0 * v for u, v in S.q_band])
             at = view.subs({x: x0, y: y0})
             assert at == sympy.Matrix(rows)
@@ -411,10 +470,12 @@ def test_polymat_bands_must_depend_on_the_parameter():
     assert (S.p_band, S.q_band) == (((1, 0), (0, 1)), ((1, 0), (2, 3)))
 
 
-def test_bareiss_raises_a_typed_error_on_a_nonexact_division():
-    # continuing from a pivot that is not the previous one breaks exactness
+def test_prs_scale_update_checks_its_division():
+    # b = t/2 is no integer polynomial: the remainder of t**3 + 8 is 1, yet
+    # the scale h = g**2 / h of the next step is g**2 = 1/4
+    # (the check under python -O: test_pipeline_checks_still_run_under_python_O)
     with pytest.raises(InternalConsistencyError, match="nonexact"):
-        _bareiss([[1, 2], [3, 5]], 2, OpCounter())
+        _res([1, 0, 0, 8], [Fraction(1, 2), 0])
 
 
 # --- the Sylvester line kernel ------------------------------------------------
@@ -438,7 +499,7 @@ def _clear(band):
 
 def _uncleared_sylvester(p_band, q_band, x0, y0):
     """The ``Fraction`` Sylvester rows of the rational bands at (x0, y0)."""
-    return _sylvester_rows([Fraction(u) - x0 * v for u, v in p_band],
+    return sylvester_rows([Fraction(u) - x0 * v for u, v in p_band],
                            [Fraction(u) - y0 * v for u, v in q_band])
 
 
@@ -606,10 +667,44 @@ def test_dual_run_through_a_node_where_lc_p_vanishes():
 
 
 def test_remainder_step_checks_its_division():
-    # t - (1/2) * 1 is no integer row: 1 * 1 is not divisible by a = 2
+    # b = t + 1/2 is no integer polynomial: the pseudo-remainder of t**2 by
+    # b is 1/4, which the first step's g * h = 1 does not divide exactly
     # (the check under python -O: test_pipeline_checks_still_run_under_python_O)
-    with pytest.raises(InternalConsistencyError, match="remainder row hit a nonexact"):
-        structmat._remainder_step([1, 0], 2, [1])
+    with pytest.raises(InternalConsistencyError, match="subresultant PRS hit a nonexact"):
+        _res([1, 0, 0], [1, Fraction(1, 2)])
+
+
+def test_line_kernel_prs_cases():
+    # hand-made lines (p band, q band, x0, ys), each against sympy's
+    # determinant of the Sylvester matrix, node by node and packed
+    t = sympy.Symbol("t")
+    cases = [
+        # p = t^4 + 1, q = t^3 - y: prem(p, q) = y*t + 1 drops the degree
+        # by 2, and by 3 at y = 0 (non-normal sequences)
+        ([(1, 0), (0, 0), (0, 0), (0, 0), (1, 0)], [(1, 0), (0, 0), (0, 0), (0, 1)], 0, [0, 3]),
+        # the two leads of p vanish at x0 = 2: p[e:] = t - 7 has degree
+        # 1 < deg q = 3, an odd*odd pair the PRS swaps
+        ([(2, 1), (4, 2), (1, 0), (-3, 2)], [(1, 1), (2, 0), (0, 3), (5, 1)], 2, [-1, 4]),
+        # d1 = 3, d2 = 5: odd*odd, no vanishing leads
+        ([(2, 1), (-1, 3), (4, 0), (1, -2)],
+         [(1, 2), (0, 1), (-3, 0), (2, 2), (5, -1), (1, 1)], 1, [0, 2, -3]),
+        # p = (t - 1)(t + 2) at x0 = 0 and q = (t - 1)(3t - y): a common
+        # root at every y, a zero resultant
+        ([(1, 0), (1, 1), (-2, 3)], [(3, 0), (-3, 1), (0, -1)], 0, [-2, 0, 5]),
+        # the formal leads (y - 2)t^3 and (2y - 4)t^2 of q vanish at y = 2
+        ([(3, 1), (1, 0), (-1, 2)], [(-2, -1), (-4, -2), (1, 0), (7, 1)], 1, [2, -1]),
+        # p = 5 at x0 = 1 after 2 vanishing leads; q_0 = 0 at y = 3
+        ([(1, 1), (2, 2), (4, -1)], [(3, 1), (1, 0), (-2, 1)], 1, [3, 0]),
+    ]
+    for p_band, q_band, x0, ys in cases:
+        S = PolyMat(p_band, q_band)
+        for y0 in ys:
+            _assert_line_matches_reference(S, (p_band, q_band), x0, [y0])
+        _assert_line_matches_reference(S, (p_band, q_band), x0, ys)
+    # the first case is non-normal at y = 3 and at y = 0
+    p, q = t**4 + 1, t**3 - 3
+    assert sympy.degree(sympy.prem(p, q, t), t) == 1
+    assert sympy.degree(sympy.prem(p, t**3, t), t) == 0
 
 
 _SHRUNKEN_BOUND = (

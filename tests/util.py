@@ -61,6 +61,16 @@ def cofactor_det(rows) -> Fraction:
     return total
 
 
+def sylvester_rows(p, q):
+    """The Sylvester matrix of the coefficient lists ``p`` and ``q``, both
+    in descending t-degree: len(q) - 1 shifted rows of p, then len(p) - 1
+    of q, zero padded."""
+    n = len(p) + len(q) - 2
+    rows = [[0] * r + p + [0] * (n - r - len(p)) for r in range(len(q) - 1)]
+    rows += [[0] * r + q + [0] * (n - r - len(q)) for r in range(len(p) - 1)]
+    return rows
+
+
 def vandermonde_rows(nodes):
     """V[i][k] = nodes[i]**k."""
     s = len(nodes)
