@@ -347,9 +347,13 @@ def test_coprime_fast_path_agrees_with_exact_euclid():
         P = RatParam(u, v, UniPoly([3, 1]), UniPoly([4, 1]))
         assert (P.u1, P.v1, P.was_reduced) == exact
     assert 50 < reduced < 250
-    # edge inputs: a zero numerator, a denominator or a lead divisible by
-    # the prime p = COPRIME_PRIME, a common factor, t + 1 against t + 1 + p
-    # (a root shared mod p only) and a constant against t
+
+
+def test_coprime_mod_prime_leaves_unprovable_pairs_to_euclid():
+    # pairs that a coprimality check mod p = COPRIME_PRIME cannot prove
+    # (a zero numerator, a denominator or a lead divisible by p, a common
+    # factor, t + 1 against t + 1 + p: a root shared mod p only) and a
+    # constant against t; lowest_terms decides each exactly, as Euclid does
     p, t = COPRIME_PRIME, UniPoly([0, 1])
     pairs = [
         (UniPoly.zero(), UniPoly([2, 2])),
