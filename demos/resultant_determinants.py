@@ -8,6 +8,8 @@ integer point (x0, y0) and taking an ordinary integer determinant yields
 F(x0, y0) without ever expanding the determinant symbolically.
 """
 
+from fractions import Fraction
+
 from implicurve import (
     BiPoly,
     OpCounter,
@@ -43,7 +45,7 @@ print("determinant at a point == implicit polynomial at that point:")
 for (x0, y0) in [(0, 0), (2, 5), (-7, 2)]:
     [d] = sylvester_line_dets(S, x0, [y0], OpCounter())
     v = sum(c * x0**i * y0**j for i, row in enumerate(F.coeffs) for j, c in enumerate(row))
-    ratio = "0" if v == 0 else f"{d / v}"
+    ratio = "0" if v == 0 else f"{Fraction(d, v)}"
     print(f"  ({x0}, {y0}): det = {d}, F = {v}, det/F = {ratio}")
 print("\n(The constant ratio is the canonical rescaling of F; here the")
 print("resultant came out with opposite sign, so the ratio is -1.)")

@@ -18,7 +18,6 @@ from .polycore import (
     format_bipoly,
     format_ratfun,
     format_unipoly,
-    poly_gcd,
     substitute_check,
 )
 from .structmat import (
@@ -94,7 +93,6 @@ __all__ = [
     "format_unipoly",
     "parse_poly_xy",
     "parse_rational_function",
-    "poly_gcd",
     "substitute_check",
     "sylvester_line_dets",
     "vandermonde_solve_dual",

@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import re
+import reprlib
 import statistics
 import sys
 import time
@@ -142,12 +143,12 @@ def _parse_varfactor(
 
 def _parse_term(
     ts: _TokenStream, variables: frozenset[str]
-) -> tuple[Fraction, dict[str, int]]:
+) -> tuple[int | Fraction, dict[str, int]]:
     exps: dict[str, int] = {}
-    coef = Fraction(1)
+    coef: int | Fraction = 1
     kind = ts.peek()
     if kind == "int":
-        coef = Fraction(int(ts.take()[1]))
+        coef = int(ts.take()[1])
         # a rational coefficient binds tighter than the top-level "/" of a
         # rational function: INT "/" INT is always a coefficient
         if ts.peek() == "/" and ts.peek(1) == "int":
@@ -155,7 +156,7 @@ def _parse_term(
             dtok = ts.take()
             if int(dtok[1]) == 0:
                 raise ParseError("zero denominator in coefficient", dtok[2])
-            coef /= int(dtok[1])
+            coef = Fraction(coef, int(dtok[1]))
     elif kind == "name":
         _parse_varfactor(ts, variables, exps)
     else:
@@ -168,7 +169,7 @@ def _parse_term(
 
 def _parse_sum(
     ts: _TokenStream, variables: frozenset[str]
-) -> list[tuple[Fraction, dict[str, int]]]:
+) -> list[tuple[int | Fraction, dict[str, int]]]:
     terms = []
     sign = 1
     if ts.peek() in ("+", "-"):
@@ -188,12 +189,12 @@ def _parse_sum(
             return terms
 
 
-def _terms_to_unipoly(terms: list[tuple[Fraction, dict[str, int]]]) -> UniPoly:
-    coeffs: list[Fraction] = []
+def _terms_to_unipoly(terms: list[tuple[int | Fraction, dict[str, int]]]) -> UniPoly:
+    coeffs: list[int | Fraction] = []
     for coef, exps in terms:
         e = exps.get("t", 0)
         while len(coeffs) <= e:
-            coeffs.append(Fraction(0))
+            coeffs.append(0)
         coeffs[e] += coef
     return UniPoly(coeffs)
 
@@ -228,8 +229,7 @@ def parse_rational_function(text: str) -> tuple[UniPoly, UniPoly]:
     rationals like ``3/4``.  Raises :class:`ParseError` on syntax errors and
     on a zero denominator polynomial.
     """
-    num, den, _ = lowest_terms(*_parse_ratfun_raw(text))
-    return num, den
+    return lowest_terms(*_parse_ratfun_raw(text))[:2]
 
 
 def parse_poly_xy(text: str) -> BiPoly:
@@ -239,7 +239,7 @@ def parse_poly_xy(text: str) -> BiPoly:
     ts.expect("end", "end of input")
     m = max((e.get("x", 0) for _, e in terms), default=0)
     n = max((e.get("y", 0) for _, e in terms), default=0)
-    grid = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
+    grid: list[list[int | Fraction]] = [[0] * (n + 1) for _ in range(m + 1)]
     for coef, exps in terms:
         grid[exps.get("x", 0)][exps.get("y", 0)] += coef
     return BiPoly(grid)
@@ -420,12 +420,14 @@ def _load_poly(source: str) -> BiPoly:
         raise ValueError('a JSON polynomial needs "coeffs": a list of coefficient rows')
     if len(rows) > MAX_EXPONENT + 1 or any(len(row) > MAX_EXPONENT + 1 for row in rows):
         raise ValueError(f"JSON grid degree exceeds the maximum {MAX_EXPONENT}")
-    bad = [c for row in rows for c in row if type(c) is not int
-           and not (isinstance(c, str) and _JSON_COEFF.fullmatch(c))]
-    if bad:
-        raise ValueError(f"bad JSON coefficient: {bad[0]!r} is not an int, p or p/q")
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            if type(c) is not int and not (isinstance(c, str) and _JSON_COEFF.fullmatch(c)):
+                raise ValueError(f"bad JSON coefficient at row {i}, column {j}: "
+                                 f"{reprlib.repr(c)} is not an int, p or p/q")
     try:
-        return BiPoly([[Fraction(c) for c in row] for row in rows])
+        return BiPoly([[c if type(c) is int else Fraction(c) if "/" in c else int(c)
+                        for c in row] for row in rows])
     except ZeroDivisionError as exc:
         raise ValueError(f"bad JSON coefficient: {exc}") from None
 

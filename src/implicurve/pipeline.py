@@ -154,36 +154,35 @@ def degree_bounds(P: RatParam) -> DegreeBounds:
     return DegreeBounds(m=m, n=n, N=(m + 1) * (n + 1))
 
 
-def curve_points(P: RatParam) -> Iterator[tuple[Rat, Rat]]:
-    """Distinct points P(t) for t = 0, 1, 2, ..., skipping parameter values
+def curve_points(P: RatParam) -> Iterator[tuple[int, int, int, int]]:
+    """Distinct points P(t) = (a/b, c/e) for t = 0, 1, 2, ..., as reduced
+    int 4-tuples (a, b, c, e) with b, e > 0, skipping parameter values
     where a denominator vanishes and points already produced.
 
-    The sweep runs on the component pairs cleared to integers.  A curve
-    with both components constant is a single point, so the sweep raises
+    The sweep runs on ``P.int_pairs``.  A curve with both components
+    constant is a single point, so the sweep raises
     ``DegenerateParametrizationError`` rather than search for a second.
     """
-    u1, v1 = _cleared((P.u1.coeffs, P.v1.coeffs))
-    u2, v2 = _cleared((P.u2.coeffs, P.v2.coeffs))
+    (u1, v1), (u2, v2) = P.int_pairs
     if max(map(len, (u1, v1, u2, v2))) < 2:
         raise DegenerateParametrizationError("both components are constant: a single point")
-    seen: set[tuple[Rat, Rat]] = set()
-    t = 0
-    while True:
+    seen: set[tuple[int, int, int, int]] = set()
+    for t in count():
         a, b, c, e = (_horner(p, t) for p in (u1, v1, u2, v2))
         if b and e:
-            pt = (Fraction(a, b), Fraction(c, e))
+            g = gcd(a, b) if b > 0 else -gcd(a, b)
+            h = gcd(c, e) if e > 0 else -gcd(c, e)
+            pt = (a // g, b // g, c // h, e // h)
             if pt not in seen:
                 seen.add(pt)
                 yield pt
-        t += 1
 
 
 def nodes_on_curve(P: RatParam, count: int) -> list[tuple[Rat, Rat]]:
-    """First ``count`` distinct points of the t = 0, 1, 2, ... sweep."""
+    """First ``count`` distinct points of the sweep, as ``Fraction`` pairs."""
     if count < 1:
         raise ValueError("node count must be positive")
-    gen = curve_points(P)
-    return [next(gen) for _ in range(count)]
+    return [(Fraction(a, b), Fraction(c, e)) for a, b, c, e in islice(curve_points(P), count)]
 
 
 def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
@@ -234,10 +233,10 @@ def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> Implici
         ech = ModEchelon(next(primes), N, solve_c, rows)
 
 
-def _collocation_row(point: tuple[Rat, Rat], m: int, n: int, counter: OpCounter) -> list[int]:
-    """The collocation row at the point (a/b, c/e) in lowest terms, cleared
-    to integers: entry (i, j) is a^i b^(m-i) c^j e^(n-j)."""
-    a, b, c, e = (v for t in point for v in (t.numerator, t.denominator))
+def _collocation_row(point: tuple[int, ...], m: int, n: int, counter: OpCounter) -> list[int]:
+    """The collocation row at the point (a/b, c/e), the reduced tuple
+    (a, b, c, e), cleared to integers: entry (i, j) is a^i b^(m-i) c^j e^(n-j)."""
+    a, b, c, e = point
     xs = [a**i * b ** (m - i) for i in range(m + 1)]
     ys = [c**j * e ** (n - j) for j in range(n + 1)]
     row = [u * w for u in xs for w in ys]

@@ -1,9 +1,11 @@
-"""Exact rational scalars and dense polynomial arithmetic.
+"""Exact scalars and dense polynomial arithmetic.
 
-Everything in this package computes over arbitrary-precision rationals;
-``Rat`` is an alias for :class:`fractions.Fraction`, which already keeps
-values in lowest terms with a positive denominator.  On top of that this
-module provides dense univariate polynomials (:class:`UniPoly`, the
+Every value in this package is exact: a coefficient is a plain ``int``
+where it is an integer and a :class:`fractions.Fraction` (alias ``Rat``)
+only where it is not, as in a ``p/q`` an input carries; a float, bool or
+any other type is refused.  Each parametrization is cleared to integers
+once, on construction, and the methods run on those ints.  This module
+provides dense univariate polynomials (:class:`UniPoly`, the
 components of a curve parametrization), bivariate polynomials on a
 rectangular coefficient grid (:class:`BiPoly`, candidate implicit
 equations), rational parametrizations of plane curves (:class:`RatParam`)
@@ -14,8 +16,6 @@ of the modular computations (:func:`modular_primes`), the integer
 :class:`OpCounter` that tallies such work, and :func:`substitute_check`,
 the predicate that decides whether a bivariate polynomial vanishes
 identically along a parametrization.
-
-No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -32,13 +32,16 @@ Rat = Fraction
 MINUS_INFINITY = float("-inf")
 
 
-def _as_rat(value: Rat | int) -> Rat:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _coefficient(value: Rat | int) -> Rat | int:
+    """``value`` if it is an ``int`` or a ``Fraction``, else ``ValueError``."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    raise ValueError(f"a coefficient must be an int or a Fraction, not {type(value).__name__}")
 
 
 class InternalConsistencyError(RuntimeError):
     """Raised when a self-check that can only fail on an implementation bug
-    fails: a nonexact division in the subresultant PRS, a packed
+    fails: a nonexact division in the subresultant PRS or by its gcd, a packed
     determinant beyond its coefficient bound, non-integer interpolation
     nodes, interpolation data not reproduced, a modular solve with no
     proven candidate within its Hadamard bound, or a computed F that does
@@ -96,20 +99,22 @@ class OpCounter:
 
 
 class UniPoly:
-    """Dense univariate polynomial with ascending rational coefficients.
+    """Dense univariate polynomial with ascending exact coefficients.
 
-    Trailing zero coefficients are stripped on construction, so ``coeffs``
-    always ends with the (nonzero) leading coefficient and the zero
-    polynomial has an empty coefficient tuple.
+    Each coefficient is kept as given, an ``int`` or a ``Fraction``; any
+    other type raises ``ValueError``.  Trailing zero coefficients are
+    stripped on construction, so ``coeffs`` always ends with the (nonzero)
+    leading coefficient and the zero polynomial has an empty coefficient
+    tuple.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat | int] = ()) -> None:
-        cs = [_as_rat(c) for c in coeffs]
+        cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Rat, ...] = tuple(cs)
+        self.coeffs: tuple[Rat | int, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> UniPoly:
@@ -128,15 +133,8 @@ class UniPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> Rat:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def scale(self, factor: Rat | int) -> UniPoly:
-        f = _as_rat(factor)
-        return UniPoly(c * f for c in self.coeffs)
+        return UniPoly(c * factor for c in self.coeffs)
 
     def __neg__(self) -> UniPoly:
         return UniPoly(-c for c in self.coeffs)
@@ -158,7 +156,7 @@ class UniPoly:
             return self.scale(other)
         if self.is_zero or other.is_zero:
             return UniPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -166,23 +164,6 @@ class UniPoly:
         return UniPoly(out)
 
     __rmul__ = __mul__
-
-    def __divmod__(self, divisor: UniPoly) -> tuple[UniPoly, UniPoly]:
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by the zero polynomial")
-        if self.degree < divisor.degree:
-            return UniPoly.zero(), self
-        d = len(divisor.coeffs) - 1
-        lead = divisor.coeffs[-1]
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * (len(rem) - d)
-        for k in range(len(quo) - 1, -1, -1):
-            c = rem[k + d] / lead
-            quo[k] = c
-            if c:
-                for j, oc in enumerate(divisor.coeffs):
-                    rem[k + j] -= c * oc
-        return UniPoly(quo), UniPoly(rem[:d])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -194,37 +175,29 @@ class UniPoly:
         return f"UniPoly<{format_unipoly(self)}>"
 
 
-def poly_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Monic greatest common divisor via the Euclidean algorithm.
-
-    ``poly_gcd(p, 0)`` is the monic multiple of ``p``; the gcd of two zero
-    polynomials is undefined and raises ``ValueError``.
-    """
-    if p.is_zero and q.is_zero:
-        raise ValueError("gcd of two zero polynomials is undefined")
-    a, b = p, q
-    while not b.is_zero:
-        _, r = divmod(a, b)
-        a, b = b, r
-    return a.scale(1 / a.leading)
-
-
 def resultant(a: Sequence[int], b: Sequence[int], counter: OpCounter) -> int:
     """Res(a, b), the determinant of the Sylvester matrix of two integer
     polynomials given by their coefficients in descending degree with
-    nonzero leads; a zero polynomial (no coefficients) gives 0.
+    nonzero leads; a zero polynomial (no coefficients) gives 0.  See
+    :func:`_prs`."""
+    return _prs(a, b, counter)[0]
 
-    Collins's subresultant PRS (Collins, *J. ACM* 1967; Brown & Traub,
-    *J. ACM* 1971; Cohen, *A Course in Computational Algebraic Number
-    Theory*, Alg. 3.3.7): each step replaces (a, b) by (b, r / (g *
-    h**delta)), r = lc(b)**(delta + 1) * a mod b the pseudo-remainder and
-    delta = deg a - deg b; then g = lc(b) and h = g**delta / h**(delta - 1),
-    both 1 at first.  These divisions are exact, their results being
-    Sylvester minors, and checked: a remainder raises
-    ``InternalConsistencyError``.  A step of two odd degrees flips the
-    sign, as Res(a, b) = (-1)**(deg a * deg b) * Res(b, a).  A degree drop
-    above 1 (a non-normal sequence) needs no other rule, and a zero
-    remainder means a common root.
+
+def _prs(a: Sequence[int], b: Sequence[int], counter: OpCounter) -> tuple[int, Sequence[int]]:
+    """Res(a, b) as :func:`resultant` takes it, and the last nonzero
+    remainder of the sequence, which is gcd(a, b) up to a constant factor
+    (Brown & Traub, *J. ACM* 1971); a and b must not both be zero.
+
+    Collins's subresultant PRS (Collins, *J. ACM* 1967; Brown & Traub;
+    Cohen, *A Course in Computational Algebraic Number Theory*, Alg.
+    3.3.7): each step replaces (a, b) by (b, r / (g * h**delta)), r =
+    lc(b)**(delta + 1) * a mod b the pseudo-remainder and delta = deg a -
+    deg b; then g = lc(b) and h = g**delta / h**(delta - 1), both 1 at
+    first.  These divisions are exact, their results being Sylvester
+    minors, and checked: a remainder raises ``InternalConsistencyError``.
+    A step of two odd degrees flips the sign, as Res(a, b) = (-1)**(deg a
+    * deg b) * Res(b, a).  A degree drop above 1 (a non-normal sequence)
+    needs no other rule, and a zero remainder means a common root.
     """
     sign = 1
     if len(a) < len(b):
@@ -254,9 +227,9 @@ def resultant(a: Sequence[int], b: Sequence[int], counter: OpCounter) -> int:
         divs += len(b) + 1
     counter.count(adds, muls, divs)
     if not b:
-        return 0
+        return 0, a
     n = len(a) - 1
-    return sign * _exact(b[0] ** n, h ** (n - 1)) if n else sign
+    return (sign * _exact(b[0] ** n, h ** (n - 1)) if n else sign), b
 
 
 def _exact(num: int, den: int) -> int:
@@ -268,13 +241,30 @@ def _exact(num: int, den: int) -> int:
     return quo
 
 
+def _divide(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num / den for integer polynomials in ascending degree, den dividing
+    num: each quotient coefficient comes from :func:`_exact`, and a nonzero
+    remainder raises ``InternalConsistencyError`` too."""
+    rem, top = list(num), len(den) - 1
+    quo = [0] * max(len(num) - top, 0)
+    for k in reversed(range(len(quo))):
+        quo[k] = _exact(rem[k + top], den[top])
+        for j in range(top):
+            rem[k + j] -= quo[k] * den[j]
+    if any(rem[:top]):
+        raise InternalConsistencyError("division by the gcd left a remainder")
+    return quo
+
+
 class BiPoly:
     """Bivariate polynomial on an (m+1) x (n+1) coefficient grid.
 
-    ``coeffs[i][j]`` is the coefficient of x**i * y**j; ``m`` and ``n`` are
-    x- and y-degree *bounds* (the grid may carry zero padding, so the tight
-    degrees ``deg_x``/``deg_y`` can be smaller).  Equality and hashing are
-    mathematical: padding does not distinguish two equal polynomials.
+    ``coeffs[i][j]`` is the coefficient of x**i * y**j, kept as given, an
+    ``int`` or a ``Fraction``; any other type raises ``ValueError``.  ``m``
+    and ``n`` are x- and y-degree *bounds* (the grid may carry zero padding,
+    so the tight degrees ``deg_x``/``deg_y`` can be smaller).  Equality and
+    hashing are mathematical: padding does not distinguish two equal
+    polynomials.
     """
 
     __slots__ = ("m", "n", "coeffs")
@@ -287,8 +277,8 @@ class BiPoly:
         for row in rows:
             if len(row) != width:
                 raise ValueError("coefficient grid must be rectangular")
-            grid.append(tuple(_as_rat(c) for c in row))
-        self.coeffs: tuple[tuple[Rat, ...], ...] = tuple(grid)
+            grid.append(tuple(map(_coefficient, row)))
+        self.coeffs: tuple[tuple[Rat | int, ...], ...] = tuple(grid)
         self.m: int = len(grid) - 1
         self.n: int = width - 1
 
@@ -326,8 +316,7 @@ class BiPoly:
         return MINUS_INFINITY
 
     def scale(self, factor: Rat | int) -> BiPoly:
-        f = _as_rat(factor)
-        return BiPoly([[c * f for c in row] for row in self.coeffs])
+        return BiPoly([[c * factor for c in row] for row in self.coeffs])
 
     def __neg__(self) -> BiPoly:
         return self.scale(-1)
@@ -352,7 +341,7 @@ def bipoly_canonicalize(F: BiPoly) -> BiPoly:
     """Canonical representative of the projective class of ``F``.
 
     Trailing zero rows/columns are trimmed, the coefficients are rescaled to
-    integers with content 1, and the sign is fixed so the first nonzero
+    ints with content 1, and the sign is fixed so the first nonzero
     coefficient in i-major, j-minor order is positive.  The zero polynomial
     has no canonical form and raises ``ValueError``.
     """
@@ -364,7 +353,7 @@ def bipoly_canonicalize(F: BiPoly) -> BiPoly:
     first = next(v for row in ints for v in row if v)
     if first < 0:
         content = -content
-    return BiPoly([[Fraction(v, content) for v in row] for row in ints])
+    return BiPoly([[v // content for v in row] for row in ints])
 
 
 def _format_terms(terms: Iterable[tuple[Rat, str]]) -> str:
@@ -410,16 +399,17 @@ class RatParam:
 
     Denominators must be nonzero polynomials.  If a component pair shares a
     nonconstant factor it is cancelled on construction and ``was_reduced``
-    records that the input was not in lowest terms.
+    records that the input was not in lowest terms.  ``int_pairs`` holds
+    the pairs (u1, v1) and (u2, v2), each scaled by one factor to ascending
+    int coefficients: the methods and the vanishing proof read these.
     """
 
-    __slots__ = ("u1", "v1", "u2", "v2", "was_reduced")
+    __slots__ = ("u1", "v1", "u2", "v2", "int_pairs", "was_reduced")
 
     def __init__(self, u1: UniPoly, v1: UniPoly, u2: UniPoly, v2: UniPoly) -> None:
-        if v1.is_zero or v2.is_zero:
-            raise ValueError("parametrization denominators must be nonzero")
-        self.u1, self.v1, reduced1 = lowest_terms(u1, v1)
-        self.u2, self.v2, reduced2 = lowest_terms(u2, v2)
+        self.u1, self.v1, reduced1, ints1 = lowest_terms(u1, v1)
+        self.u2, self.v2, reduced2, ints2 = lowest_terms(u2, v2)
+        self.int_pairs = (ints1, ints2)
         self.was_reduced = reduced1 or reduced2
 
     def __repr__(self) -> str:
@@ -448,19 +438,31 @@ def component_degrees(P: RatParam) -> tuple[int, int]:
 COPRIME_PRIME = (1 << 61) - 1
 
 
-def lowest_terms(u: UniPoly, v: UniPoly) -> tuple[UniPoly, UniPoly, bool]:
-    """``u/v`` with the gcd cancelled, and whether it was nonconstant.
+def lowest_terms(u: UniPoly, v: UniPoly) -> tuple[UniPoly, UniPoly, bool, list[list[int]]]:
+    """``u/v`` with the gcd cancelled, whether it was nonconstant, and that
+    pair cleared to ints: scaled by the lcm of its denominators, ascending.
 
-    The pair is coprime exactly when the :func:`resultant` of its
-    coefficients, cleared to integers, is nonzero; a pair with resultant 0
-    is divided by its monic gcd, from the exact Euclid of :func:`poly_gcd`.
+    The pair, cleared to integers, goes through the subresultant PRS of
+    :func:`_prs`; when its last nonzero remainder is not a constant, both
+    are divided exactly by that remainder's primitive part, and then scaled
+    by its lead over the clearing factor: that is ``u/v`` divided by the
+    monic gcd.  A zero ``v`` raises ``ValueError``.
     """
-    cu, cv = _cleared((u.coeffs, v.coeffs))
-    if not resultant(cu[::-1], cv[::-1], OpCounter()):
-        g = poly_gcd(u, v)
-        if g.degree > 0:
-            return divmod(u, g)[0], divmod(v, g)[0], True
-    return u, v, False
+    if v.is_zero:
+        raise ValueError("parametrization denominators must be nonzero")
+    ints = _cleared((u.coeffs, v.coeffs))
+    g = _prs(ints[0][::-1], ints[1][::-1], OpCounter())[1]
+    if len(g) < 2:
+        return u, v, False, ints
+    content = _int_gcd(*g)
+    g = [c // content for c in reversed(g)]
+    quotients = [_divide(c, g) for c in ints]
+    # u / (g / g[-1]) = quotient * g[-1] / scale: cleared by k, over scale // k
+    scale = _int_lcm(*(c.denominator for c in (*u.coeffs, *v.coeffs)))
+    k = _int_gcd(scale, g[-1] * _int_gcd(*quotients[0], *quotients[1]))
+    ints = [[c * g[-1] // k for c in q] for q in quotients]
+    u, v = (UniPoly(Fraction(c, scale // k) if scale > k else c for c in q) for q in ints)
+    return u, v, True, ints
 
 
 _PRIMES = [COPRIME_PRIME]
@@ -497,8 +499,8 @@ def _miller_rabin(q: int) -> bool:
 def substitute_check(F: BiPoly, P: RatParam) -> bool:
     """Decide whether F(x(t), y(t)) vanishes identically.
 
-    With grid bounds (m, n) and each component pair cleared to integers,
-    the numerator N(t) = sum of ``F[i][j] * u1^i v1^(m-i) * u2^j v2^(n-j)``
+    With grid bounds (m, n) and the component pairs ``P.int_pairs``, the
+    numerator N(t) = sum of ``F[i][j] * u1^i v1^(m-i) * u2^j v2^(n-j)``
     has, 1-norms being submultiplicative, coefficients at most B = sum of
     ``|F[i][j]| * |u1|_1^i |v1|_1^(m-i) * |u2|_1^j |v2|_1^(n-j)``.  N is
     evaluated once, at T = 2**bitlen(B) >= B + 1 (Kronecker substitution):
@@ -511,7 +513,7 @@ def substitute_check(F: BiPoly, P: RatParam) -> bool:
     if F.is_zero:
         raise ValueError("substitute_check requires a nonzero polynomial")
     grid = _cleared(F.coeffs)
-    comps = (*_cleared((P.u1.coeffs, P.v1.coeffs)), *_cleared((P.u2.coeffs, P.v2.coeffs)))
+    comps = [*P.int_pairs[0], *P.int_pairs[1]]
     bound = _numerator([list(map(abs, row)) for row in grid], [sum(map(abs, c)) for c in comps])
     return not _numerator(grid, [_horner(c, 1 << bound.bit_length()) for c in comps])
 
@@ -525,7 +527,7 @@ def _numerator(grid: Sequence[Sequence[int]], point: Sequence[int]) -> int:
     return sum(a**i * b ** (m - i) * sum(map(mul, row, ys)) for i, row in enumerate(grid))
 
 
-def _cleared(rows: Sequence[Sequence[Rat]]) -> list[list[int]]:
+def _cleared(rows: Sequence[Sequence[Rat | int]]) -> list[list[int]]:
     """The rows scaled by one common factor to integers."""
     scale = _int_lcm(*(c.denominator for row in rows for c in row))
     return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]

@@ -5,12 +5,12 @@ The heart of the package, in plain ints wherever a division is exact.
 coefficient bands; its entries have degree at most one in x and in y, and
 its determinant at a point (x0, y0) is the implicit curve polynomial
 evaluated there.  The bands are integers from construction:
-`build_parametric_sylvester` clears each component pair of a rational
-curve, which scales every determinant by a known constant.  The pipelines
-call `sylvester_line_dets` per grid line x = x0: the determinant is the
-resultant of p = u1 - x0*v1 and q = u2 - y*v2, which the subresultant PRS
-of `polycore.resultant` computes once per line, its nodes packed into one
-by Kronecker substitution.
+`build_parametric_sylvester` reads the component pairs a `RatParam`
+cleared once, which scales every determinant by a known constant.  The
+pipelines call `sylvester_line_dets` per grid line x = x0: the determinant
+is the resultant of p = u1 - x0*v1 and q = u2 - y*v2, which the
+subresultant PRS of `polycore.resultant` computes once per line, its nodes
+packed into one by Kronecker substitution.
 
 Each node scheme has its solver.  The unstructured scheme keeps the row
 echelon form mod a prime of its integer rows (`ModEchelon`), grown a row
@@ -40,7 +40,6 @@ from .polycore import (
     OpCounter,
     Rat,
     RatParam,
-    _cleared,
     _horner,
     component_degrees,
     resultant,
@@ -56,7 +55,7 @@ class PolyMat:
 
     ``p_band`` holds the int coefficient pairs (u1_s, v1_s) of p = u1 - x*v1
     and ``q_band`` the pairs (u2_s, v2_s) of q = u2 - y*v2, both in
-    descending t-degree; a non-integer coefficient raises ``ValueError``.
+    descending t-degree; a coefficient other than an ``int`` raises ``ValueError``.
     With d1 = len(p_band) - 1 and d2 = len(q_band) - 1 the matrix has order
     d1 + d2: d2 rows of p, each shifted one column further right, then d1
     rows of q the same way.
@@ -69,11 +68,10 @@ class PolyMat:
     ) -> None:
         if len(p_band) < 2 or len(q_band) < 2:
             raise ValueError("both bands must have t-degree at least 1")
-        if not all(isinstance(c, (int, Fraction)) and c.denominator == 1
-                   for band in (p_band, q_band) for pair in band for c in pair):
+        if not all(type(c) is int for band in (p_band, q_band) for pair in band for c in pair):
             raise ValueError("Sylvester bands must have integer coefficients")
-        self.p_band = tuple((int(u), int(v)) for u, v in p_band)
-        self.q_band = tuple((int(u), int(v)) for u, v in q_band)
+        self.p_band = tuple(map(tuple, p_band))
+        self.q_band = tuple(map(tuple, q_band))
         self.order: int = len(p_band) + len(q_band) - 2
 
     def __repr__(self) -> str:
@@ -85,16 +83,15 @@ def build_parametric_sylvester(P: RatParam) -> PolyMat:
 
     Its determinant is the resultant eliminating t, i.e. the implicit curve
     polynomial; see :class:`PolyMat` for the layout.  The pairs (u1, v1)
-    and (u2, v2) are each cleared to integers by the lcm L1 resp. L2 of their
-    denominators, which scales every determinant by L1**d2 * L2**d1.  A
-    constant x- or y-component (deg_t p == 0 or deg_t q == 0) admits no
-    such matrix: :func:`component_degrees` raises
+    and (u2, v2) are read as ``P.int_pairs``, cleared to integers by the lcm
+    L1 resp. L2 of their denominators, which scales every determinant by
+    L1**d2 * L2**d1.  A constant x- or y-component (deg_t p == 0 or deg_t
+    q == 0) admits no such matrix: :func:`component_degrees` raises
     ``DegenerateParametrizationError``.
     """
-    d1, d2 = component_degrees(P)
     bands = []
-    for u, v, d in ((P.u1, P.v1, d1), (P.u2, P.v2, d2)):
-        cu, cv = (c + [0] * (d + 1 - len(c)) for c in _cleared((u.coeffs, v.coeffs)))
+    for pair, d in zip(P.int_pairs, component_degrees(P)):
+        cu, cv = (c + [0] * (d + 1 - len(c)) for c in pair)
         bands.append(list(zip(reversed(cu), reversed(cv))))
     return PolyMat(*bands)
 

@@ -44,6 +44,8 @@ KEPT = {
     "BiPoly.scale": "public API: arithmetic for callers building inputs",
     "BiPoly.zeros": "public API: arithmetic for callers building inputs",
     "UniPoly.zero": "public API: arithmetic for callers building inputs",
+    "UniPoly.scale": "public API: arithmetic for callers building inputs",
+    "UniPoly.degree": "public API: a component's degree, MINUS_INFINITY for zero",
     "BiPoly._trimmed_key": "behind BiPoly equality and hashing, for callers comparing results",
     "OpCounter.muldivs": "public API: the cost figure of the paper, for callers",
 }

@@ -21,7 +21,6 @@ from implicurve import (
     UniPoly,
     bipoly_canonicalize,
     implicitize,
-    poly_gcd,
 )
 from implicurve.cli import (
     CLI_METHODS,
@@ -36,7 +35,7 @@ from implicurve.cli import (
     parse_rational_function,
 )
 
-from util import CUBIC, CUBIC_F_RAW, HYPERBOLA_F, rand_unipoly
+from util import CUBIC, CUBIC_F_RAW, HYPERBOLA_F, euclid_gcd, rand_unipoly
 
 
 def test_parse_rational_function_examples():
@@ -57,6 +56,11 @@ def test_parse_rational_coefficients_and_whitespace():
     num, den = parse_rational_function(" 1/2 * t^2 - t + 3/4 ")
     assert num == UniPoly([Fraction(3, 4), -1, Fraction(1, 2)])
     assert den == UniPoly.one()
+    # an integer literal makes an int, only p/q a Fraction
+    assert [type(c) for c in num.coeffs] == [Fraction, int, Fraction]
+    assert {type(c) for row in parse_poly_xy("2 - 3*y + 4/2*x").coeffs for c in row} == {
+        int, Fraction}
+    assert all(type(c) is int for row in parse_poly_xy("2 - 3*y - x").coeffs for c in row)
     # a bare coefficient quotient is a coefficient, not a polynomial quotient
     num, den = parse_rational_function("t/2")
     assert (num, den) == (UniPoly([0, 1]), UniPoly([2]))
@@ -277,6 +281,15 @@ def test_cmd_verify_rejects_malformed_json_grids(doc, message, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_cmd_verify_names_a_bad_json_coefficient_briefly(capsys):
+    # a 600 KB argument whose one coefficient is a 200000-element list
+    poly = json.dumps({"coeffs": [["1", [0] * 200_000]]})
+    assert main(["verify", "--x", "t", "--y", "t", "--poly", poly]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad JSON coefficient at row 0, column 1: [0, 0,")
+    assert len(err) < 200
 
 
 def test_cmd_verify_rejects_deeply_nested_json(capsys):
@@ -501,7 +514,7 @@ _unipoly = st.lists(_coef, max_size=7).map(UniPoly)
 @settings(max_examples=200, deadline=None)
 @given(_unipoly, _unipoly.filter(lambda v: not v.is_zero))
 def test_parse_inverts_format_ratfun(u, v):
-    assume(poly_gcd(u, v).degree == 0)  # parse_rational_function reduces to lowest terms
+    assume(euclid_gcd(u, v).degree == 0)  # parse_rational_function reduces to lowest terms
     assert parse_rational_function(format_ratfun(u, v)) == (u, v)
 
 

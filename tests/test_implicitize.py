@@ -32,7 +32,6 @@ from implicurve import (
     method_kronecker,
     method_unstructured,
     nodes_on_curve,
-    poly_gcd,
     substitute_check,
     sylvester_line_dets,
     vandermonde_solve_dual,
@@ -46,11 +45,20 @@ from implicurve.pipeline import (
     _from_determinants,
     _integer_nodes,
     _observe_node_powers,
+    _rational_reconstruction,
     curve_points,
 )
 from implicurve.polycore import COPRIME_PRIME, modular_primes
 
-from util import CUBIC, CUBIC_F_RAW, CUBIC_GRID_DATA, HYPERBOLA, HYPERBOLA_F, rand_ratparam
+from util import (
+    CUBIC,
+    CUBIC_F_RAW,
+    CUBIC_GRID_DATA,
+    HYPERBOLA,
+    HYPERBOLA_F,
+    euclid_gcd,
+    rand_ratparam,
+)
 
 CUBIC_F = bipoly_canonicalize(CUBIC_F_RAW)
 
@@ -112,8 +120,9 @@ def test_nodes_on_curve_rejects_nonpositive_count():
 
 def test_collocation_row_is_monomial_basis():
     # entry (i, j), i-major, is x0^i y0^j times b^m e^n, (x0, y0) = (a/b, c/e)
-    pts = nodes_on_curve(HYPERBOLA, 4)
-    assert pts[0] == (Fraction(1, 2), Fraction(3, 4)) and pts[2] == (Fraction(3, 4), Fraction(5, 6))
+    assert nodes_on_curve(HYPERBOLA, 3)[2] == (Fraction(3, 4), Fraction(5, 6))
+    pts = list(itertools.islice(curve_points(HYPERBOLA), 4))
+    assert pts[0] == (1, 2, 3, 4) and pts[2] == (3, 4, 5, 6)
     assert _collocation_row(pts[0], 1, 1, OpCounter()) == [8, 6, 4, 3]  # 8 * (1, 3/4, 1/2, 3/8)
     assert _collocation_row(pts[2], 1, 1, OpCounter()) == [24, 20, 18, 15]
     rng = random.Random(3)
@@ -122,7 +131,8 @@ def test_collocation_row_is_monomial_basis():
             x0, y0 = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in "xy")
             scale = x0.denominator**m * y0.denominator**n
             want = [x0**i * y0**j * scale for i in range(m + 1) for j in range(n + 1)]
-            assert _collocation_row((x0, y0), m, n, OpCounter()) == want
+            point = (x0.numerator, x0.denominator, y0.numerator, y0.denominator)
+            assert _collocation_row(point, m, n, OpCounter()) == want
 
 
 def test_method_unstructured_hyperbola():
@@ -335,7 +345,7 @@ def test_constant_component_degenerate_for_determinant_methods():
 def test_curve_points_generator_is_lazy_and_deduplicated():
     gen = curve_points(HYPERBOLA)
     first = next(gen)
-    assert first == (Fraction(1, 2), Fraction(3, 4))
+    assert first == (1, 2, 3, 4)
     seen = {first}
     for _ in range(10):
         pt = next(gen)
@@ -350,7 +360,7 @@ def test_curve_points_matches_the_rational_sweep():
         for t in range(stop):
             u1, v1, u2, v2 = (_at(p, t) for p in (P.u1, P.v1, P.u2, P.v2))
             if v1 != 0 and v2 != 0:
-                pt = (u1 / v1, u2 / v2)
+                pt = (Fraction(u1) / v1, Fraction(u2) / v2)
                 if pt not in pts:
                     pts.append(pt)
         return pts
@@ -365,13 +375,28 @@ def test_curve_points_matches_the_rational_sweep():
         RatParam(q.scale(third), UniPoly.one(), (q * q).scale(half),
                  (q + UniPoly([18])).scale(Fraction(5, 7))),
         RatParam(UniPoly([1]), UniPoly([1]), UniPoly([1]), UniPoly([0, 1])),
+        # x's denominator vanishes at t = 0, 1 and is negative beyond, y's
+        # vanishes at t = 2, 5 and is negative at t = 3, 4
+        RatParam(UniPoly([-3, 1]), UniPoly([0, -1, 1]).scale(-1), UniPoly([5, 0, 1]),
+                 UniPoly([-2, 1]) * UniPoly([-5, 1])),
+        # s = t - 2: x = (s^2 + s - 1)/(s^2 + 2s - 1) takes (1, 2) at t = 3 and
+        # (-1, -2) at t = 1, y = s^2 as well: one point, produced once
+        RatParam(UniPoly([1, -3, 1]), UniPoly([-1, -2, 1]), UniPoly([4, -4, 1]), UniPoly.one()),
     ]
     rng = random.Random(41)
     curves += [rand_ratparam(rng, 3, rational=True) for _ in range(6)]
     for P in curves:
         want = oracle(P)
-        assert list(itertools.islice(curve_points(P), len(want))) == want
+        got = list(itertools.islice(curve_points(P), len(want)))
+        assert all(math.gcd(a, b) == 1 == math.gcd(c, e) and b > 0 < e for a, b, c, e in got)
+        assert [(Fraction(a, b), Fraction(c, e)) for a, b, c, e in got] == want
+        assert nodes_on_curve(P, len(want)) == want
     assert len(oracle(curves[1])) == 35  # t = 0..40 less 2 poles and 4 repeats
+    assert len(oracle(curves[3])) == 37  # t = 0..40 less 4 poles
+    (u, v), _ = curves[4].int_pairs
+    assert (_at(UniPoly(u), 3), _at(UniPoly(v), 3)) == (1, 2)
+    assert (_at(UniPoly(u), 1), _at(UniPoly(v), 1)) == (-1, -2)
+    assert oracle(curves[4])[:3] == [(-1, 4), (Fraction(1, 2), 1), (1, 0)]  # t = 3 repeats t = 1
 
 
 @pytest.mark.parametrize("x", [(UniPoly([1]), UniPoly([1])), (UniPoly([0, 2]), UniPoly([0, 1]))])
@@ -469,18 +494,51 @@ def test_non_integer_nodes_raise_a_typed_error():
         )
 
 
+def _fraction_callers(P, cfg):
+    """The code objects that construct a ``Fraction`` while ``P`` is
+    implicitized, one entry per construction."""
+    callers = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is Fraction.__new__.__code__:
+            callers.append(frame.f_back.f_code)
+
+    sys.setprofile(profile)
+    try:
+        implicitize(P, cfg)
+    finally:
+        sys.setprofile(None)
+    return callers
+
+
+def test_only_rational_reconstruction_constructs_fractions():
+    # every datum, node and canonical F of the determinant schemes is an
+    # int; the unstructured scheme needs Fractions only to rebuild F
+    rng = random.Random(404)
+    curves = [rand_ratparam(rng, d, exact=True) for d in range(2, 7)] + [CUBIC, HYPERBOLA]
+    for method in implicurve.METHODS:
+        callers = [c for P in curves for c in _fraction_callers(P, MethodConfig(method=method))]
+        if method == METHOD_UNSTRUCTURED:
+            assert len(callers) == 174
+            assert set(callers) == {_rational_reconstruction.__code__}
+        else:
+            assert callers == [], method
+
+
 def test_pipeline_checks_still_run_under_python_O():
     code = (
         "from fractions import Fraction\n"
         "from implicurve import InternalConsistencyError\n"
         "from implicurve.pipeline import _integer_nodes\n"
         "from implicurve.polycore import OpCounter, resultant\n"
-        "from implicurve import RatParam, UniPoly, pipeline\n"
+        "from implicurve import RatParam, UniPoly, pipeline, polycore\n"
         "pipeline.substitute_check = lambda F, P: False  # the Hadamard stop\n"
         "hyperbola = RatParam(*(UniPoly(c) for c in ([1, 1], [2, 1], [3, 1], [4, 1])))\n"
         "calls = (lambda: _integer_nodes([(Fraction(1, 2), 0)]),\n"
         "         lambda: resultant([1, 0, 0, 8], [Fraction(1, 2), 0], OpCounter()),\n"
         "         lambda: resultant([1, 0, 0], [1, Fraction(1, 2)], OpCounter()),\n"
+        "         lambda: polycore._divide([0, 1], [1, 2]),  # a nonexact gcd division\n"
+        "         lambda: polycore._divide([1, 0, 1], [1, 1]),  # a gcd leaving a remainder\n"
         "         lambda: pipeline.method_unstructured(hyperbola))\n"
         "for call in calls:\n"
         "    try:\n"
@@ -495,7 +553,7 @@ def test_pipeline_checks_still_run_under_python_O():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 4
+    assert proc.stdout.split() == ["raised"] * 6
 
 
 @pytest.mark.parametrize("constant", ["x", "y"])
@@ -526,7 +584,7 @@ def _proven_proper(P):
         if _at(P.v1, t0) and _at(P.v2, t0):
             fibres = (u.scale(_at(v, t0)) - v.scale(_at(u, t0))
                       for u, v in ((P.u1, P.v1), (P.u2, P.v2)))
-            proper += poly_gcd(*fibres).degree == 1
+            proper += euclid_gcd(*fibres).degree == 1
     return proper >= 3
 
 

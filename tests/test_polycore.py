@@ -10,7 +10,6 @@ from implicurve import (
     UniPoly,
     bipoly_canonicalize,
     implicitize,
-    poly_gcd,
     substitute_check,
 )
 from implicurve import polycore
@@ -19,6 +18,7 @@ from implicurve.polycore import (
     COPRIME_PRIME,
     OpCounter,
     _cleared,
+    _prs,
     lowest_terms,
     resultant,
 )
@@ -28,6 +28,9 @@ from util import (
     CUBIC_F_RAW,
     HYPERBOLA,
     HYPERBOLA_F,
+    euclid_gcd,
+    euclid_lowest_terms,
+    poly_divmod,
     rand_frac,
     rand_ratparam,
     rand_unipoly,
@@ -71,39 +74,62 @@ def test_unipoly_arithmetic_is_ring_homomorphism():
         assert _at(p * q, t0) == _at(p, t0) * _at(q, t0)
 
 
-def test_unipoly_divmod_roundtrip():
-    rng = random.Random(3)
-    for _ in range(50):
-        p = rand_unipoly(rng, rng.randint(0, 6))
-        d = rand_unipoly(rng, rng.randint(0, 3))
-        q, r = divmod(p, d)
-        assert q * d + r == p
-        assert r.degree < d.degree
+def test_coefficients_keep_their_type_and_refuse_others():
+    p = UniPoly([1, Fraction(1, 2), Fraction(4, 2)])
+    assert [type(c) for c in p.coeffs] == [int, Fraction, Fraction]
+    assert [type(c) for c in BiPoly([[3, Fraction(1, 3)]]).coeffs[0]] == [int, Fraction]
+    for bad in (0.5, 2.0, True, "1", None):
+        with pytest.raises(ValueError):
+            UniPoly([1, bad])
+        with pytest.raises(ValueError):
+            BiPoly([[bad]])
+    with pytest.raises(ValueError):
+        RatParam(UniPoly([0.5, 1.0]), UniPoly([1.0, 2.0]), UniPoly([0, 1]), UniPoly([1]))
+    # int arithmetic stays in ints, and a Fraction factor makes Fractions
+    assert all(type(c) is int for c in (UniPoly([1, 2]) * UniPoly([3, 4])).coeffs)
+    assert type(UniPoly([1]).scale(Fraction(1, 2)).coeffs[0]) is Fraction
 
 
 def test_poly_gcd_examples():
-    assert poly_gcd(UniPoly([1, 1]), UniPoly([2, 1])) == UniPoly.one()
-    assert poly_gcd(UniPoly([-1, 0, 1]), UniPoly([-1, 1])) == UniPoly([-1, 1])
-    assert poly_gcd(UniPoly([1, 2, 2]), UniPoly([5, 0, 0, 1])) == UniPoly.one()
+    # the last nonzero remainder of the PRS is the gcd up to a constant
+    cases = [([1, 1], [2, 1], [1]), ([-1, 0, 1], [-1, 1], [-1, 1]),
+             ([1, 2, 2], [5, 0, 0, 1], [1]), ([2, 3, 1], [4, 4, 1], [2, 1])]
+    for u, v, g in cases:
+        rem = _prs(u[::-1], v[::-1], OpCounter())[1]
+        assert UniPoly(rem[::-1]).scale(Fraction(1, rem[0])) == UniPoly(g)
+    # lowest_terms divides the pair by the monic gcd
+    t = UniPoly([0, 1])
+    assert lowest_terms(UniPoly([1, 1]), UniPoly([2, 1])) == (
+        UniPoly([1, 1]), UniPoly([2, 1]), False, [[1, 1], [2, 1]])
+    u, v, reduced, ints = lowest_terms(UniPoly([-1, 0, 1]), UniPoly([-1, 1]))
+    assert (u, v, reduced, ints) == (UniPoly([1, 1]), UniPoly.one(), True, [[1, 1], [1]])
+    assert all(type(c) is int for c in u.coeffs + v.coeffs)
+    assert not lowest_terms(CUBIC.u1, CUBIC.v1)[2]
+    # (t - 1/2) / (2t^2 - t) = 1 / (2t): the monic gcd is t - 1/2
+    half = Fraction(1, 2)
+    assert lowest_terms(UniPoly([-half, 1]), UniPoly([0, -1, 2]))[:3] == (
+        UniPoly.one(), t.scale(2), True)
 
 
 def test_poly_gcd_divides_both_and_is_monic():
     rng = random.Random(4)
-    for _ in range(40):
-        common = rand_unipoly(rng, rng.randint(1, 2))
+    for trial in range(40):
+        common = rand_unipoly(rng, rng.randint(1, 2), rational=trial % 2 == 1)
         p = rand_unipoly(rng, rng.randint(0, 3)) * common
         q = rand_unipoly(rng, rng.randint(0, 3)) * common
-        g = poly_gcd(p, q)
-        assert g.leading == 1
-        assert g.degree >= common.degree
-        _, rp = divmod(p, g)
-        _, rq = divmod(q, g)
-        assert rp.is_zero and rq.is_zero
+        g = euclid_gcd(p, q)
+        assert g.coeffs[-1] == 1 and g.degree >= common.degree
+        assert poly_divmod(p, g)[1].is_zero and poly_divmod(q, g)[1].is_zero
+        u, v, reduced, ints = lowest_terms(p, q)
+        assert (u, v, reduced) == euclid_lowest_terms(p, q) and reduced
+        assert ints == _cleared((u.coeffs, v.coeffs))
 
 
 def test_poly_gcd_of_two_zeros_rejected():
-    with pytest.raises(ValueError):
-        poly_gcd(UniPoly.zero(), UniPoly.zero())
+    # lowest_terms refuses a zero denominator, so the gcd is always defined
+    for u in (UniPoly.zero(), UniPoly([0, 1])):
+        with pytest.raises(ValueError, match="nonzero"):
+            lowest_terms(u, UniPoly.zero())
 
 
 def test_bipoly_grid_validation():
@@ -150,7 +176,7 @@ def test_canonicalize_idempotent_and_scale_invariant():
             assert bipoly_canonicalize(F.scale(lam)) == c1
         first = next(v for row in c1.coeffs for v in row if v)
         assert first > 0
-        assert all(c.denominator == 1 for row in c1.coeffs for c in row)
+        assert all(type(c) is int for row in c1.coeffs for c in row)
 
 
 def test_canonicalize_rejects_zero():
@@ -164,7 +190,7 @@ def test_ratparam_reduces_common_factors():
     v = UniPoly([2, 1]) * UniPoly([2, 1])
     P = RatParam(u, v, UniPoly([3, 1]), UniPoly([4, 1]))
     assert P.was_reduced
-    assert _at(P.u1, 0) / _at(P.v1, 0) == Fraction(1, 2)
+    assert Fraction(_at(P.u1, 0), _at(P.v1, 0)) == Fraction(1, 2)
     assert max(P.u1.degree, P.v1.degree) == 1
     Q = RatParam(UniPoly([1, 1]), UniPoly([2, 1]), UniPoly([3, 1]), UniPoly([4, 1]))
     assert not Q.was_reduced
@@ -325,27 +351,20 @@ def _rand_pair(rng: random.Random, rational: bool):
     return u, v
 
 
-def _lowest_terms_by_euclid(u: UniPoly, v: UniPoly):
-    """Oracle: the exact Euclid alone, as RatParam reduced before."""
-    g = poly_gcd(u, v)
-    if g.degree > 0:
-        return divmod(u, g)[0], divmod(v, g)[0], True
-    return u, v, False
-
-
 def test_coprime_fast_path_agrees_with_exact_euclid():
     rng = random.Random(808)
     reduced = 0
     for trial in range(300):
         u, v = _rand_pair(rng, rational=trial % 2 == 1)
-        exact = _lowest_terms_by_euclid(u, v)
-        assert lowest_terms(u, v) == exact
+        exact = euclid_lowest_terms(u, v)
+        assert lowest_terms(u, v)[:3] == exact
         if not u.is_zero:  # a nonzero resultant exactly when the gcd is constant
             cu, cv = _cleared((u.coeffs, v.coeffs))
             assert (resultant(cu[::-1], cv[::-1], OpCounter()) != 0) == (not exact[2])
         reduced += exact[2]
         P = RatParam(u, v, UniPoly([3, 1]), UniPoly([4, 1]))
         assert (P.u1, P.v1, P.was_reduced) == exact
+        assert P.int_pairs[0] == _cleared((P.u1.coeffs, P.v1.coeffs))
     assert 50 < reduced < 250
 
 
@@ -353,8 +372,12 @@ def test_coprime_mod_prime_leaves_unprovable_pairs_to_euclid():
     # pairs that a coprimality check mod p = COPRIME_PRIME cannot prove
     # (a zero numerator, a denominator or a lead divisible by p, a common
     # factor, t + 1 against t + 1 + p: a root shared mod p only) and a
-    # constant against t; lowest_terms decides each exactly, as Euclid does
+    # constant against t; then rational pairs with a zero numerator, a
+    # squared common factor and a gcd whose primitive lead is 15; lowest_terms
+    # decides each exactly, as Euclid does
     p, t = COPRIME_PRIME, UniPoly([0, 1])
+    square = UniPoly([Fraction(1, 2), 1]) * UniPoly([Fraction(1, 2), 1])
+    lead15 = UniPoly([Fraction(1, 5), Fraction(3, 2)])
     pairs = [
         (UniPoly.zero(), UniPoly([2, 2])),
         (UniPoly([1, Fraction(1, p)]), UniPoly([2, 1])),
@@ -362,9 +385,14 @@ def test_coprime_mod_prime_leaves_unprovable_pairs_to_euclid():
         (UniPoly([-1, 0, 1]), UniPoly([-1, 1])),
         (UniPoly([1, 1]), UniPoly([1 + p, 1])),
         (UniPoly([5]), t),
+        (UniPoly.zero(), UniPoly([Fraction(2, 3), Fraction(1, 7)])),
+        (square * UniPoly([Fraction(-1, 3), 1]), square * UniPoly([3, 2]).scale(Fraction(1, 5))),
+        (lead15 * UniPoly([1, 1]), lead15 * UniPoly([Fraction(-2, 7), 0, 1])),
     ]
     for u, v in pairs:
-        assert lowest_terms(u, v) == _lowest_terms_by_euclid(u, v)
-    assert lowest_terms(*pairs[0]) == (UniPoly.zero(), UniPoly([2]), True)
-    assert lowest_terms(*pairs[3]) == (UniPoly([1, 1]), UniPoly.one(), True)
-    assert lowest_terms(*pairs[4]) == (*pairs[4], False)
+        assert lowest_terms(u, v)[:3] == euclid_lowest_terms(u, v)
+    assert lowest_terms(*pairs[0])[:3] == (UniPoly.zero(), UniPoly([2]), True)
+    assert lowest_terms(*pairs[3])[:3] == (UniPoly([1, 1]), UniPoly.one(), True)
+    assert lowest_terms(*pairs[4])[:3] == (*pairs[4], False)
+    assert lowest_terms(*pairs[6])[:3] == (UniPoly.zero(), UniPoly([Fraction(1, 7)]), True)
+    assert [lowest_terms(*pair)[1].degree for pair in pairs[7:]] == [1, 2]

@@ -315,7 +315,8 @@ def test_nullspace_matches_sympy():
     for count in (16, 17):
         points = nodes_on_curve(CUBIC, count)
         A = [[x0**i * y0**j for i in range(4) for j in range(4)] for x0, y0 in points]
-        rows = [_collocation_row(pt, 3, 3, OpCounter()) for pt in points]
+        rows = [_collocation_row((x0.numerator, x0.denominator, y0.numerator, y0.denominator),
+                                 3, 3, OpCounter()) for x0, y0 in points]
         # the integer row is the rational one times b^3 e^3, (a/b, c/e) the point
         for (x0, y0), row, want in zip(points, rows, A):
             assert row == [v * (x0.denominator * y0.denominator) ** 3 for v in want]

@@ -93,6 +93,38 @@ def matvec(rows, vec):
     return [sum((r * v for r, v in zip(row, vec)), Fraction(0)) for row in rows]
 
 
+def poly_divmod(p: UniPoly, d: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Oracle: quotient and remainder of ``p`` by a nonzero ``d`` over
+    ``Fraction``s, by long division."""
+    rem = [Fraction(c) for c in p.coeffs]
+    top = len(d.coeffs) - 1
+    quo = [Fraction(0)] * max(len(rem) - top, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + top] / d.coeffs[-1]
+        for j, c in enumerate(d.coeffs):
+            rem[k + j] -= quo[k] * c
+    return UniPoly(quo), UniPoly(rem[:top])
+
+
+def euclid_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Oracle: the monic gcd by the Euclidean algorithm over ``Fraction``s;
+    two zero polynomials have none and raise ``ValueError``."""
+    if p.is_zero and q.is_zero:
+        raise ValueError("gcd of two zero polynomials is undefined")
+    while not q.is_zero:
+        p, q = q, poly_divmod(p, q)[1]
+    return p.scale(Fraction(1) / p.coeffs[-1])
+
+
+def euclid_lowest_terms(u: UniPoly, v: UniPoly):
+    """Oracle: ``u/v`` divided by the monic :func:`euclid_gcd`, and whether
+    that gcd was nonconstant."""
+    g = euclid_gcd(u, v)
+    if g.degree > 0:
+        return poly_divmod(u, g)[0], poly_divmod(v, g)[0], True
+    return u, v, False
+
+
 def rand_frac(rng: random.Random, lo=-9, hi=9, max_den=5) -> Fraction:
     return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
 
