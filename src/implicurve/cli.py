@@ -69,6 +69,8 @@ class ParseError(ValueError):
 MAX_EXPONENT = 64
 
 _OPS = set("^*/+-()")
+#: ASCII only: ``str.isdigit`` also takes other scripts' digits and "²".
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -78,9 +80,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             out.append(("int", text[i:j], i))
             i = j
@@ -279,12 +281,11 @@ def _parse_param(x_text: str, y_text: str) -> RatParam:
 def cmd_implicitize(args: argparse.Namespace) -> int:
     try:
         P = _parse_param(args.x, args.y)
-        primes = args.primes.split(",")
-        if len(primes) != 2:
-            raise ValueError("--primes expects two comma-separated primes")
-        cfg = MethodConfig(
-            method=CLI_METHODS[args.method], p1=int(primes[0]), p2=int(primes[1])
-        )
+        try:
+            p1, p2 = map(int, args.primes.split(","))
+        except ValueError:
+            raise ValueError("--primes expects two comma-separated primes") from None
+        cfg = MethodConfig(method=CLI_METHODS[args.method], p1=p1, p2=p2)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,19 +26,19 @@ dictates the structure (and cost) of the linear algebra:
     matrices and splits into (m+1) + (n+1) independent primal solves.
 
 The two determinant schemes share one run, ``_from_determinants``, and
-differ only in their nodes and their solver.  Every run verifies its result
-with the exact vanishing proof of ``substitute_check`` and reports
-operation counts split into a data stage (building the system) and a solve
-stage.
+differ only in their solver and their grid lines (x0, ys) of nodes: a
+Kronecker line holds n+1 nodes, a dual-Vandermonde line one.  Every method
+returns only an F that the exact vanishing proof of ``substitute_check``
+accepts, or raises ``InternalConsistencyError``, and reports operation
+counts split into a data stage (building the system) and a solve stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, groupby, islice, takewhile
+from itertools import count, islice, takewhile
 from math import gcd, isqrt, prod
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .polycore import (
@@ -47,7 +47,6 @@ from .polycore import (
     Rat,
     RatParam,
     _MR_BASES,
-    _cleared,
     _horner,
     _miller_rabin,
     bipoly_canonicalize,
@@ -121,8 +120,9 @@ class ImplicitResult:
     methods that is ``det_evals`` Sylvester determinants); ``solve_counter``
     covers the linear solve, summed over the ``primes`` of a modular solve.
     ``counter`` merges the two.  ``verified`` is the exact vanishing proof
-    of F along the parametrization and ``degree_tight`` records whether F
-    attains both degree bounds.
+    of F along the parametrization, always True: a method raises rather
+    than return an unproven F.  ``degree_tight`` records whether F attains
+    both degree bounds.
     """
 
     F: BiPoly
@@ -289,8 +289,8 @@ def method_dual_vandermonde(P: RatParam, cfg: MethodConfig | None = None) -> Imp
     p1, p2 = cfg.p1, cfg.p2
     bounds = degree_bounds(P)
     alphas = [p1**i * p2**j for i in range(bounds.m + 1) for j in range(bounds.n + 1)]
-    points = [(p1**k, p2**k) for k in range(bounds.N)]
-    return _from_determinants(P, bounds, points, [alphas],
+    lines = [(p1**k, [p2**k]) for k in range(bounds.N)]
+    return _from_determinants(P, bounds, lines, [alphas],
                               lambda data, c: vandermonde_solve_dual(alphas, data, c))
 
 
@@ -305,8 +305,8 @@ def method_kronecker(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitRe
     bounds = degree_bounds(P)
     x_nodes = list(range(bounds.m + 1))
     y_nodes = list(range(bounds.n + 1))
-    points = [(xi, yj) for xi in x_nodes for yj in y_nodes]
-    return _from_determinants(P, bounds, points, [x_nodes, y_nodes],
+    lines = [(x0, y_nodes) for x0 in x_nodes]
+    return _from_determinants(P, bounds, lines, [x_nodes, y_nodes],
                               lambda data, c: kron_solve(x_nodes, y_nodes, data, c))
 
 
@@ -320,65 +320,59 @@ _PIPELINES = {
 
 
 def implicitize(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
-    """Run the configured pipeline and insist on a verified result.
+    """Run the configured pipeline; its errors propagate unchanged.
 
-    Method errors propagate unchanged; a result whose substitution check
-    fails raises ``InternalConsistencyError`` (it cannot happen for valid
-    rational parametrizations and would mean a bug, not bad input).
+    Every method proves its result, so the F returned here vanishes along
+    the parametrization.
     """
     cfg = cfg or MethodConfig()
-    result = _PIPELINES[cfg.method](P, cfg)
-    if not result.verified:
-        raise InternalConsistencyError(
-            "computed polynomial does not vanish along the parametrization"
-        )
-    return result
+    return _PIPELINES[cfg.method](P, cfg)
 
 
 def _from_determinants(
     P: RatParam,
     bounds: DegreeBounds,
-    points: Sequence[tuple[int, int]],
+    lines: Sequence[tuple[int, Sequence[int]]],
     node_sets: Sequence[Sequence[int]],
     solve: Callable[[list[int], OpCounter], list[Rat | int]],
 ) -> ImplicitResult:
-    """The run the determinant schemes share: Sylvester determinants at the
-    integer ``points``, ``solve(data, counter)`` for F's i-major
-    coefficients, the check.
+    """The run the determinant schemes share: Sylvester determinants on the
+    grid ``lines`` (x0, ys), one ``sylvester_line_dets`` call per line,
+    ``solve(data, counter)`` for F's i-major coefficients, the checks.
 
     The Sylvester matrix of a rational curve has cleared integer bands,
     which scales every datum, and so the solved F, by the constant
-    L1**d2 * L2**d1 that canonicalization removes.  Consecutive points with
-    the same x0 form a grid line, and ``sylvester_line_dets`` evaluates each
-    line in one call (a Kronecker line holds n+1 nodes, a dual-Vandermonde
-    line one).
-    ``node_sets`` are the Vandermonde nodes whose powers the solve uses.
-    Kernels are called through this module's names, so rebinding one
-    (as a tracer does) takes effect.
+    L1**d2 * L2**d1 that canonicalization removes.  ``node_sets`` are the
+    Vandermonde nodes whose powers the solve uses.  An F that fails
+    ``substitute_check`` raises ``InternalConsistencyError``: for a valid
+    parametrization only a bug can cause that, not bad input.  Kernels are
+    called through this module's names, so rebinding one (as a tracer
+    does) takes effect.
     """
     S = build_parametric_sylvester(P)
     data_c = OpCounter()
     solve_c = OpCounter()
-    points = _integer_nodes(points)
-    data: list[int] = []
-    for x0, line in groupby(points, key=itemgetter(0)):
-        data += sylvester_line_dets(S, x0, [y0 for _, y0 in line], data_c)
+    _integer_nodes(lines)
+    data = [v for x0, ys in lines for v in sylvester_line_dets(S, x0, ys, data_c)]
     data_c.observe_many(data)
     for nodes in node_sets:
         _observe_node_powers(data_c, nodes)
     F_raw = BiPoly.from_flat(solve(data, solve_c), bounds.m, bounds.n)
-    _check_interpolation_data(F_raw, points, data)
+    _check_interpolation_data(F_raw, lines, data)
     if F_raw.is_zero:
         raise InternalConsistencyError("interpolation produced the zero polynomial")
     F = bipoly_canonicalize(F_raw)
-    return ImplicitResult(F, bounds, data_c, solve_c, substitute_check(F, P), det_evals=bounds.N)
+    if not substitute_check(F, P):
+        raise InternalConsistencyError(
+            "computed polynomial does not vanish along the parametrization"
+        )
+    return ImplicitResult(F, bounds, data_c, solve_c, True, det_evals=bounds.N)
 
 
-def _integer_nodes(points: Sequence[tuple[Rat | int, Rat | int]]) -> list[tuple[int, int]]:
-    """The points as int pairs; both determinant schemes use integer nodes."""
-    if any(t.denominator != 1 for pt in points for t in pt):
+def _integer_nodes(lines: Sequence[tuple[int, Sequence[int]]]) -> None:
+    """Refuse a node that is not an int: both determinant schemes use integer nodes."""
+    if not all(isinstance(t, int) for x0, ys in lines for t in (x0, *ys)):
         raise InternalConsistencyError("interpolation nodes must be integers")
-    return [(int(x0), int(y0)) for x0, y0 in points]
 
 
 def _observe_node_powers(counter: OpCounter, nodes: Sequence[Rat]) -> None:
@@ -391,22 +385,21 @@ def _observe_node_powers(counter: OpCounter, nodes: Sequence[Rat]) -> None:
 
 
 def _check_interpolation_data(
-    F_raw: BiPoly, points: Sequence[tuple[int, int]], data: Sequence[Rat | int]
+    F_raw: BiPoly, lines: Sequence[tuple[int, Sequence[int]]], data: Sequence[Rat | int]
 ) -> None:
     """Re-evaluate the raw interpolant at every node against its datum.
 
     For the determinant methods the solved polynomial *is* the resultant,
     so it must reproduce each determinant exactly (before canonical
-    rescaling, which may change the overall scale).  The nodes are the int
-    pairs of :func:`_integer_nodes`, so with F_raw and the data cleared by
-    one common scale the comparison runs in plain ints, F_raw reduced once
-    per grid line x = x0 to a polynomial in y.
+    rescaling, which may change the overall scale).  The data follow the
+    nodes of the grid ``lines`` (x0, ys) in order, and F_raw is reduced
+    once per line to a polynomial in y.  The comparison is exact: in plain
+    ints for the pipelines, whose nodes, data and F_raw are all ints.
     """
-    *grid, cleared = _cleared([*F_raw.coeffs, data])
-    columns, values = list(zip(*grid)), iter(cleared)
-    for x0, line in groupby(points, key=itemgetter(0)):
+    columns, values = list(zip(*F_raw.coeffs)), iter(data)
+    for x0, ys in lines:
         in_y = [_horner(col, x0) for col in columns]
-        for _, y0 in line:
+        for y0 in ys:
             if _horner(in_y, y0) != next(values):
                 raise InternalConsistencyError(
                     f"interpolant fails to reproduce its datum at node {(x0, y0)}"

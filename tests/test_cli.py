@@ -74,10 +74,14 @@ def test_parse_unary_minus_and_implicit_one():
 
 
 def test_parse_errors_carry_positions():
-    for text, pos in [("t^", 2), ("1+*t", 2), ("t t", 2), ("(1+t", 4), ("2*", 2)]:
+    for text, pos in [("t^", 2), ("1+*t", 2), ("t t", 2), ("(1+t", 4), ("2*", 2),
+                      ("٣+t", 0), ("t^١٠", 2), ("t^²", 2), ("t^1٠", 3)]:
         with pytest.raises(ParseError) as exc:
             parse_rational_function(text)
         assert exc.value.position == pos
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse_poly_xy("y - x^٢")  # only ASCII digits are numbers
+    assert exc.value.position == 6
     with pytest.raises(ParseError):
         parse_rational_function("u+1")
     with pytest.raises(ParseError):
@@ -205,6 +209,12 @@ def test_cmd_implicitize_exit_codes(capsys):
         ["implicitize", "--x", "t", "--y", "t", "--primes", "4,3"]
     ) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("primes", [",", "2,x", "2", "2,3,5"])
+def test_cmd_implicitize_names_a_bad_primes_entry(primes, capsys):
+    assert main(["implicitize", "--x", "t", "--y", "t^2", "--primes", primes]) == 1
+    assert capsys.readouterr().err == "error: --primes expects two comma-separated primes\n"
 
 
 def test_cmd_implicitize_notes_reduction(capsys):

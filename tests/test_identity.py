@@ -21,8 +21,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
+import implicurve
 from implicurve import (
     METHOD_DUAL_VANDERMONDE,
     METHOD_KRONECKER,
@@ -78,9 +83,24 @@ def identity_lines():
     return lines + [_bench_line(P) for P in (HYPERBOLA, CUBIC)]
 
 
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_results_and_reports_match_the_pinned_digest():
-    digest = hashlib.sha256("\n".join(identity_lines()).encode()).hexdigest()
-    assert digest == IDENTITY_DIGEST
+    assert _digest(identity_lines()) == IDENTITY_DIGEST
+
+
+def test_digest_holds_under_python_O():
+    # -O strips every assert, so no result may depend on one
+    src = str(Path(implicurve.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", __file__],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert _digest(proc.stdout.splitlines()) == IDENTITY_DIGEST
 
 
 if __name__ == "__main__":

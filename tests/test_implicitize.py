@@ -331,6 +331,9 @@ def test_a_candidate_that_fails_the_proof_is_never_returned(monkeypatch):
     monkeypatch.setattr(pipeline, "substitute_check", lambda F, P: False)
     with pytest.raises(InternalConsistencyError, match="Hadamard"):
         method_unstructured(CUBIC)
+    for fn in (method_kronecker, method_dual_vandermonde):
+        with pytest.raises(InternalConsistencyError, match="does not vanish"):
+            fn(CUBIC)
 
 
 def test_constant_component_degenerate_for_determinant_methods():
@@ -431,16 +434,16 @@ def test_node_power_bits_match_the_multiplied_out_powers():
 
 
 def test_interpolation_check_compares_exactly_on_integer_nodes():
-    points = [(Fraction(i), Fraction(j)) for i in range(4) for j in range(4)]
+    lines = [(Fraction(i), [Fraction(j) for j in range(4)]) for i in range(4)]
     data = [Fraction(v) for v in CUBIC_GRID_DATA]
-    _check_interpolation_data(CUBIC_F_RAW, points, data)
+    _check_interpolation_data(CUBIC_F_RAW, lines, data)
     third = Fraction(1, 3)
-    _check_interpolation_data(CUBIC_F_RAW.scale(third), points, [v * third for v in data])
+    _check_interpolation_data(CUBIC_F_RAW.scale(third), lines, [v * third for v in data])
     for k in range(len(data)):
         off = list(data)
         off[k] += Fraction(1, 7)
         with pytest.raises(InternalConsistencyError):
-            _check_interpolation_data(CUBIC_F_RAW, points, off)
+            _check_interpolation_data(CUBIC_F_RAW, lines, off)
 
 
 def test_every_perturbed_datum_fails_the_interpolation_check():
@@ -449,22 +452,23 @@ def test_every_perturbed_datum_fails_the_interpolation_check():
     S = build_parametric_sylvester(P)
     xs, ys = list(range(b.m + 1)), list(range(b.n + 1))
     alphas = [2**i * 3**j for i in xs for j in ys]
-    kron_points = [(x, y) for x in xs for y in ys]
+    kron_lines = [(x, ys) for x in xs]
     kron_data = [v for x in xs for v in sylvester_line_dets(S, x, ys, OpCounter())]
-    dual_points = [(2**k, 3**k) for k in range(b.N)]
-    dual_data = [sylvester_line_dets(S, x, [y], OpCounter())[0] for x, y in dual_points]
-    for points, data, F_flat in (
-        (kron_points, kron_data, kron_solve(xs, ys, kron_data, OpCounter())),
-        (dual_points, dual_data, vandermonde_solve_dual(alphas, dual_data, OpCounter())),
+    dual_lines = [(2**k, [3**k]) for k in range(b.N)]
+    dual_data = [sylvester_line_dets(S, x, line, OpCounter())[0] for x, line in dual_lines]
+    for lines, data, F_flat in (
+        (kron_lines, kron_data, kron_solve(xs, ys, kron_data, OpCounter())),
+        (dual_lines, dual_data, vandermonde_solve_dual(alphas, dual_data, OpCounter())),
     ):
         F_raw = BiPoly.from_flat(F_flat, b.m, b.n)
-        _check_interpolation_data(F_raw, points, data)
+        _check_interpolation_data(F_raw, lines, data)
+        nodes = [(x, y) for x, line in lines for y in line]
         for k in range(len(data)):
             for delta in (1, -1):
                 off = list(data)
                 off[k] += delta
-                with pytest.raises(InternalConsistencyError, match=rf"node \({points[k][0]}, "):
-                    _check_interpolation_data(F_raw, points, off)
+                with pytest.raises(InternalConsistencyError, match=rf"node \({nodes[k][0]}, "):
+                    _check_interpolation_data(F_raw, lines, off)
 
 
 def test_rational_curves_interpolate_the_cleared_data():
@@ -483,14 +487,16 @@ def test_rational_curves_interpolate_the_cleared_data():
 
 def test_non_integer_nodes_raise_a_typed_error():
     half = Fraction(1, 2)
-    points = [(Fraction(i), Fraction(j)) for i in range(2) for j in range(2)]
+    lines = [(i, [0, 1]) for i in range(2)]
     data = [2, -1, 1, 0]  # HYPERBOLA_F on the unit grid
-    _check_interpolation_data(HYPERBOLA_F, _integer_nodes(points), data)
-    with pytest.raises(InternalConsistencyError, match="integers"):
-        _integer_nodes([(half, 0)] + points[1:])
+    _integer_nodes(lines)
+    _check_interpolation_data(HYPERBOLA_F, lines, data)
+    for bad in ([(half, [0, 1])], [(0, [0, Fraction(1)])]):  # an integral Fraction too
+        with pytest.raises(InternalConsistencyError, match="integers"):
+            _integer_nodes(bad + lines[1:])
     with pytest.raises(InternalConsistencyError, match="integers"):
         _from_determinants(
-            HYPERBOLA, degree_bounds(HYPERBOLA), [(0, half)] + points[1:], [], None
+            HYPERBOLA, degree_bounds(HYPERBOLA), [(0, [half, 1])] + lines[1:], [], None
         )
 
 
@@ -532,14 +538,16 @@ def test_pipeline_checks_still_run_under_python_O():
         "from implicurve.pipeline import _integer_nodes\n"
         "from implicurve.polycore import OpCounter, resultant\n"
         "from implicurve import RatParam, UniPoly, pipeline, polycore\n"
-        "pipeline.substitute_check = lambda F, P: False  # the Hadamard stop\n"
+        "pipeline.substitute_check = lambda F, P: False  # every proof fails\n"
         "hyperbola = RatParam(*(UniPoly(c) for c in ([1, 1], [2, 1], [3, 1], [4, 1])))\n"
-        "calls = (lambda: _integer_nodes([(Fraction(1, 2), 0)]),\n"
+        "calls = (lambda: _integer_nodes([(Fraction(1, 2), [0])]),\n"
         "         lambda: resultant([1, 0, 0, 8], [Fraction(1, 2), 0], OpCounter()),\n"
         "         lambda: resultant([1, 0, 0], [1, Fraction(1, 2)], OpCounter()),\n"
         "         lambda: polycore._divide([0, 1], [1, 2]),  # a nonexact gcd division\n"
         "         lambda: polycore._divide([1, 0, 1], [1, 1]),  # a gcd leaving a remainder\n"
-        "         lambda: pipeline.method_unstructured(hyperbola))\n"
+        "         lambda: pipeline.method_unstructured(hyperbola),\n"
+        "         lambda: pipeline.method_kronecker(hyperbola),\n"
+        "         lambda: pipeline.method_dual_vandermonde(hyperbola))\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -553,7 +561,7 @@ def test_pipeline_checks_still_run_under_python_O():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 6
+    assert proc.stdout.split() == ["raised"] * 8
 
 
 @pytest.mark.parametrize("constant", ["x", "y"])
