@@ -278,13 +278,17 @@ def _parse_param(x_text: str, y_text: str) -> RatParam:
     return RatParam(u1, v1, u2, v2)
 
 
+#: ``--primes``: two integers in ASCII digits, as the expression grammar reads them.
+_PRIMES_ARG = re.compile(r"(\d+),(\d+)", re.ASCII)
+
+
 def cmd_implicitize(args: argparse.Namespace) -> int:
     try:
         P = _parse_param(args.x, args.y)
-        try:
-            p1, p2 = map(int, args.primes.split(","))
-        except ValueError:
-            raise ValueError("--primes expects two comma-separated primes") from None
+        primes = _PRIMES_ARG.fullmatch(args.primes)
+        if not primes:
+            raise ValueError("--primes expects two comma-separated primes")
+        p1, p2 = map(int, primes.groups())
         cfg = MethodConfig(method=CLI_METHODS[args.method], p1=p1, p2=p2)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

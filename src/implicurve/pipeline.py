@@ -11,7 +11,8 @@ dictates the structure (and cost) of the linear algebra:
 ``method_unstructured``
     Nodes are points on the curve itself, swept from t = 0, 1, 2, ...
     F is a nullspace vector of a dense N x N homogeneous system — no
-    structure, cubic-cost elimination, run modulo 61-bit primes.  CRT and
+    structure, cubic-cost elimination, run modulo 61-bit primes on rows
+    rebuilt per prime from the points and packed one int per row.  CRT and
     rational reconstruction rebuild F, and the vanishing proof accepts it.
 
 ``method_dual_vandermonde``
@@ -189,60 +190,90 @@ def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> Implici
     """Implicitize by interpolating zero values at points on the curve.
 
     A c = 0 over the first N curve points normally has a one-dimensional
-    nullspace, spanned by F.  Its integer rows are eliminated mod primes;
-    while the first leaves a nullity above 1, up to 2N more points extend
-    its echelon form.  CRT and rational reconstruction rebuild the null
-    vectors, and ``substitute_check`` must prove each.  As rank mod p <=
-    rank over Q, a nullity of 1 mod p then means F spans the nullspace; two
-    proven vectors raise ``DegenerateInputError``.  Past 2*H**2, H the
-    product of the rows' 1-norms (Hadamard), reconstruction must have
-    succeeded: ``InternalConsistencyError``.
+    nullspace, spanned by F.  Its rows, the monomials at the points, are
+    built mod each prime from the kept points (:func:`_residue_row`) and
+    eliminated in packed form (``ModEchelon``); while the first prime
+    leaves a nullity above 1, up to 2N more points extend its echelon form.
+    CRT and rational reconstruction rebuild the null vectors, and
+    ``substitute_check`` must prove each.  As rank mod p <= rank over Q, a
+    nullity of 1 mod p then means F spans the nullspace; two proven vectors
+    raise ``DegenerateInputError``.  Past 2*H**2, H the product of the
+    integer rows' 1-norms (Hadamard, :func:`_row_norm`, computed once a
+    second prime is needed), reconstruction must have succeeded:
+    ``InternalConsistencyError``.
     """
     bounds = degree_bounds(P)
     m, n, N = bounds.m, bounds.n, bounds.N
     data_c = OpCounter()
     solve_c = OpCounter()
-    points = curve_points(P)
-    primes = modular_primes()
-    rows = [_collocation_row(next(points), m, n, data_c) for _ in range(N)]
-    ech = ModEchelon(next(primes), N, solve_c, rows)
-    while len(ech.free) > 1 and len(rows) < 3 * N:
-        rows.append(_collocation_row(next(points), m, n, data_c))
-        ech.add(rows[-1])
-    limit = 2 * prod(sum(map(abs, row)) for row in rows) ** 2
-    best = None
-    for used in count(1):
+    sweep = curve_points(P)
+    points = [_counted_point(next(sweep), m, n, data_c) for _ in range(N)]
+    limit = best = None
+    for used, p in enumerate(modular_primes(), 1):
+        ech = ModEchelon(p, N, solve_c, [_residue_row(pt, m, n, p) for pt in points])
+        while used == 1 and len(ech.free) > 1 and len(points) < 3 * N:
+            points.append(_counted_point(next(sweep), m, n, data_c))
+            ech.add(_residue_row(points[-1], m, n, p))
         if not ech.free:  # rank mod p <= rank over Q < N, as F is a null vector
             raise InternalConsistencyError("interpolation system has full rank mod p")
         key = (-len(ech.free), ech.free)
         if best is None or key > best:  # an unlucky prime has more or earlier free columns
-            best, modulus, acc = key, ech.p, ech.null_vectors()
+            best, modulus, acc = key, p, ech.null_vectors()
         elif key == best:
-            acc = _crt(acc, modulus, ech.null_vectors(), ech.p)
-            modulus *= ech.p
+            acc = _crt(acc, modulus, ech.null_vectors(), p)
+            modulus *= p
         if key == best:
             proven = list(islice(_proven(P, acc, modulus, bounds), 2))
             if len(ech.free) == 1 and proven:
                 return ImplicitResult(proven[0], bounds, data_c, solve_c, True, primes=used)
             if len(proven) == 2:
                 raise DegenerateInputError(
-                    f"two independent equations vanish on the curve at {len(rows)} points"
+                    f"two independent equations vanish on the curve at {len(points)} points"
                 )
+        if limit is None:
+            limit = 2 * prod(_row_norm(pt, m, n) for pt in points) ** 2
         if modulus > limit:
             raise InternalConsistencyError("no proven candidate within the Hadamard bound")
-        ech = ModEchelon(next(primes), N, solve_c, rows)
 
 
-def _collocation_row(point: tuple[int, ...], m: int, n: int, counter: OpCounter) -> list[int]:
-    """The collocation row at the point (a/b, c/e), the reduced tuple
-    (a, b, c, e), cleared to integers: entry (i, j) is a^i b^(m-i) c^j e^(n-j)."""
+def _counted_point(
+    point: tuple[int, int, int, int], m: int, n: int, counter: OpCounter
+) -> tuple[int, int, int, int]:
+    """The reduced point (a, b, c, e), its collocation row counted as data:
+    m + n muls for the powers, one per entry, and the widest entry
+    max(|a|, |b|)**m * max(|c|, |e|)**n observed."""
     a, b, c, e = point
-    xs = [a**i * b ** (m - i) for i in range(m + 1)]
-    ys = [c**j * e ** (n - j) for j in range(n + 1)]
-    row = [u * w for u in xs for w in ys]
-    counter.count(muls=m + n + len(row))
-    counter.observe(max(map(abs, row)))
-    return row
+    counter.count(muls=m + n + (m + 1) * (n + 1))
+    counter.observe(max(abs(a), abs(b)) ** m * max(abs(c), abs(e)) ** n)
+    return point
+
+
+def _residue_row(point: tuple[int, int, int, int], m: int, n: int, p: int) -> list[int]:
+    """The collocation row at the point (a/b, c/e), the reduced tuple
+    (a, b, c, e), cleared to integers, mod ``p``: entry (i, j), i-major, is
+    congruent to a^i b^(m-i) c^j e^(n-j) and in [0, p**2), a product of two
+    residues from running products, which ``ModEchelon`` reduces."""
+    a, b, c, e = point
+    xs = _homogeneous_powers(a % p, b % p, m, p)
+    ys = _homogeneous_powers(c % p, e % p, n, p)
+    return [u * w for u in xs for w in ys]
+
+
+def _homogeneous_powers(a: int, b: int, d: int, p: int) -> list[int]:
+    """a^i b^(d-i) mod p for i = 0..d."""
+    lo, hi = [1], [1]
+    for _ in range(d):
+        lo.append(lo[-1] * a % p)
+        hi.append(hi[-1] * b % p)
+    return [u * w % p for u, w in zip(lo, reversed(hi))]
+
+
+def _row_norm(point: tuple[int, int, int, int], m: int, n: int) -> int:
+    """The 1-norm of the integer collocation row at (a, b, c, e): the
+    product of sum |a|^i |b|^(m-i) and sum |c|^j |e|^(n-j)."""
+    a, b, c, e = map(abs, point)
+    return sum(a**i * b ** (m - i) for i in range(m + 1)) * sum(
+        c**j * e ** (n - j) for j in range(n + 1))
 
 
 def _crt(acc: list[list[int]], modulus: int, vecs: list[list[int]], p: int) -> list[list[int]]:

@@ -13,8 +13,10 @@ subresultant PRS of `polycore.resultant` computes once per line, its nodes
 packed into one by Kronecker substitution.
 
 Each node scheme has its solver.  The unstructured scheme keeps the row
-echelon form mod a prime of its integer rows (`ModEchelon`), grown a row
-at a time, whose null vectors the pipeline combines over several primes.
+echelon form mod a prime of its collocation rows (`ModEchelon`), grown a
+row at a time, each row packed into one int by the same Kronecker
+substitution, so that a row reduction is one big-int multiply-add; the
+pipeline combines its null vectors over several primes.
 The determinant schemes solve structured systems: Björck-Pereyra
 elimination for primal and transposed Vandermonde systems
 (`vandermonde_solve_primal` / `vandermonde_solve_dual`), and a two-stage
@@ -31,6 +33,7 @@ report how large their interpolation data grew.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -169,11 +172,25 @@ class ModEchelon:
     entry 1, zeros left of it) in pivot order, and a nonzero remainder is
     stored under its first nonzero column.  The pivot columns are those of
     the reduced row echelon form, whatever the row order; the rest are free.
+
+    Rows are reduced packed into one int each, one entry per ``slot`` bits
+    (Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, 8.4), and a stored row is kept packed from its pivot on.  A
+    reduction is then one big-int multiply-add, r += (p - f) * row, its
+    multiplier f read from r's lowest slot by mask and ``% p``, after r has
+    dropped the slots left of the pivot.  No slot carries into the next:
+    stored entries and the new row's lie in [0, p), and a row meets at most
+    ``width`` reductions, each adding less than p**2 to a slot, so every
+    slot stays below (width + 2) * p**2 <= 2**slot.  One code path serves
+    every width and prime.  The reduced row is unpacked once, to find its
+    lead and normalize it.
     """
 
     def __init__(self, p: int, width: int, counter: OpCounter, rows: Sequence = ()) -> None:
         self.p, self.width, self.counter = p, width, counter
+        self.slot = -(-((width + 2) * p * p).bit_length() // 8) * 8  # whole bytes
         self.rows: dict[int, list[int]] = {}
+        self._packed: list[tuple[int, int]] = []  # (pivot, row packed from it), ascending
         for row in rows:
             self.add(row)
 
@@ -182,36 +199,56 @@ class ModEchelon:
         return tuple(j for j in range(self.width) if j not in self.rows)
 
     def add(self, row: Sequence[int]) -> None:
-        p, w = self.p, self.width
-        r = [x % p for x in row]
-        ops = 0
-        for col in sorted(self.rows):
-            f = r[col] % p
-            if f:  # entries are reduced once, at the end
-                r[col:] = [x - f * y for x, y in zip(r[col:], self.rows[col][col:])]
+        p, w, k, rows = self.p, self.width, self.slot, self.rows
+        mask, step = (1 << k) - 1, k // 8
+        # r holds the slots from column ``at`` on.  A slot r moves past is
+        # final; left of the first free column it is a pivot slot, 0 mod p,
+        # and is dropped, else it is kept as bytes, from column ``base`` on.
+        first = next((j for j in range(w) if j not in rows), w)
+        r, at, base, kept, ops = _pack([x % p for x in row], step), 0, None, [], 0
+        for col, packed in self._packed:
+            if col > at:
+                if col > first:
+                    base = at if base is None else base
+                    kept.append((r & ((1 << (col - at) * k) - 1)).to_bytes((col - at) * step, "little"))
+                r >>= (col - at) * k
+                at = col
+            f = (r & mask) % p
+            if f:
+                r += (p - f) * packed
                 ops += w - col
         self.counter.count(adds=ops, muls=ops)
-        r = [x % p for x in r]
-        lead = next((j for j, x in enumerate(r) if x), None)
+        base = at if base is None else base
+        data = b"".join(kept) + r.to_bytes((w - at) * step, "little")
+        slots = [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
+        lead = next((j for j in range(first, w) if j not in rows and slots[j - base] % p), None)
         if lead is not None:
-            inv = pow(r[lead], -1, p)
-            self.rows[lead] = [x * inv % p for x in r]
+            inv = pow(slots[lead - base], -1, p)
+            tail = [x * inv % p for x in slots[lead - base :]]
+            rows[lead] = [0] * lead + tail
+            insort(self._packed, (lead, _pack(tail, step)))
             self.counter.count(muls=w, divs=1)
 
     def null_vectors(self) -> list[list[int]]:
         """The reduced-row-echelon nullspace basis mod p, by back-substitution:
         for each free column f, the null vector that is 1 at f and 0 at the
         other free columns."""
-        basis = []
+        basis, ops = [], 0
         for f in self.free:
             v = [0] * self.width
             v[f] = 1
-            for col in sorted(self.rows, reverse=True):
+            for col, _ in reversed(self._packed):
                 tail = self.rows[col][col + 1 :]
                 v[col] = -sum(map(mul, tail, v[col + 1 :])) % self.p
-                self.counter.count(adds=len(tail), muls=len(tail))
+                ops += len(tail)
             basis.append(v)
+        self.counter.count(adds=ops, muls=ops)
         return basis
+
+
+def _pack(entries: list[int], step: int) -> int:
+    """The entries, each in [0, 2**(8*step)), as one int: entry j at byte j*step."""
+    return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in entries]), "little")
 
 
 def _check_nodes(nodes: Sequence[Rat]) -> None:

@@ -80,6 +80,8 @@ def _workload(tmp_path, monkeypatch):
         RatParam(*wide),  # rational, wide: the modular solve needs several primes
         RatParam(t * UniPoly([1, 1]), UniPoly([2, 1]) * UniPoly([1, 1]), t * t, UniPoly.one()),
     ]
+    # a cold prime cache, so the wide curve finds its primes whatever ran before
+    monkeypatch.setattr(polycore, "_PRIMES", [polycore.COPRIME_PRIME])
     for P in curves:
         for method in METHODS:
             implicitize(P, MethodConfig(method=method))

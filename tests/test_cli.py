@@ -217,6 +217,20 @@ def test_cmd_implicitize_names_a_bad_primes_entry(primes, capsys):
     assert capsys.readouterr().err == "error: --primes expects two comma-separated primes\n"
 
 
+def test_cmd_implicitize_reads_primes_in_ascii_digits(monkeypatch, capsys):
+    # int() would read these as 5,7 and 11,3
+    argv = ["implicitize", "--x", "t", "--y", "t^2", "--method", "dualvand", "--primes"]
+    for primes in ("\u0665,\u0667", "1_1,3"):
+        assert main([*argv, primes]) == 1
+        assert capsys.readouterr().err == "error: --primes expects two comma-separated primes\n"
+    seen = []
+    real = cli.implicitize
+    monkeypatch.setattr(cli, "implicitize", lambda P, cfg: seen.append(cfg) or real(P, cfg))
+    assert main([*argv, "5,7"]) == 0
+    assert [(cfg.p1, cfg.p2) for cfg in seen] == [(5, 7)]
+    assert capsys.readouterr().out == "y - x^2\n"
+
+
 def test_cmd_implicitize_notes_reduction(capsys):
     code = main(["implicitize", "--x", "(t^2-1)/(t-1)", "--y", "t"])
     assert code == 0

@@ -41,11 +41,13 @@ from implicurve.cli import main
 from implicurve.pipeline import (
     MAX_NODE_PRIME,
     _check_interpolation_data,
-    _collocation_row,
+    _counted_point,
     _from_determinants,
     _integer_nodes,
     _observe_node_powers,
     _rational_reconstruction,
+    _residue_row,
+    _row_norm,
     curve_points,
 )
 from implicurve.polycore import COPRIME_PRIME, modular_primes
@@ -100,6 +102,29 @@ def test_nodes_on_curve_skips_poles():
     ]
 
 
+def test_sweep_poles_at_the_first_values_agree_across_methods():
+    # denominators that vanish at t = 0, 1 and 2: the sweep starts at t = 3,
+    # and the three methods give the same canonical F, which vanishes there
+    t, one = UniPoly([0, 1]), UniPoly.one()
+    poles = t * UniPoly([-1, 1]) * UniPoly([-2, 1])  # t (t - 1) (t - 2)
+    curves = [
+        RatParam(UniPoly([1, 0, 1]), t * UniPoly([-1, 1]), UniPoly([5, 1]), UniPoly([-2, 1])),
+        RatParam(one, poles, t * t, one),
+        RatParam(UniPoly([1, 2]), poles, UniPoly([1, 0, 0, 1]), poles),
+    ]
+    for P in curves:
+        (u1, v1), (u2, v2) = (P.u1, P.v1), (P.u2, P.v2)
+        first = next(curve_points(P))
+        want = (Fraction(_at(u1, 3), _at(v1, 3)), Fraction(_at(u2, 3), _at(v2, 3)))
+        assert (Fraction(first[0], first[1]), Fraction(first[2], first[3])) == want
+        Fs = [fn(P).F for fn in (method_unstructured, method_dual_vandermonde, method_kronecker)]
+        assert Fs[0] == Fs[1] == Fs[2]
+        for t0 in (3, 4, 7):
+            x0, y0 = Fraction(_at(u1, t0), _at(v1, t0)), Fraction(_at(u2, t0), _at(v2, t0))
+            assert sum(c * x0**i * y0**j for i, row in enumerate(Fs[0].coeffs)
+                       for j, c in enumerate(row)) == 0
+
+
 def test_nodes_on_curve_skips_duplicate_points():
     # x = y = t^2 - 3t + 2 revisits the same point at t = 2 and t = 3
     q = UniPoly([2, -3, 1])
@@ -119,20 +144,31 @@ def test_nodes_on_curve_rejects_nonpositive_count():
 
 
 def test_collocation_row_is_monomial_basis():
-    # entry (i, j), i-major, is x0^i y0^j times b^m e^n, (x0, y0) = (a/b, c/e)
+    # entry (i, j), i-major, is x0^i y0^j times b^m e^n, (x0, y0) = (a/b, c/e),
+    # kept mod p; the point alone gives the data count, the widest entry and
+    # the row's 1-norm
     assert nodes_on_curve(HYPERBOLA, 3)[2] == (Fraction(3, 4), Fraction(5, 6))
     pts = list(itertools.islice(curve_points(HYPERBOLA), 4))
     assert pts[0] == (1, 2, 3, 4) and pts[2] == (3, 4, 5, 6)
-    assert _collocation_row(pts[0], 1, 1, OpCounter()) == [8, 6, 4, 3]  # 8 * (1, 3/4, 1/2, 3/8)
-    assert _collocation_row(pts[2], 1, 1, OpCounter()) == [24, 20, 18, 15]
+    assert _residue_row(pts[0], 1, 1, COPRIME_PRIME) == [8, 6, 4, 3]  # 8 * (1, 3/4, 1/2, 3/8)
+    assert [v % 7 for v in _residue_row(pts[2], 1, 1, 7)] == [v % 7 for v in (24, 20, 18, 15)]
     rng = random.Random(3)
-    for m, n in ((1, 1), (2, 3), (3, 2)):
+    for m, n in ((1, 1), (2, 3), (3, 2), (4, 4)):
         for _ in range(5):
-            x0, y0 = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in "xy")
+            x0, y0 = (Fraction(rng.randint(-2**40, 2**40), rng.randint(1, 2**40)) for _ in "xy")
             scale = x0.denominator**m * y0.denominator**n
             want = [x0**i * y0**j * scale for i in range(m + 1) for j in range(n + 1)]
+            assert all(v.denominator == 1 for v in want)
             point = (x0.numerator, x0.denominator, y0.numerator, y0.denominator)
-            assert _collocation_row(point, m, n, OpCounter()) == want
+            for p in (7, COPRIME_PRIME):
+                row = _residue_row(point, m, n, p)
+                assert all(0 <= v < p * p for v in row)
+                assert [v % p for v in row] == [int(v) % p for v in want]
+            c = OpCounter()
+            assert _counted_point(point, m, n, c) == point
+            assert c.muls == m + n + len(want)
+            assert c.max_bits == max(abs(int(v)) for v in want).bit_length()
+            assert _row_norm(point, m, n) == sum(abs(int(v)) for v in want)
 
 
 def test_method_unstructured_hyperbola():

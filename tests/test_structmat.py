@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import implicurve
 from implicurve import structmat
-from implicurve.pipeline import _collocation_row, nodes_on_curve
+from implicurve.pipeline import _residue_row, nodes_on_curve
 from implicurve.polycore import COPRIME_PRIME, _cleared, resultant
 from implicurve.structmat import InternalConsistencyError
 from implicurve import (
@@ -37,6 +37,7 @@ from util import (
     CUBIC_F_RAW,
     CUBIC_GRID_DATA,
     HYPERBOLA,
+    ListEchelon,
     cofactor_det,
     kron,
     matvec,
@@ -285,6 +286,56 @@ def test_mod_echelon_counts_each_reduction():
     assert (c.adds, c.muls, c.divs) == (6, 12, 2)
 
 
+def _same_echelon(rows, p, width):
+    """``ModEchelon`` of ``rows``, after checking that it agrees with the
+    list-based oracle on free columns, stored rows, null vectors and counts."""
+    got_c, want_c = OpCounter(), OpCounter()
+    got = ModEchelon(p, width, got_c, rows)
+    want = ListEchelon(p, width, want_c, rows)
+    assert got.free == want.free and got.rows == want.rows
+    assert got.null_vectors() == want.null_vectors()
+    assert (got_c.adds, got_c.muls, got_c.divs) == (want_c.adds, want_c.muls, want_c.divs)
+    return got
+
+
+def test_packed_echelon_matches_the_list_oracle():
+    # at the 61-bit prime a slot is 128 bits at width 25 and 136 at 81 and 121
+    rng = random.Random(26)
+    slots = {(7, 25): 16, (7, 81): 16, (7, 121): 16,
+             (COPRIME_PRIME, 25): 128, (COPRIME_PRIME, 81): 136, (COPRIME_PRIME, 121): 136}
+    for (p, width), slot in slots.items():
+        # independent rows with leading zeros, so that the pivots skip
+        # columns, entries outside [0, p), then dependent rows and a zero row
+        rank = width + 3 if width == 25 else width // 4
+        rows = [[0] * rng.randrange(width // 2) for _ in range(rank)]
+        rows = [r + [rng.randrange(-p * p, p * p) for _ in range(width - len(r))] for r in rows]
+        for _ in range(3):
+            a, b, f = rng.choice(rows), rng.choice(rows), rng.randrange(p)
+            rows.append([x + f * y for x, y in zip(a, b)])
+        rows.append([0] * width)
+        rng.shuffle(rows)
+        assert _same_echelon(rows, p, width).slot == slot
+
+
+def test_packed_echelon_worst_case_fills_its_slots():
+    # stored rows e_k - (e_(k+1) + ... ): every stored entry right of a pivot
+    # is p - 1, and the row (1 - j mod p)_j meets the multiplier p - 1 at
+    # every pivot, so its slot j grows to x_j + j (p - 1)**2
+    for p, width in ((7, 25), (COPRIME_PRIME, 81), (COPRIME_PRIME, 121)):
+        stored = [[0] * k + [1] + [p - 1] * (width - k - 1) for k in range(width - 1)]
+        row = [(1 - j) % p for j in range(width)]
+        c = OpCounter()
+        ech = ModEchelon(p, width, c, stored)
+        assert c.adds == 0
+        ech.add(row)
+        assert c.adds == sum(width - k for k in range(width - 1))  # no multiplier was 0
+        _same_echelon(stored + [row], p, width)
+        # the last slot needs more than the slot's lower bytes: one byte
+        # less, or a width one bit narrower at the 61-bit prime, carries
+        peak = row[-1] + (width - 1) * (p - 1) ** 2
+        assert ech.slot - 8 < peak.bit_length() <= ech.slot
+
+
 def test_nullspace_matches_sympy():
     def oracle(rows):
         M = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in r] for r in rows])
@@ -315,11 +366,12 @@ def test_nullspace_matches_sympy():
     for count in (16, 17):
         points = nodes_on_curve(CUBIC, count)
         A = [[x0**i * y0**j for i in range(4) for j in range(4)] for x0, y0 in points]
-        rows = [_collocation_row((x0.numerator, x0.denominator, y0.numerator, y0.denominator),
-                                 3, 3, OpCounter()) for x0, y0 in points]
-        # the integer row is the rational one times b^3 e^3, (a/b, c/e) the point
+        rows = [_residue_row((x0.numerator, x0.denominator, y0.numerator, y0.denominator),
+                             3, 3, COPRIME_PRIME) for x0, y0 in points]
+        # the residue row is the rational one times b^3 e^3 mod p, (a/b, c/e) the point
         for (x0, y0), row, want in zip(points, rows, A):
-            assert row == [v * (x0.denominator * y0.denominator) ** 3 for v in want]
+            scale = (x0.denominator * y0.denominator) ** 3
+            assert [v % COPRIME_PRIME for v in row] == _mod_p(v * scale for v in want)
         ech = ModEchelon(COPRIME_PRIME, 16, OpCounter(), rows)
         assert ech.free == (15,) and ech.null_vectors() == oracle(A)
 

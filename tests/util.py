@@ -93,6 +93,54 @@ def matvec(rows, vec):
     return [sum((r * v for r, v in zip(row, vec)), Fraction(0)) for row in rows]
 
 
+class ListEchelon:
+    """Oracle for ``ModEchelon``: the same row echelon form mod ``p``, grown a
+    row at a time, with each row a list of residues and each reduction a
+    list comprehension over the columns right of its pivot.  It counts the
+    same operations: ``width - col`` adds and muls per reduction, ``width``
+    muls and one div per stored row, and the tail lengths of the
+    back-substitution."""
+
+    def __init__(self, p, width, counter, rows=()):
+        self.p, self.width, self.counter = p, width, counter
+        self.rows = {}
+        for row in rows:
+            self.add(row)
+
+    @property
+    def free(self):
+        return tuple(j for j in range(self.width) if j not in self.rows)
+
+    def add(self, row):
+        p, w = self.p, self.width
+        r = [x % p for x in row]
+        ops = 0
+        for col in sorted(self.rows):
+            f = r[col] % p
+            if f:
+                r[col:] = [x - f * y for x, y in zip(r[col:], self.rows[col][col:])]
+                ops += w - col
+        self.counter.count(adds=ops, muls=ops)
+        r = [x % p for x in r]
+        lead = next((j for j, x in enumerate(r) if x), None)
+        if lead is not None:
+            inv = pow(r[lead], -1, p)
+            self.rows[lead] = [x * inv % p for x in r]
+            self.counter.count(muls=w, divs=1)
+
+    def null_vectors(self):
+        basis = []
+        for f in self.free:
+            v = [0] * self.width
+            v[f] = 1
+            for col in sorted(self.rows, reverse=True):
+                tail = self.rows[col][col + 1 :]
+                v[col] = -sum(a * b for a, b in zip(tail, v[col + 1 :])) % self.p
+                self.counter.count(adds=len(tail), muls=len(tail))
+            basis.append(v)
+        return basis
+
+
 def poly_divmod(p: UniPoly, d: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Oracle: quotient and remainder of ``p`` by a nonzero ``d`` over
     ``Fraction``s, by long division."""
