@@ -278,8 +278,9 @@ def _parse_param(x_text: str, y_text: str) -> RatParam:
     return RatParam(u1, v1, u2, v2)
 
 
-#: ``--primes``: two integers in ASCII digits, as the expression grammar reads them.
-_PRIMES_ARG = re.compile(r"(\d+),(\d+)", re.ASCII)
+#: ``--primes``: two integers in ASCII digits, as the expression grammar reads
+#: them, each signed or not and with spaces around it, as ``int`` allows.
+_PRIMES_ARG = re.compile(r"\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*", re.ASCII)
 
 
 def cmd_implicitize(args: argparse.Namespace) -> int:

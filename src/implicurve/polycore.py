@@ -528,10 +528,7 @@ def _numerator(grid: Sequence[Sequence[int]], point: Sequence[int]) -> int:
 
 
 def _cleared(rows: Sequence[Sequence[Rat | int]]) -> list[list[int]]:
-    """The rows scaled by one common factor to integers; rows of ints come
-    back unscaled, as lists."""
-    if all(type(c) is int for row in rows for c in row):
-        return [list(row) for row in rows]
+    """The rows scaled by one common factor to integers."""
     scale = _int_lcm(*(c.denominator for row in rows for c in row))
     return [[c.numerator * (scale // c.denominator) for c in row] for row in rows]
 

@@ -177,13 +177,16 @@ class ModEchelon:
     (Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
     Algebra*, 8.4), and a stored row is kept packed from its pivot on.  A
     reduction is then one big-int multiply-add, r += (p - f) * row, its
-    multiplier f read from r's lowest slot by mask and ``% p``, after r has
-    dropped the slots left of the pivot.  No slot carries into the next:
-    stored entries and the new row's lie in [0, p), and a row meets at most
-    ``width`` reductions, each adding less than p**2 to a slot, so every
-    slot stays below (width + 2) * p**2 <= 2**slot.  One code path serves
-    every width and prime.  The reduced row is unpacked once, to find its
-    lead and normalize it.
+    multiplier f read from r's slot at the pivot by shift, mask and ``% p``.
+    The columns left of the first free one are all pivots: r reduces at its
+    lowest slot and drops it, as the slot is then 0 mod p.  Right of it, r
+    keeps every slot and the stored row is shifted to its pivot.  (A generic
+    system has pivots 0, 1, ..., so the second kind is rare.)  No slot
+    carries into the next: stored entries and the new row's lie in [0, p),
+    and a row meets at most ``width`` reductions, each adding less than
+    p**2 to a slot, so every slot stays below (width + 2) * p**2 <=
+    2**slot.  One code path serves every width and prime.  The reduced row
+    is unpacked once, to find its lead and normalize it.
     """
 
     def __init__(self, p: int, width: int, counter: OpCounter, rows: Sequence = ()) -> None:
@@ -201,30 +204,29 @@ class ModEchelon:
     def add(self, row: Sequence[int]) -> None:
         p, w, k, rows = self.p, self.width, self.slot, self.rows
         mask, step = (1 << k) - 1, k // 8
-        # r holds the slots from column ``at`` on.  A slot r moves past is
-        # final; left of the first free column it is a pivot slot, 0 mod p,
-        # and is dropped, else it is kept as bytes, from column ``base`` on.
         first = next((j for j in range(w) if j not in rows), w)
-        r, at, base, kept, ops = _pack([x % p for x in row], step), 0, None, [], 0
-        for col, packed in self._packed:
-            if col > at:
-                if col > first:
-                    base = at if base is None else base
-                    kept.append((r & ((1 << (col - at) * k) - 1)).to_bytes((col - at) * step, "little"))
-                r >>= (col - at) * k
-                at = col
+        r, ops = _pack([x % p for x in row], step), 0
+        # columns 0, ..., first - 1 are pivots: r reduces at its lowest slot
+        # and drops it, leaving the slots from ``first`` on
+        for col, packed in self._packed[:first]:
             f = (r & mask) % p
             if f:
                 r += (p - f) * packed
                 ops += w - col
+            r >>= k
+        for col, packed in self._packed[first:]:
+            at = (col - first) * k
+            f = (r >> at & mask) % p
+            if f:
+                r += (p - f) * packed << at
+                ops += w - col
         self.counter.count(adds=ops, muls=ops)
-        base = at if base is None else base
-        data = b"".join(kept) + r.to_bytes((w - at) * step, "little")
-        slots = [int.from_bytes(data[i : i + step], "little") for i in range(0, len(data), step)]
-        lead = next((j for j in range(first, w) if j not in rows and slots[j - base] % p), None)
+        data = r.to_bytes((w - first) * step, "little")
+        slots = [int.from_bytes(data[i : i + step], "little") % p for i in range(0, len(data), step)]
+        lead = next((j for j, x in enumerate(slots, first) if x), None)
         if lead is not None:
-            inv = pow(slots[lead - base], -1, p)
-            tail = [x * inv % p for x in slots[lead - base :]]
+            inv = pow(slots[lead - first], -1, p)
+            tail = [x * inv % p for x in slots[lead - first :]]
             rows[lead] = [0] * lead + tail
             insort(self._packed, (lead, _pack(tail, step)))
             self.counter.count(muls=w, divs=1)

@@ -226,9 +226,13 @@ def test_cmd_implicitize_reads_primes_in_ascii_digits(monkeypatch, capsys):
     seen = []
     real = cli.implicitize
     monkeypatch.setattr(cli, "implicitize", lambda P, cfg: seen.append(cfg) or real(P, cfg))
-    assert main([*argv, "5,7"]) == 0
-    assert [(cfg.p1, cfg.p2) for cfg in seen] == [(5, 7)]
-    assert capsys.readouterr().out == "y - x^2\n"
+    for primes in ("5,7", " 5, +7 "):
+        assert main([*argv, primes]) == 0
+        assert capsys.readouterr().out == "y - x^2\n"
+    assert [(cfg.p1, cfg.p2) for cfg in seen] == [(5, 7), (5, 7)]
+    # a negative entry is read, and refused as not prime
+    assert main([*argv[:-1], "--primes=-5,7"]) == 1
+    assert capsys.readouterr().err == "error: node primes p1 and p2 must both be prime\n"
 
 
 def test_cmd_implicitize_notes_reduction(capsys):

@@ -125,14 +125,6 @@ def test_poly_gcd_divides_both_and_is_monic():
         assert ints == _cleared((u.coeffs, v.coeffs))
 
 
-def test_cleared_returns_int_rows_unscaled():
-    rows = ((3, -4), (0, 7))
-    got = _cleared(rows)
-    assert got == [[3, -4], [0, 7]] and all(type(row) is list for row in got)
-    assert [type(c) for c in _cleared([[Fraction(3), 2]])[0]] == [int, int]
-    assert _cleared([[Fraction(1, 2), Fraction(-2, 3), 1]]) == [[3, -4, 6]]
-
-
 def test_poly_gcd_of_two_zeros_rejected():
     # lowest_terms refuses a zero denominator, so the gcd is always defined
     for u in (UniPoly.zero(), UniPoly([0, 1])):
