@@ -12,8 +12,10 @@ dictates the structure (and cost) of the linear algebra:
     Nodes are points on the curve itself, swept from t = 0, 1, 2, ...
     F is a nullspace vector of a dense N x N homogeneous system — no
     structure, cubic-cost elimination, run modulo 61-bit primes on rows
-    rebuilt per prime from the points and packed one int per row.  CRT and
-    rational reconstruction rebuild F, and the vanishing proof accepts it.
+    rebuilt per prime from the points, each built packed as one product of
+    two ints.  CRT and rational reconstruction, with one running common
+    denominator per vector, rebuild F as ints, and the vanishing proof
+    accepts it.
 
 ``method_dual_vandermonde``
     Nodes are geometric points (p1^k, p2^k) for two distinct primes.  The
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice, takewhile
+from itertools import count, islice
 from math import gcd, isqrt, prod
 from typing import Callable, Iterator, Sequence
 
@@ -191,11 +193,13 @@ def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> Implici
 
     A c = 0 over the first N curve points normally has a one-dimensional
     nullspace, spanned by F.  Its rows, the monomials at the points, are
-    built mod each prime from the kept points (:func:`_residue_row`) and
-    eliminated in packed form (``ModEchelon``); while the first prime
-    leaves a nullity above 1, up to 2N more points extend its echelon form.
-    CRT and rational reconstruction rebuild the null vectors, and
-    ``substitute_check`` must prove each.  As rank mod p <= rank over Q, a
+    built mod each prime from the kept points, packed at the slot width of
+    the elimination (:func:`_residue_row`), and eliminated in that form
+    (``ModEchelon``); while the first prime leaves a nullity above 1, up to
+    2N more points extend its echelon form.  CRT and rational
+    reconstruction rebuild each null vector v as the ints S * v, S the lcm
+    of its denominators (:func:`_scaled_reconstruction`), so no
+    ``Fraction`` is built, and ``substitute_check`` must prove each.  As rank mod p <= rank over Q, a
     nullity of 1 mod p then means F spans the nullspace; two proven vectors
     raise ``DegenerateInputError``.  Past 2*H**2, H the product of the
     integer rows' 1-norms (Hadamard, :func:`_row_norm`, computed once a
@@ -210,10 +214,12 @@ def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> Implici
     points = [_counted_point(next(sweep), m, n, data_c) for _ in range(N)]
     limit = best = None
     for used, p in enumerate(modular_primes(), 1):
-        ech = ModEchelon(p, N, solve_c, [_residue_row(pt, m, n, p) for pt in points])
+        ech = ModEchelon(p, N, solve_c)
+        for pt in points:
+            ech.add(_residue_row(pt, m, n, p, ech.slot))
         while used == 1 and len(ech.free) > 1 and len(points) < 3 * N:
             points.append(_counted_point(next(sweep), m, n, data_c))
-            ech.add(_residue_row(points[-1], m, n, p))
+            ech.add(_residue_row(points[-1], m, n, p, ech.slot))
         if not ech.free:  # rank mod p <= rank over Q < N, as F is a null vector
             raise InternalConsistencyError("interpolation system has full rank mod p")
         key = (-len(ech.free), ech.free)
@@ -248,24 +254,32 @@ def _counted_point(
     return point
 
 
-def _residue_row(point: tuple[int, int, int, int], m: int, n: int, p: int) -> list[int]:
+def _residue_row(
+    point: tuple[int, int, int, int], m: int, n: int, p: int, slot: int
+) -> int:
     """The collocation row at the point (a/b, c/e), the reduced tuple
-    (a, b, c, e), cleared to integers, mod ``p``: entry (i, j), i-major, is
-    congruent to a^i b^(m-i) c^j e^(n-j) and in [0, p**2), a product of two
-    residues from running products, which ``ModEchelon`` reduces."""
+    (a, b, c, e), cleared to integers, mod ``p`` and packed for
+    ``ModEchelon``: entry (i, j), i-major, at bits (i(n+1) + j) * ``slot``,
+    is congruent to a^i b^(m-i) c^j e^(n-j).  It is one product X * Y, X
+    packing a^i b^(m-i) mod p at stride (n+1) * slot and Y packing
+    c^j e^(n-j) mod p at stride slot: each slot receives exactly one
+    product of two residues, less than p**2 <= 2**slot, so nothing carries.
+    """
     a, b, c, e = point
-    xs = _homogeneous_powers(a % p, b % p, m, p)
-    ys = _homogeneous_powers(c % p, e % p, n, p)
-    return [u * w for u in xs for w in ys]
+    return _homogeneous_powers(a % p, b % p, m, p, (n + 1) * slot) * _homogeneous_powers(
+        c % p, e % p, n, p, slot)
 
 
-def _homogeneous_powers(a: int, b: int, d: int, p: int) -> list[int]:
-    """a^i b^(d-i) mod p for i = 0..d."""
-    lo, hi = [1], [1]
+def _homogeneous_powers(a: int, b: int, d: int, p: int, stride: int) -> int:
+    """a^i b^(d-i) mod p for i = 0..d, packed: power i at bits i * stride."""
+    hi = [1]
     for _ in range(d):
-        lo.append(lo[-1] * a % p)
         hi.append(hi[-1] * b % p)
-    return [u * w % p for u, w in zip(lo, reversed(hi))]
+    packed, lo = hi[d], 1
+    for i in range(1, d + 1):
+        lo = lo * a % p
+        packed |= (lo * hi[d - i] % p) << i * stride
+    return packed
 
 
 def _row_norm(point: tuple[int, int, int, int], m: int, n: int) -> int:
@@ -286,17 +300,47 @@ def _proven(P: RatParam, vecs: list[list[int]], modulus: int, bounds: DegreeBoun
     """The canonical F of each vector in ``vecs`` that has a rational
     reconstruction mod ``modulus``, when ``substitute_check`` proves it."""
     for vec in vecs:
-        values = (_rational_reconstruction(u, modulus) for u in vec)
-        flat = list(takewhile(lambda v: v is not None, values))
-        if len(flat) == len(vec):  # then F is 1 at its free column, so nonzero
-            F = bipoly_canonicalize(BiPoly.from_flat(flat, bounds.m, bounds.n))
+        ints = _scaled_reconstruction(vec, modulus)
+        if ints is not None:  # F is nonzero at its free column
+            F = bipoly_canonicalize(BiPoly.from_flat(ints, bounds.m, bounds.n))
             if substitute_check(F, P):
                 yield F
 
 
-def _rational_reconstruction(u: int, modulus: int) -> Rat | None:
+def _scaled_reconstruction(vec: list[int], modulus: int) -> list[int] | None:
+    """S * v as ints, v the :func:`_rational_reconstruction` of ``vec`` entry
+    by entry and S the lcm of its denominators, or None if an entry has none.
+
+    The entries share most of their denominator, so S runs along (Monagan,
+    *ISSAC* 2004): for w = u * S mod ``modulus`` in the symmetric range,
+    |w| <= sqrt(modulus/2) and S / gcd(w, S) <= that bound make w / S the
+    one reconstruction within the bound (S is prime to the modulus, as every
+    denominator is); only otherwise does Euclid run.
+    """
+    bound, half = isqrt(modulus // 2), modulus // 2
+    scale, out = 1, []
+    for u in vec:
+        w = u * scale % modulus
+        if w > half:
+            w -= modulus
+        if -bound <= w <= bound and (scale <= bound or scale // gcd(w, scale) <= bound):
+            out.append(w)
+            continue
+        rs = _rational_reconstruction(u, modulus)
+        if rs is None:
+            return None
+        r, s = rs
+        grow = s // gcd(scale, s)
+        scale *= grow
+        out = [x * grow for x in out]
+        out.append(r * (scale // s))
+    return out
+
+
+def _rational_reconstruction(u: int, modulus: int) -> tuple[int, int] | None:
     """The unique r/s = u mod ``modulus`` with |r|, s <= sqrt(modulus/2) and
-    gcd(r, s) = 1, or None (Wang's half-extended Euclid)."""
+    gcd(r, s) = 1, as (r, s) with s > 0, or None (Wang's half-extended
+    Euclid)."""
     bound = isqrt(modulus // 2)
     r0, r1, s0, s1 = modulus, u % modulus, 0, 1
     while r1 > bound:
@@ -304,7 +348,7 @@ def _rational_reconstruction(u: int, modulus: int) -> Rat | None:
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
     if abs(s1) > bound or gcd(r1, s1) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def method_dual_vandermonde(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:

@@ -14,9 +14,10 @@ packed into one by Kronecker substitution.
 
 Each node scheme has its solver.  The unstructured scheme keeps the row
 echelon form mod a prime of its collocation rows (`ModEchelon`), grown a
-row at a time, each row packed into one int by the same Kronecker
-substitution, so that a row reduction is one big-int multiply-add; the
-pipeline combines its null vectors over several primes.
+row at a time, each row arriving packed into one int by the same Kronecker
+substitution, so that a row reduction is one big-int multiply-add and the
+reduced row is read back in one pass; the pipeline combines its null
+vectors over several primes.
 The determinant schemes solve structured systems: Björck-Pereyra
 elimination for primal and transposed Vandermonde systems
 (`vandermonde_solve_primal` / `vandermonde_solve_dual`), and a two-stage
@@ -173,39 +174,46 @@ class ModEchelon:
     stored under its first nonzero column.  The pivot columns are those of
     the reduced row echelon form, whatever the row order; the rest are free.
 
-    Rows are reduced packed into one int each, one entry per ``slot`` bits
+    Rows come packed into one int each, entry j at bits j * ``slot``
     (Kronecker substitution; von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, 8.4), and a stored row is kept packed from its pivot on.  A
-    reduction is then one big-int multiply-add, r += (p - f) * row, its
-    multiplier f read from r's slot at the pivot by shift, mask and ``% p``.
-    The columns left of the first free one are all pivots: r reduces at its
-    lowest slot and drops it, as the slot is then 0 mod p.  Right of it, r
-    keeps every slot and the stored row is shifted to its pivot.  (A generic
-    system has pivots 0, 1, ..., so the second kind is rare.)  No slot
-    carries into the next: stored entries and the new row's lie in [0, p),
-    and a row meets at most ``width`` reductions, each adding less than
-    p**2 to a slot, so every slot stays below (width + 2) * p**2 <=
-    2**slot.  One code path serves every width and prime.  The reduced row
-    is unpacked once, to find its lead and normalize it.
+    Algebra*, 8.4), every entry in [0, p**2): :meth:`pack` packs a list, and
+    the pipeline builds its rows packed.  A stored row is kept packed from
+    its pivot on.  A reduction is then one big-int multiply-add, r += (p -
+    f) * row, its multiplier f read from r's slot at the pivot by shift,
+    mask and ``% p``.  The columns left of the first free one are all
+    pivots: r reduces at its lowest slot and drops it, as the slot is then 0
+    mod p.  Right of it, r keeps every slot and the stored row is shifted to
+    its pivot.  (A generic system has pivots 0, 1, ..., so the second kind
+    is rare.)  No slot carries into the next: stored entries lie in [0, p),
+    the new row's in [0, p**2), and a row meets at most ``width``
+    reductions, each adding less than p**2 to a slot, so every slot stays
+    below (width + 2) * p**2 <= 2**slot.  One code path serves every width
+    and prime.  The reduced row is read once, slot by slot: the first slot
+    nonzero mod p is the lead, and each later one is normalized in the same
+    pass.
     """
 
-    def __init__(self, p: int, width: int, counter: OpCounter, rows: Sequence = ()) -> None:
+    def __init__(self, p: int, width: int, counter: OpCounter) -> None:
         self.p, self.width, self.counter = p, width, counter
         self.slot = -(-((width + 2) * p * p).bit_length() // 8) * 8  # whole bytes
         self.rows: dict[int, list[int]] = {}
         self._packed: list[tuple[int, int]] = []  # (pivot, row packed from it), ascending
-        for row in rows:
-            self.add(row)
+        self._first = 0  # the first free column
 
     @property
     def free(self) -> tuple[int, ...]:
         return tuple(j for j in range(self.width) if j not in self.rows)
 
-    def add(self, row: Sequence[int]) -> None:
+    def pack(self, entries: Sequence[int]) -> int:
+        """The entries mod p as one row: entry j at bits j * slot."""
+        p, step = self.p, self.slot // 8
+        return int.from_bytes(b"".join([(x % p).to_bytes(step, "little") for x in entries]), "little")
+
+    def add(self, row: int) -> None:
+        """Reduce the packed ``row`` and store what is left, if nonzero mod p."""
         p, w, k, rows = self.p, self.width, self.slot, self.rows
         mask, step = (1 << k) - 1, k // 8
-        first = next((j for j in range(w) if j not in rows), w)
-        r, ops = _pack([x % p for x in row], step), 0
+        first, r, ops = self._first, row, 0
         # columns 0, ..., first - 1 are pivots: r reduces at its lowest slot
         # and drops it, leaving the slots from ``first`` on
         for col, packed in self._packed[:first]:
@@ -220,16 +228,25 @@ class ModEchelon:
             if f:
                 r += (p - f) * packed << at
                 ops += w - col
+        # one pass over the slots: up to the lead, then normalizing the rest
+        end = (w - first) * step
+        data = r.to_bytes(end, "little")
+        for at in range(0, end, step):
+            x = int.from_bytes(data[at : at + step], "little") % p
+            if x:
+                inv = pow(x, -1, p)
+                tail = [1] + [
+                    int.from_bytes(data[i : i + step], "little") * inv % p
+                    for i in range(at + step, end, step)
+                ]
+                lead = first + at // step
+                rows[lead] = [0] * lead + tail
+                insort(self._packed, (lead, self.pack(tail)))
+                while self._first in rows:
+                    self._first += 1
+                self.counter.count(adds=ops, muls=ops + w, divs=1)
+                return
         self.counter.count(adds=ops, muls=ops)
-        data = r.to_bytes((w - first) * step, "little")
-        slots = [int.from_bytes(data[i : i + step], "little") % p for i in range(0, len(data), step)]
-        lead = next((j for j, x in enumerate(slots, first) if x), None)
-        if lead is not None:
-            inv = pow(slots[lead - first], -1, p)
-            tail = [x * inv % p for x in slots[lead - first :]]
-            rows[lead] = [0] * lead + tail
-            insort(self._packed, (lead, _pack(tail, step)))
-            self.counter.count(muls=w, divs=1)
 
     def null_vectors(self) -> list[list[int]]:
         """The reduced-row-echelon nullspace basis mod p, by back-substitution:
@@ -246,11 +263,6 @@ class ModEchelon:
             basis.append(v)
         self.counter.count(adds=ops, muls=ops)
         return basis
-
-
-def _pack(entries: list[int], step: int) -> int:
-    """The entries, each in [0, 2**(8*step)), as one int: entry j at byte j*step."""
-    return int.from_bytes(b"".join([x.to_bytes(step, "little") for x in entries]), "little")
 
 
 def _check_nodes(nodes: Sequence[Rat]) -> None:

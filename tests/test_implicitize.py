@@ -20,6 +20,7 @@ from implicurve import (
     DegenerateParametrizationError,
     InternalConsistencyError,
     MethodConfig,
+    ModEchelon,
     OpCounter,
     RatParam,
     UniPoly,
@@ -48,6 +49,7 @@ from implicurve.pipeline import (
     _rational_reconstruction,
     _residue_row,
     _row_norm,
+    _scaled_reconstruction,
     curve_points,
 )
 from implicurve.polycore import COPRIME_PRIME, modular_primes
@@ -60,6 +62,9 @@ from util import (
     HYPERBOLA_F,
     euclid_gcd,
     rand_ratparam,
+    rational_reconstruction,
+    reconstructed_vector,
+    unpack_slots,
 )
 
 CUBIC_F = bipoly_canonicalize(CUBIC_F_RAW)
@@ -143,15 +148,23 @@ def test_nodes_on_curve_rejects_nonpositive_count():
         nodes_on_curve(HYPERBOLA, 0)
 
 
+def _row_slots(point, m, n, p):
+    """The packed residue row at ``point``, slot by slot, at the slot width
+    of the ``ModEchelon`` it is built for."""
+    N = (m + 1) * (n + 1)
+    slot = ModEchelon(p, N, OpCounter()).slot
+    return unpack_slots(_residue_row(point, m, n, p, slot), slot, N)
+
+
 def test_collocation_row_is_monomial_basis():
     # entry (i, j), i-major, is x0^i y0^j times b^m e^n, (x0, y0) = (a/b, c/e),
-    # kept mod p; the point alone gives the data count, the widest entry and
-    # the row's 1-norm
+    # kept mod p in slot i(n+1) + j of the packed row; the point alone gives
+    # the data count, the widest entry and the row's 1-norm
     assert nodes_on_curve(HYPERBOLA, 3)[2] == (Fraction(3, 4), Fraction(5, 6))
     pts = list(itertools.islice(curve_points(HYPERBOLA), 4))
     assert pts[0] == (1, 2, 3, 4) and pts[2] == (3, 4, 5, 6)
-    assert _residue_row(pts[0], 1, 1, COPRIME_PRIME) == [8, 6, 4, 3]  # 8 * (1, 3/4, 1/2, 3/8)
-    assert [v % 7 for v in _residue_row(pts[2], 1, 1, 7)] == [v % 7 for v in (24, 20, 18, 15)]
+    assert _row_slots(pts[0], 1, 1, COPRIME_PRIME) == [8, 6, 4, 3]  # 8 * (1, 3/4, 1/2, 3/8)
+    assert [v % 7 for v in _row_slots(pts[2], 1, 1, 7)] == [v % 7 for v in (24, 20, 18, 15)]
     rng = random.Random(3)
     for m, n in ((1, 1), (2, 3), (3, 2), (4, 4)):
         for _ in range(5):
@@ -161,7 +174,7 @@ def test_collocation_row_is_monomial_basis():
             assert all(v.denominator == 1 for v in want)
             point = (x0.numerator, x0.denominator, y0.numerator, y0.denominator)
             for p in (7, COPRIME_PRIME):
-                row = _residue_row(point, m, n, p)
+                row = _row_slots(point, m, n, p)  # nothing carried past the last slot
                 assert all(0 <= v < p * p for v in row)
                 assert [v % p for v in row] == [int(v) % p for v in want]
             c = OpCounter()
@@ -355,13 +368,13 @@ def test_wide_coefficients_need_several_primes():
 
 
 def test_a_candidate_that_fails_the_proof_is_never_returned(monkeypatch):
-    real = pipeline._rational_reconstruction
+    real = pipeline._scaled_reconstruction
 
-    def skewed(u, modulus):
-        value = real(u, modulus)
-        return value + 1 if value is not None and modulus == COPRIME_PRIME else value
+    def skewed(vec, modulus):
+        ints = real(vec, modulus)
+        return [v + 1 for v in ints] if ints is not None and modulus == COPRIME_PRIME else ints
 
-    monkeypatch.setattr(pipeline, "_rational_reconstruction", skewed)
+    monkeypatch.setattr(pipeline, "_scaled_reconstruction", skewed)
     r = method_unstructured(CUBIC)
     assert r.F == CUBIC_F and r.primes == 2
     monkeypatch.setattr(pipeline, "substitute_check", lambda F, P: False)
@@ -553,18 +566,70 @@ def _fraction_callers(P, cfg):
     return callers
 
 
-def test_only_rational_reconstruction_constructs_fractions():
+def test_no_method_constructs_a_fraction():
     # every datum, node and canonical F of the determinant schemes is an
-    # int; the unstructured scheme needs Fractions only to rebuild F
+    # int, and the unstructured scheme rebuilds F as the ints S * v
     rng = random.Random(404)
     curves = [rand_ratparam(rng, d, exact=True) for d in range(2, 7)] + [CUBIC, HYPERBOLA]
     for method in implicurve.METHODS:
         callers = [c for P in curves for c in _fraction_callers(P, MethodConfig(method=method))]
-        if method == METHOD_UNSTRUCTURED:
-            assert len(callers) == 174
-            assert set(callers) == {_rational_reconstruction.__code__}
-        else:
-            assert callers == [], method
+        assert callers == [], method
+
+
+def _assert_reconstructs_like_the_oracle(vec, modulus):
+    """``_scaled_reconstruction`` of ``vec`` is the oracle's vector times the
+    lcm of its denominators, or None with it; returns the oracle's vector."""
+    want = reconstructed_vector(vec, modulus)
+    got = _scaled_reconstruction(vec, modulus)
+    if want is None:
+        assert got is None
+    else:
+        scale = math.lcm(*(v.denominator for v in want))
+        assert got == [v * scale for v in want]
+        assert all(type(v) is int for v in got)
+    return want
+
+
+def test_scaled_reconstruction_matches_the_per_entry_oracle():
+    # the running denominator S must give each entry's value exactly where
+    # its fast path applies, and defer to Euclid (or reject) where not
+    for modulus in (COPRIME_PRIME, math.prod(itertools.islice(modular_primes(), 2))):
+        bound = math.isqrt(modulus // 2)
+
+        def residues(*values):
+            return [Fraction(v).numerator * pow(Fraction(v).denominator, -1, modulus) % modulus
+                    for v in values]
+
+        shared = residues(1, Fraction(-5, 7919), Fraction(12, 7919), Fraction(7918, 7919), 0)
+        assert _assert_reconstructs_like_the_oracle(shared, modulus)[1] == Fraction(-5, 7919)
+        mixed = residues(Fraction(1, 3), Fraction(5, 7), Fraction(-2, 21), Fraction(11, 13), 4)
+        assert _assert_reconstructs_like_the_oracle(mixed, modulus)[3] == Fraction(11, 13)
+        # two coprime denominators whose product S passes the bound: r/d1 is
+        # found at u * S, while 1/(d1 d2) has u * S = 1 but no
+        # reconstruction within the bound, so Euclid must run and reject it
+        d1, d2 = math.isqrt(bound) + 3, math.isqrt(bound) + 4
+        assert math.gcd(d1, d2) == 1 and d1 * d2 > bound
+        wide = residues(Fraction(1, d1), Fraction(1, d2), Fraction(-3, d1))
+        assert _assert_reconstructs_like_the_oracle(wide, modulus)[2] == Fraction(-3, d1)
+        assert _assert_reconstructs_like_the_oracle(
+            wide + residues(Fraction(1, d1 * d2)), modulus) is None
+        # an entry with no reconstruction rejects the whole vector
+        draws = random.Random(modulus)
+        lost = next(u for u in (draws.randrange(modulus) for _ in range(50))
+                    if rational_reconstruction(u, modulus) is None)
+        assert _assert_reconstructs_like_the_oracle(shared[:2] + [lost], modulus) is None
+        # entries at +-bound, and just past it
+        edge = residues(bound, -bound, Fraction(1, bound), Fraction(-bound, bound - 1))
+        assert _assert_reconstructs_like_the_oracle(edge, modulus) == [
+            bound, -bound, Fraction(1, bound), Fraction(-bound, bound - 1)]
+        for values in ([bound + 1], [1, Fraction(1, bound + 1)], [Fraction(bound, 2), bound + 1]):
+            _assert_reconstructs_like_the_oracle(residues(*values), modulus)
+    rng = random.Random(29)
+    for _ in range(200):
+        u = rng.randrange(COPRIME_PRIME)
+        want = rational_reconstruction(u, COPRIME_PRIME)
+        got = _rational_reconstruction(u, COPRIME_PRIME)
+        assert got == (None if want is None else (want.numerator, want.denominator))
 
 
 def test_pipeline_checks_still_run_under_python_O():

@@ -46,6 +46,7 @@ from util import (
     rand_unipoly,
     sylvester_rows,
     transpose,
+    unpack_slots,
     vandermonde_rows,
 )
 
@@ -241,9 +242,17 @@ def _mod_p(values, p=COPRIME_PRIME):
     return [Fraction(v).numerator * pow(Fraction(v).denominator, -1, p) % p for v in values]
 
 
+def _mod_echelon(p, width, counter, rows):
+    """``ModEchelon`` of the int ``rows``, each entering through ``pack``."""
+    ech = ModEchelon(p, width, counter)
+    for row in rows:
+        ech.add(ech.pack(row))
+    return ech
+
+
 def _echelon(rows, p=COPRIME_PRIME, counter=None):
     """``ModEchelon`` of rational ``rows``, each cleared to integers first."""
-    return ModEchelon(p, len(rows[0]), counter or OpCounter(), [_cleared([r])[0] for r in rows])
+    return _mod_echelon(p, len(rows[0]), counter or OpCounter(), [_cleared([r])[0] for r in rows])
 
 
 def test_nullspace_of_collocation_matrix():
@@ -278,7 +287,7 @@ def test_nullspace_dimensions_and_residual():
 
 def test_mod_echelon_counts_each_reduction():
     c = OpCounter()
-    ech = ModEchelon(7, 3, c, [[1, 2, 3], [4, 5, 6]])
+    ech = _mod_echelon(7, 3, c, [[1, 2, 3], [4, 5, 6]])
     # the second row is reduced once, over all 3 columns; each pivot row is
     # scaled by its inverse pivot (3 muls, 1 div)
     assert (c.adds, c.muls, c.divs) == (3, 3 + 2 * 3, 2)
@@ -290,9 +299,11 @@ def _same_echelon(rows, p, width):
     """``ModEchelon`` of ``rows``, after checking that it agrees with the
     list-based oracle on free columns, stored rows, null vectors and counts."""
     got_c, want_c = OpCounter(), OpCounter()
-    got = ModEchelon(p, width, got_c, rows)
+    got = _mod_echelon(p, width, got_c, rows)
     want = ListEchelon(p, width, want_c, rows)
     assert got.free == want.free and got.rows == want.rows
+    # columns left of ``_first`` are reduced by the slot-dropping loop
+    assert got._first == (got.free + (width,))[0]
     assert got.null_vectors() == want.null_vectors()
     assert (got_c.adds, got_c.muls, got_c.divs) == (want_c.adds, want_c.muls, want_c.divs)
     return got
@@ -325,9 +336,9 @@ def test_packed_echelon_worst_case_fills_its_slots():
         stored = [[0] * k + [1] + [p - 1] * (width - k - 1) for k in range(width - 1)]
         row = [(1 - j) % p for j in range(width)]
         c = OpCounter()
-        ech = ModEchelon(p, width, c, stored)
+        ech = _mod_echelon(p, width, c, stored)
         assert c.adds == 0
-        ech.add(row)
+        ech.add(ech.pack(row))
         assert c.adds == sum(width - k for k in range(width - 1))  # no multiplier was 0
         _same_echelon(stored + [row], p, width)
         # the last slot needs more than the slot's lower bytes: one byte
@@ -366,13 +377,16 @@ def test_nullspace_matches_sympy():
     for count in (16, 17):
         points = nodes_on_curve(CUBIC, count)
         A = [[x0**i * y0**j for i in range(4) for j in range(4)] for x0, y0 in points]
-        rows = [_residue_row((x0.numerator, x0.denominator, y0.numerator, y0.denominator),
-                             3, 3, COPRIME_PRIME) for x0, y0 in points]
-        # the residue row is the rational one times b^3 e^3 mod p, (a/b, c/e) the point
-        for (x0, y0), row, want in zip(points, rows, A):
+        ech = ModEchelon(COPRIME_PRIME, 16, OpCounter())
+        for (x0, y0), want in zip(points, A):
+            row = _residue_row((x0.numerator, x0.denominator, y0.numerator, y0.denominator),
+                               3, 3, COPRIME_PRIME, ech.slot)
+            # the packed residue row is the rational one times b^3 e^3 mod p,
+            # (a/b, c/e) the point, slot by slot
             scale = (x0.denominator * y0.denominator) ** 3
-            assert [v % COPRIME_PRIME for v in row] == _mod_p(v * scale for v in want)
-        ech = ModEchelon(COPRIME_PRIME, 16, OpCounter(), rows)
+            assert [v % COPRIME_PRIME for v in unpack_slots(row, ech.slot, 16)] == _mod_p(
+                v * scale for v in want)
+            ech.add(row)
         assert ech.free == (15,) and ech.null_vectors() == oracle(A)
 
 

@@ -141,6 +141,35 @@ class ListEchelon:
         return basis
 
 
+def unpack_slots(packed, slot, count):
+    """The ``count`` slots of ``slot`` bits of a packed row, lowest first;
+    nothing may be left above them."""
+    assert 0 <= packed < 1 << slot * count
+    mask = (1 << slot) - 1
+    return [packed >> j * slot & mask for j in range(count)]
+
+
+def rational_reconstruction(u, modulus):
+    """Oracle for the reconstruction of one residue: the unique r/s = u mod
+    ``modulus`` with |r|, s <= sqrt(modulus/2) and gcd(r, s) = 1, as a
+    ``Fraction``, or None (Wang's half-extended Euclid)."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, u % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
+
+
+def reconstructed_vector(vec, modulus):
+    """Oracle for the reconstruction of a null vector: each entry rebuilt on
+    its own by :func:`rational_reconstruction`, or None when one has none."""
+    out = [rational_reconstruction(u, modulus) for u in vec]
+    return None if None in out else out
+
+
 def poly_divmod(p: UniPoly, d: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Oracle: quotient and remainder of ``p`` by a nonzero ``d`` over
     ``Fraction``s, by long division."""
