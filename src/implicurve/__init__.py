@@ -8,7 +8,6 @@ solve: see :mod:`implicurve.pipeline`.
 """
 
 from .polycore import (
-    MINUS_INFINITY,
     BiPoly,
     DegenerateParametrizationError,
     Rat,
@@ -71,7 +70,6 @@ __all__ = [
     "METHOD_UNSTRUCTURED",
     "METHODS",
     "MethodConfig",
-    "MINUS_INFINITY",
     "OpCounter",
     "PolyMat",
     "Rat",

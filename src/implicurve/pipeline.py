@@ -413,27 +413,27 @@ def _from_determinants(
 ) -> ImplicitResult:
     """The run the determinant schemes share: Sylvester determinants on the
     grid ``lines`` (x0, ys), one ``sylvester_line_dets`` call per line,
-    ``solve(data, counter)`` for F's i-major coefficients, the checks.
+    ``solve(data, counter)`` for F's i-major coefficients, canonicalization
+    and the vanishing proof.
 
     The Sylvester matrix of a rational curve has cleared integer bands,
     which scales every datum, and so the solved F, by the constant
     L1**d2 * L2**d1 that canonicalization removes.  ``node_sets`` are the
     Vandermonde nodes whose powers the solve uses.  An F that fails
     ``substitute_check`` raises ``InternalConsistencyError``: for a valid
-    parametrization only a bug can cause that, not bad input.  Kernels are
+    parametrization only a bug can cause that, not bad input, and the
+    proof catches a wrong datum and a wrong solve alike.  Kernels are
     called through this module's names, so rebinding one (as a tracer
     does) takes effect.
     """
     S = build_parametric_sylvester(P)
     data_c = OpCounter()
     solve_c = OpCounter()
-    _integer_nodes(lines)
     data = [v for x0, ys in lines for v in sylvester_line_dets(S, x0, ys, data_c)]
     data_c.observe_many(data)
     for nodes in node_sets:
         _observe_node_powers(data_c, nodes)
     F_raw = BiPoly.from_flat(solve(data, solve_c), bounds.m, bounds.n)
-    _check_interpolation_data(F_raw, lines, data)
     if F_raw.is_zero:
         raise InternalConsistencyError("interpolation produced the zero polynomial")
     F = bipoly_canonicalize(F_raw)
@@ -444,38 +444,10 @@ def _from_determinants(
     return ImplicitResult(F, bounds, data_c, solve_c, True, det_evals=bounds.N)
 
 
-def _integer_nodes(lines: Sequence[tuple[int, Sequence[int]]]) -> None:
-    """Refuse a node that is not an int: both determinant schemes use integer nodes."""
-    if not all(isinstance(t, int) for x0, ys in lines for t in (x0, *ys)):
-        raise InternalConsistencyError("interpolation nodes must be integers")
-
-
-def _observe_node_powers(counter: OpCounter, nodes: Sequence[Rat]) -> None:
+def _observe_node_powers(counter: OpCounter, nodes: Sequence[int]) -> None:
     """Record the bit size of the node powers t**k, k < len(nodes), as data.
 
     Every node is an integer >= 0, so the widest power is the top node's
     top power; the others are never formed.
     """
     counter.observe(max(nodes) ** (len(nodes) - 1))
-
-
-def _check_interpolation_data(
-    F_raw: BiPoly, lines: Sequence[tuple[int, Sequence[int]]], data: Sequence[Rat | int]
-) -> None:
-    """Re-evaluate the raw interpolant at every node against its datum.
-
-    For the determinant methods the solved polynomial *is* the resultant,
-    so it must reproduce each determinant exactly (before canonical
-    rescaling, which may change the overall scale).  The data follow the
-    nodes of the grid ``lines`` (x0, ys) in order, and F_raw is reduced
-    once per line to a polynomial in y.  The comparison is exact: in plain
-    ints for the pipelines, whose nodes, data and F_raw are all ints.
-    """
-    columns, values = list(zip(*F_raw.coeffs)), iter(data)
-    for x0, ys in lines:
-        in_y = [_horner(col, x0) for col in columns]
-        for y0 in ys:
-            if _horner(in_y, y0) != next(values):
-                raise InternalConsistencyError(
-                    f"interpolant fails to reproduce its datum at node {(x0, y0)}"
-                )

@@ -28,9 +28,6 @@ from typing import Iterable, Iterator, Sequence
 
 Rat = Fraction
 
-#: Degree of the zero polynomial.  Compares below every integer degree.
-MINUS_INFINITY = float("-inf")
-
 
 def _coefficient(value: Rat | int) -> Rat | int:
     """``value`` if it is an ``int`` or a ``Fraction``, else ``ValueError``."""
@@ -42,8 +39,7 @@ def _coefficient(value: Rat | int) -> Rat | int:
 class InternalConsistencyError(RuntimeError):
     """Raised when a self-check that can only fail on an implementation bug
     fails: a nonexact division in the subresultant PRS or by its gcd, a packed
-    determinant beyond its coefficient bound, non-integer interpolation
-    nodes, interpolation data not reproduced, a modular solve with no
+    determinant beyond its coefficient bound, a modular solve with no
     proven candidate within its Hadamard bound, or a computed F that does
     not vanish along the input parametrization."""
 
@@ -117,59 +113,15 @@ class UniPoly:
         self.coeffs: tuple[Rat | int, ...] = tuple(cs)
 
     @classmethod
-    def zero(cls) -> UniPoly:
-        return cls(())
-
-    @classmethod
     def one(cls) -> UniPoly:
         return cls((1,))
-
-    @property
-    def degree(self) -> int | float:
-        """Degree of the polynomial; ``MINUS_INFINITY`` for the zero poly."""
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
 
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def scale(self, factor: Rat | int) -> UniPoly:
-        return UniPoly(c * factor for c in self.coeffs)
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly(-c for c in self.coeffs)
-
-    def __add__(self, other: UniPoly) -> UniPoly:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return UniPoly(out)
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        return self + (-other)
-
-    def __mul__(self, other: UniPoly | Rat | int) -> UniPoly:
-        if isinstance(other, (Fraction, int)):
-            return self.scale(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return UniPoly(out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("UniPoly", self.coeffs))
 
     def __repr__(self) -> str:
         return f"UniPoly<{format_unipoly(self)}>"
@@ -262,9 +214,9 @@ class BiPoly:
     ``coeffs[i][j]`` is the coefficient of x**i * y**j, kept as given, an
     ``int`` or a ``Fraction``; any other type raises ``ValueError``.  ``m``
     and ``n`` are x- and y-degree *bounds* (the grid may carry zero padding,
-    so the tight degrees ``deg_x``/``deg_y`` can be smaller).  Equality and
-    hashing are mathematical: padding does not distinguish two equal
-    polynomials.
+    so the tight degrees ``deg_x``/``deg_y`` can be smaller, and are -1 for
+    the zero polynomial).  Equality is mathematical: padding does not
+    distinguish two equal polynomials.
     """
 
     __slots__ = ("m", "n", "coeffs")
@@ -283,10 +235,6 @@ class BiPoly:
         self.n: int = width - 1
 
     @classmethod
-    def zeros(cls, m: int = 0, n: int = 0) -> BiPoly:
-        return cls([[0] * (n + 1) for _ in range(m + 1)])
-
-    @classmethod
     def from_flat(cls, flat: Sequence[Rat | int], m: int, n: int) -> BiPoly:
         """Reshape an i-major coefficient vector of length (m+1)(n+1)."""
         if len(flat) != (m + 1) * (n + 1):
@@ -302,36 +250,25 @@ class BiPoly:
         return all(c == 0 for row in self.coeffs for c in row)
 
     @property
-    def deg_x(self) -> int | float:
+    def deg_x(self) -> int:
         for i in range(self.m, -1, -1):
             if any(self.coeffs[i]):
                 return i
-        return MINUS_INFINITY
+        return -1
 
     @property
-    def deg_y(self) -> int | float:
+    def deg_y(self) -> int:
         for j in range(self.n, -1, -1):
             if any(self.coeffs[i][j] for i in range(self.m + 1)):
                 return j
-        return MINUS_INFINITY
-
-    def scale(self, factor: Rat | int) -> BiPoly:
-        return BiPoly([[c * factor for c in row] for row in self.coeffs])
-
-    def __neg__(self) -> BiPoly:
-        return self.scale(-1)
+        return -1
 
     def _trimmed_key(self) -> tuple[tuple[Rat, ...], ...]:
         dx, dy = self.deg_x, self.deg_y
-        if dx is MINUS_INFINITY or dy is MINUS_INFINITY:
-            return ()
-        return tuple(tuple(row[: int(dy) + 1]) for row in self.coeffs[: int(dx) + 1])
+        return tuple(tuple(row[: dy + 1]) for row in self.coeffs[: dx + 1])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BiPoly) and self._trimmed_key() == other._trimmed_key()
-
-    def __hash__(self) -> int:
-        return hash(("BiPoly", self._trimmed_key()))
 
     def __repr__(self) -> str:
         return f"BiPoly<m={self.m}, n={self.n}, coeffs={self.coeffs!r}>"

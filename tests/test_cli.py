@@ -35,7 +35,7 @@ from implicurve.cli import (
     parse_rational_function,
 )
 
-from util import CUBIC, CUBIC_F_RAW, HYPERBOLA_F, euclid_gcd, rand_unipoly
+from util import CUBIC, CUBIC_F_RAW, HYPERBOLA_F, euclid_gcd, poly_mul, rand_unipoly, scaled
 
 
 def test_parse_rational_function_examples():
@@ -100,7 +100,7 @@ def test_parse_poly_xy():
 def test_format_bipoly_basis_order():
     assert format_bipoly(HYPERBOLA_F) == "2 - 3*y - x + 2*x*y"
     assert format_bipoly(BiPoly([[0, 1], [0, 0], [-1, 0]])) == "y - x^2"
-    assert format_bipoly(BiPoly.zeros(1, 1)) == "0"
+    assert format_bipoly(BiPoly([[0, 0], [0, 0]])) == "0"
     assert format_bipoly(BiPoly([[Fraction(-1, 2)], [1]])) == "-1/2 + x"
 
 
@@ -112,13 +112,13 @@ def test_format_ratfun_roundtrip_random():
         text = format_ratfun(num, den)
         got_num, got_den = parse_rational_function(text)
         # parse reduces to coprime form: compare as rational functions
-        assert got_num * den == num * got_den
+        assert poly_mul(got_num, den) == poly_mul(num, got_den)
 
 
 def test_format_unipoly_spells_fractions():
     p = UniPoly([Fraction(3, 4), Fraction(-1, 2), 1])
     assert format_unipoly(p) == "t^2 - 1/2*t + 3/4"
-    assert format_unipoly(UniPoly.zero()) == "0"
+    assert format_unipoly(UniPoly()) == "0"
 
 
 def test_cmd_implicitize_human_output(capsys):
@@ -424,7 +424,7 @@ def test_module_entrypoint_runs():
 
 def test_parser_caps_exponents_at_the_exponent():
     num, _ = parse_rational_function(f"t^{MAX_EXPONENT}")
-    assert num.degree == MAX_EXPONENT
+    assert len(num.coeffs) - 1 == MAX_EXPONENT
     over = MAX_EXPONENT + 1
     for text, pos in [(f"t^{over}", 2), (f"(1+t)/(t^{over})", 9), (f"2*t*t^{MAX_EXPONENT}", 6)]:
         with pytest.raises(ParseError) as exc:
@@ -518,7 +518,7 @@ def test_cmd_bench_disagreement_exits_3(monkeypatch, capsys):
     def skewed(P, cfg=None):
         result = real(P, cfg)
         if cfg.method == METHOD_KRONECKER:
-            return replace(result, F=result.F.scale(2))
+            return replace(result, F=scaled(result.F, 2))
         return result
 
     monkeypatch.setattr(cli, "implicitize", skewed)
@@ -542,7 +542,7 @@ _unipoly = st.lists(_coef, max_size=7).map(UniPoly)
 @settings(max_examples=200, deadline=None)
 @given(_unipoly, _unipoly.filter(lambda v: not v.is_zero))
 def test_parse_inverts_format_ratfun(u, v):
-    assume(euclid_gcd(u, v).degree == 0)  # parse_rational_function reduces to lowest terms
+    assume(len(euclid_gcd(u, v).coeffs) - 1 == 0)  # parse_rational_function reduces to lowest terms
     assert parse_rational_function(format_ratfun(u, v)) == (u, v)
 
 

@@ -28,23 +28,18 @@ from implicurve import (
     build_parametric_sylvester,
     degree_bounds,
     implicitize,
-    kron_solve,
     method_dual_vandermonde,
     method_kronecker,
     method_unstructured,
     nodes_on_curve,
     substitute_check,
     sylvester_line_dets,
-    vandermonde_solve_dual,
 )
 from implicurve import pipeline, structmat
 from implicurve.cli import main
 from implicurve.pipeline import (
     MAX_NODE_PRIME,
-    _check_interpolation_data,
     _counted_point,
-    _from_determinants,
-    _integer_nodes,
     _observe_node_powers,
     _rational_reconstruction,
     _residue_row,
@@ -57,13 +52,14 @@ from implicurve.polycore import COPRIME_PRIME, modular_primes
 from util import (
     CUBIC,
     CUBIC_F_RAW,
-    CUBIC_GRID_DATA,
     HYPERBOLA,
     HYPERBOLA_F,
     euclid_gcd,
+    poly_mul,
     rand_ratparam,
     rational_reconstruction,
     reconstructed_vector,
+    scaled,
     unpack_slots,
 )
 
@@ -110,11 +106,11 @@ def test_nodes_on_curve_skips_poles():
 def test_sweep_poles_at_the_first_values_agree_across_methods():
     # denominators that vanish at t = 0, 1 and 2: the sweep starts at t = 3,
     # and the three methods give the same canonical F, which vanishes there
-    t, one = UniPoly([0, 1]), UniPoly.one()
-    poles = t * UniPoly([-1, 1]) * UniPoly([-2, 1])  # t (t - 1) (t - 2)
+    one = UniPoly.one()
+    poles = UniPoly([0, 2, -3, 1])  # t (t - 1) (t - 2)
     curves = [
-        RatParam(UniPoly([1, 0, 1]), t * UniPoly([-1, 1]), UniPoly([5, 1]), UniPoly([-2, 1])),
-        RatParam(one, poles, t * t, one),
+        RatParam(UniPoly([1, 0, 1]), UniPoly([0, -1, 1]), UniPoly([5, 1]), UniPoly([-2, 1])),
+        RatParam(one, poles, UniPoly([0, 0, 1]), one),
         RatParam(UniPoly([1, 2]), poles, UniPoly([1, 0, 0, 1]), poles),
     ]
     for P in curves:
@@ -421,16 +417,16 @@ def test_curve_points_matches_the_rational_sweep():
     q = UniPoly([0, -9, 1])  # q(t) = q(9 - t): t = 0..9 meet each point twice
     curves = [
         # x has poles at t = 2 and 5, y at t = 7
-        RatParam(UniPoly([third, half]), UniPoly([10, -7, 1]).scale(third),
-                 UniPoly([1, 0, Fraction(2, 5)]), UniPoly([-7, 1]).scale(half)),
+        RatParam(UniPoly([third, half]), scaled(UniPoly([10, -7, 1]), third),
+                 UniPoly([1, 0, Fraction(2, 5)]), scaled(UniPoly([-7, 1]), half)),
         # functions of q: repeated points, and y has poles at t = 3 and 6
-        RatParam(q.scale(third), UniPoly.one(), (q * q).scale(half),
-                 (q + UniPoly([18])).scale(Fraction(5, 7))),
+        RatParam(scaled(q, third), UniPoly.one(), scaled(poly_mul(q, q), half),
+                 scaled(UniPoly([18, -9, 1]), Fraction(5, 7))),  # q + 18
         RatParam(UniPoly([1]), UniPoly([1]), UniPoly([1]), UniPoly([0, 1])),
         # x's denominator vanishes at t = 0, 1 and is negative beyond, y's
         # vanishes at t = 2, 5 and is negative at t = 3, 4
-        RatParam(UniPoly([-3, 1]), UniPoly([0, -1, 1]).scale(-1), UniPoly([5, 0, 1]),
-                 UniPoly([-2, 1]) * UniPoly([-5, 1])),
+        RatParam(UniPoly([-3, 1]), UniPoly([0, 1, -1]), UniPoly([5, 0, 1]),
+                 poly_mul(UniPoly([-2, 1]), UniPoly([-5, 1]))),
         # s = t - 2: x = (s^2 + s - 1)/(s^2 + 2s - 1) takes (1, 2) at t = 3 and
         # (-1, -2) at t = 1, y = s^2 as well: one point, produced once
         RatParam(UniPoly([1, -3, 1]), UniPoly([-1, -2, 1]), UniPoly([4, -4, 1]), UniPoly.one()),
@@ -482,42 +478,61 @@ def test_node_power_bits_match_the_multiplied_out_powers():
             assert c.max_bits == old_loop(nodes, len(nodes)), (d, nodes[-1])
 
 
-def test_interpolation_check_compares_exactly_on_integer_nodes():
-    lines = [(Fraction(i), [Fraction(j) for j in range(4)]) for i in range(4)]
-    data = [Fraction(v) for v in CUBIC_GRID_DATA]
-    _check_interpolation_data(CUBIC_F_RAW, lines, data)
+def _perturbing(k, change, seen):
+    """``sylvester_line_dets`` with datum ``k`` of the run, counted across
+    the grid lines, replaced by ``change`` of it; every datum it returns is
+    appended to ``seen``."""
+
+    def dets(S, x0, ys, counter):
+        out = sylvester_line_dets(S, x0, ys, counter)
+        if len(seen) <= k < len(seen) + len(out):
+            out[k - len(seen)] = change(out[k - len(seen)])
+        seen.extend(out)
+        return out
+
+    return dets
+
+
+def _every_perturbation_fails(monkeypatch, P):
+    """Run both determinant solvers on ``P``, first unchanged and then with
+    each datum moved by +1, -1, *2 (where nonzero) and +1/7, and assert that
+    every moved run ends in the vanishing proof's error."""
+    changes = (lambda v: v + 1, lambda v: v - 1, lambda v: 2 * v, lambda v: v + Fraction(1, 7))
+    want = method_unstructured(P).F
+    for fn in (method_kronecker, method_dual_vandermonde):
+        data = []
+        with monkeypatch.context() as mp:
+            mp.setattr(pipeline, "sylvester_line_dets", _perturbing(0, lambda v: v, data))
+            assert fn(P).F == want
+        assert len(data) == degree_bounds(P).N
+        for k, datum in enumerate(data):
+            for change in changes:
+                if change(datum) == datum:  # doubling a zero
+                    continue
+                with monkeypatch.context() as mp:
+                    mp.setattr(pipeline, "sylvester_line_dets", _perturbing(k, change, []))
+                    with pytest.raises(InternalConsistencyError, match="does not vanish"):
+                        fn(P)
+
+
+def test_interpolation_check_compares_exactly_on_integer_nodes(monkeypatch):
+    # the determinant run's only check of its interpolant is the exact
+    # vanishing proof: on CUBIC's integer nodes a datum off by 1/7 is caught,
+    # and data scaled by 1/3 as a whole give the same canonical F
     third = Fraction(1, 3)
-    _check_interpolation_data(CUBIC_F_RAW.scale(third), lines, [v * third for v in data])
-    for k in range(len(data)):
-        off = list(data)
-        off[k] += Fraction(1, 7)
-        with pytest.raises(InternalConsistencyError):
-            _check_interpolation_data(CUBIC_F_RAW, lines, off)
+    for fn in (method_kronecker, method_dual_vandermonde):
+        with monkeypatch.context() as mp:
+            mp.setattr(pipeline, "sylvester_line_dets",
+                       lambda S, x0, ys, c: [v * third for v in sylvester_line_dets(S, x0, ys, c)])
+            r = fn(CUBIC)
+        assert r.F == method_unstructured(CUBIC).F and r.verified
+    _every_perturbation_fails(monkeypatch, CUBIC)
 
 
-def test_every_perturbed_datum_fails_the_interpolation_check():
-    P = rand_ratparam(random.Random(37), 4, exact=True)
-    b = degree_bounds(P)
-    S = build_parametric_sylvester(P)
-    xs, ys = list(range(b.m + 1)), list(range(b.n + 1))
-    alphas = [2**i * 3**j for i in xs for j in ys]
-    kron_lines = [(x, ys) for x in xs]
-    kron_data = [v for x in xs for v in sylvester_line_dets(S, x, ys, OpCounter())]
-    dual_lines = [(2**k, [3**k]) for k in range(b.N)]
-    dual_data = [sylvester_line_dets(S, x, line, OpCounter())[0] for x, line in dual_lines]
-    for lines, data, F_flat in (
-        (kron_lines, kron_data, kron_solve(xs, ys, kron_data, OpCounter())),
-        (dual_lines, dual_data, vandermonde_solve_dual(alphas, dual_data, OpCounter())),
-    ):
-        F_raw = BiPoly.from_flat(F_flat, b.m, b.n)
-        _check_interpolation_data(F_raw, lines, data)
-        nodes = [(x, y) for x, line in lines for y in line]
-        for k in range(len(data)):
-            for delta in (1, -1):
-                off = list(data)
-                off[k] += delta
-                with pytest.raises(InternalConsistencyError, match=rf"node \({nodes[k][0]}, "):
-                    _check_interpolation_data(F_raw, lines, off)
+def test_every_perturbed_datum_fails_the_interpolation_check(monkeypatch):
+    # the vanishing proof is the whole certificate of a determinant run: a
+    # moved datum interpolates another polynomial, and the proof rejects it
+    _every_perturbation_fails(monkeypatch, rand_ratparam(random.Random(37), 4, exact=True))
 
 
 def test_rational_curves_interpolate_the_cleared_data():
@@ -532,21 +547,6 @@ def test_rational_curves_interpolate_the_cleared_data():
         for fn in (method_kronecker, method_dual_vandermonde):
             r = fn(P)
             assert r.F == want and r.verified
-
-
-def test_non_integer_nodes_raise_a_typed_error():
-    half = Fraction(1, 2)
-    lines = [(i, [0, 1]) for i in range(2)]
-    data = [2, -1, 1, 0]  # HYPERBOLA_F on the unit grid
-    _integer_nodes(lines)
-    _check_interpolation_data(HYPERBOLA_F, lines, data)
-    for bad in ([(half, [0, 1])], [(0, [0, Fraction(1)])]):  # an integral Fraction too
-        with pytest.raises(InternalConsistencyError, match="integers"):
-            _integer_nodes(bad + lines[1:])
-    with pytest.raises(InternalConsistencyError, match="integers"):
-        _from_determinants(
-            HYPERBOLA, degree_bounds(HYPERBOLA), [(0, [half, 1])] + lines[1:], [], None
-        )
 
 
 def _fraction_callers(P, cfg):
@@ -636,13 +636,11 @@ def test_pipeline_checks_still_run_under_python_O():
     code = (
         "from fractions import Fraction\n"
         "from implicurve import InternalConsistencyError\n"
-        "from implicurve.pipeline import _integer_nodes\n"
         "from implicurve.polycore import OpCounter, resultant\n"
         "from implicurve import RatParam, UniPoly, pipeline, polycore\n"
         "pipeline.substitute_check = lambda F, P: False  # every proof fails\n"
         "hyperbola = RatParam(*(UniPoly(c) for c in ([1, 1], [2, 1], [3, 1], [4, 1])))\n"
-        "calls = (lambda: _integer_nodes([(Fraction(1, 2), [0])]),\n"
-        "         lambda: resultant([1, 0, 0, 8], [Fraction(1, 2), 0], OpCounter()),\n"
+        "calls = (lambda: resultant([1, 0, 0, 8], [Fraction(1, 2), 0], OpCounter()),\n"
         "         lambda: resultant([1, 0, 0], [1, Fraction(1, 2)], OpCounter()),\n"
         "         lambda: polycore._divide([0, 1], [1, 2]),  # a nonexact gcd division\n"
         "         lambda: polycore._divide([1, 0, 1], [1, 1]),  # a gcd leaving a remainder\n"
@@ -662,7 +660,7 @@ def test_pipeline_checks_still_run_under_python_O():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["raised"] * 8
+    assert proc.stdout.split() == ["raised"] * 7
 
 
 @pytest.mark.parametrize("constant", ["x", "y"])
@@ -691,9 +689,10 @@ def _proven_proper(P):
     proper = 0
     for t0 in range(12):
         if _at(P.v1, t0) and _at(P.v2, t0):
-            fibres = (u.scale(_at(v, t0)) - v.scale(_at(u, t0))
+            fibres = (UniPoly(a * _at(v, t0) - b * _at(u, t0)
+                              for a, b in itertools.zip_longest(u.coeffs, v.coeffs, fillvalue=0))
                       for u, v in ((P.u1, P.v1), (P.u2, P.v2)))
-            proper += euclid_gcd(*fibres).degree == 1
+            proper += len(euclid_gcd(*fibres).coeffs) - 1 == 1
     return proper >= 3
 
 

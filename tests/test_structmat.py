@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import os
@@ -590,7 +591,7 @@ def _curve_with_vanishing_lead(rng, d1, d2, rational, drop):
     w = rand_unipoly(rng, rng.randint(0, max(0, d1 - 1 - drop)), rational=rational)
     r = rng.randint(-3, 3)
     P = RatParam(
-        v1 * r + w, v1,
+        UniPoly(a * r + b for a, b in itertools.zip_longest(v1.coeffs, w.coeffs, fillvalue=0)), v1,
         rand_unipoly(rng, rng.randint(0, d2), rational=rational),
         rand_unipoly(rng, d2, rational=rational),
     )

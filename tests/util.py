@@ -170,6 +170,26 @@ def reconstructed_vector(vec, modulus):
     return None if None in out else out
 
 
+def scaled(p, factor):
+    """``p``, a ``UniPoly`` or a ``BiPoly``, with every coefficient times
+    ``factor``."""
+    if isinstance(p, BiPoly):
+        return BiPoly([[c * factor for c in row] for row in p.coeffs])
+    return UniPoly(c * factor for c in p.coeffs)
+
+
+def poly_mul(*factors: UniPoly) -> UniPoly:
+    """The product of the ``UniPoly`` factors, by schoolbook convolution."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f.coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f.coeffs):
+                prod[i + j] += a * b
+        out = prod
+    return UniPoly(out)
+
+
 def poly_divmod(p: UniPoly, d: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Oracle: quotient and remainder of ``p`` by a nonzero ``d`` over
     ``Fraction``s, by long division."""
@@ -190,14 +210,14 @@ def euclid_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         raise ValueError("gcd of two zero polynomials is undefined")
     while not q.is_zero:
         p, q = q, poly_divmod(p, q)[1]
-    return p.scale(Fraction(1) / p.coeffs[-1])
+    return scaled(p, Fraction(1) / p.coeffs[-1])
 
 
 def euclid_lowest_terms(u: UniPoly, v: UniPoly):
     """Oracle: ``u/v`` divided by the monic :func:`euclid_gcd`, and whether
     that gcd was nonconstant."""
     g = euclid_gcd(u, v)
-    if g.degree > 0:
+    if len(g.coeffs) > 1:
         return poly_divmod(u, g)[0], poly_divmod(v, g)[0], True
     return u, v, False
 
