@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import re
@@ -28,6 +27,7 @@ from .polycore import (
     DegenerateParametrizationError,
     RatParam,
     UniPoly,
+    coeff_text,
     format_bipoly,
     format_ratfun,
     format_unipoly,
@@ -251,7 +251,12 @@ def parse_poly_xy(text: str) -> BiPoly:
 
 
 def canonical_digest(F: BiPoly) -> str:
-    payload = f"{F.m}|{F.n}|" + ",".join(str(c) for c in F.flat())
+    """The SHA-256 hex digest of ``F``'s degrees and canonical coefficients,
+    ``bench``'s ``hash``: equal digests mean equal canonical polynomials."""
+    # imported here: only bench hashes, and OpenSSL costs about 4 MB resident
+    import hashlib
+
+    payload = f"{F.m}|{F.n}|" + ",".join(coeff_text(c) for c in F.flat())
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -261,7 +266,7 @@ def result_to_doc(result: ImplicitResult, method: str) -> dict:
         "m": F.m,
         "n": F.n,
         "basis": "x^i*y^j (i-major)",
-        "coeffs": [[str(c) for c in row] for row in F.coeffs],
+        "coeffs": [[coeff_text(c) for c in row] for row in F.coeffs],
         "verified": result.verified,
         "degree_tight": result.degree_tight,
         "method": method,

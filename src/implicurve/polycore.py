@@ -20,6 +20,7 @@ identically along a parametrization.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count
 from math import gcd as _int_gcd, lcm as _int_lcm
@@ -293,14 +294,24 @@ def bipoly_canonicalize(F: BiPoly) -> BiPoly:
     return BiPoly([[v // content for v in row] for row in ints])
 
 
+def coeff_text(c: Rat | int) -> str:
+    """``str(c)`` at any size.  ``str`` refuses an int of more than CPython's
+    4300 digits (``sys.get_int_max_str_digits``); ``Decimal`` has no cap."""
+    if type(c) is int:
+        return str(Decimal(c))
+    if c.denominator == 1:
+        return coeff_text(c.numerator)
+    return f"{coeff_text(c.numerator)}/{coeff_text(c.denominator)}"
+
+
 def _format_terms(terms: Iterable[tuple[Rat, str]]) -> str:
     """Join (coefficient, monomial) pairs as a signed sum; zeros are skipped."""
     pieces = []
     for c, mon in terms:
         if c == 0:
             continue
-        mag = abs(c)
-        body = str(mag) if not mon else (mon if mag == 1 else f"{mag}*{mon}")
+        mag = coeff_text(abs(c))
+        body = mag if not mon else (mon if mag == "1" else f"{mag}*{mon}")
         if not pieces:
             pieces.append(("-" if c < 0 else "") + body)
         else:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from implicurve import (
     BiPoly,
     InternalConsistencyError,
     MethodConfig,
+    RatParam,
     UniPoly,
     bipoly_canonicalize,
     implicitize,
@@ -119,6 +121,10 @@ def test_format_unipoly_spells_fractions():
     p = UniPoly([Fraction(3, 4), Fraction(-1, 2), 1])
     assert format_unipoly(p) == "t^2 - 1/2*t + 3/4"
     assert format_unipoly(UniPoly()) == "0"
+    assert format_unipoly(UniPoly([Fraction(4, 2), Fraction(-6, 1)])) == "-6*t + 2"
+    # past the 4300 digits str() writes of an int, in both parts
+    big = format_unipoly(UniPoly([Fraction(-(10**5000), 3), Fraction(1, 10**5000 + 1)]))
+    assert big == f"1/1{'0' * 4999}1*t - 1{'0' * 5000}/3"
 
 
 def test_cmd_implicitize_human_output(capsys):
@@ -420,6 +426,51 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2 - 3*y - x + 2*x*y"
+
+
+_HASHLIB_PROBE = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)"]) == 0
+    print(sorted({"hashlib", "_hashlib"} & (set(sys.modules) - before)))
+import implicurve
+from implicurve.cli import main
+run("implicitize", "--json")
+run("verify", "--poly", "2 - 3*y - x + 2*x*y")
+run("bench", "--methods", "kron,dualvand")
+"""
+
+
+def test_only_bench_loads_hashlib():
+    # -S: without site, no .pth file can import hashlib before the program
+    src = str(Path(implicurve.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", _HASHLIB_PROBE, src],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]", "['_hashlib', 'hashlib']"]
+
+
+@pytest.mark.parametrize("method", ["kron", "dualvand"])
+def test_a_proven_F_past_the_str_digit_cap_is_written_exactly(method, capsys):
+    # F's coefficients run past the 4300 digits CPython's str() writes of
+    # an int; unstructured is left out, as it takes seconds on this curve
+    digits = "7" * 2500
+    c = int(digits)
+    P = RatParam(UniPoly([0, 1, c]), UniPoly.one(), UniPoly([0, c, 1]), UniPoly.one())
+    F = implicitize(P, MethodConfig(method=CLI_METHODS[method])).F
+    assert max(abs(v) for v in F.flat()) > 10**4300
+    curve = ["--x", f"{digits}*t^2 + t", "--y", f"t^2 + {digits}*t"]
+    assert main(["implicitize", "--method", method, "--json", *curve]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert BiPoly([[int(Decimal(s)) for s in row] for row in doc["coeffs"]]) == F
+    assert main(["implicitize", "--method", method, *curve]) == 0
+    assert capsys.readouterr().out.strip() == format_bipoly(F)
+    assert main(["bench", "--methods", f"kron,{method}", "--json", *curve]) == 0
+    hashes = {r["hash"] for r in json.loads(capsys.readouterr().out)["methods"]}
+    assert hashes == {canonical_digest(F)}
 
 
 def test_parser_caps_exponents_at_the_exponent():

@@ -61,6 +61,25 @@ def cofactor_det(rows) -> Fraction:
     return total
 
 
+def gauss_det(rows) -> Fraction:
+    """Determinant by exact ``Fraction`` elimination with row swaps."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
 def sylvester_rows(p, q):
     """The Sylvester matrix of the coefficient lists ``p`` and ``q``, both
     in descending t-degree: len(q) - 1 shifted rows of p, then len(p) - 1
