@@ -19,6 +19,7 @@ import reprlib
 import statistics
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 # format_ratfun and format_unipoly belong to this module's text API with the parsers
@@ -32,6 +33,7 @@ from .polycore import (
     format_ratfun,
     format_unipoly,
     lowest_terms,
+    refutes,
     substitute_check,
 )
 from .structmat import OpCounter
@@ -68,6 +70,11 @@ class ParseError(ValueError):
 #: verification proof.
 MAX_EXPONENT = 64
 
+#: Most digits of one integer written in an expression or as a JSON number:
+#: CPython's default limit on ``int`` of a string, named here so that a
+#: longer integer is an input error that says so.
+MAX_DIGITS = 4300
+
 _OPS = set("^*/+-()")
 #: ASCII only: ``str.isdigit`` also takes other scripts' digits and "²".
 _DIGITS = set("0123456789")
@@ -84,6 +91,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"integer of more than {MAX_DIGITS} digits", i)
             out.append(("int", text[i:j], i))
             i = j
         elif ch.isalpha():
@@ -283,22 +292,13 @@ def _parse_param(x_text: str, y_text: str) -> RatParam:
     return RatParam(u1, v1, u2, v2)
 
 
-#: ``--primes``: two integers in ASCII digits, as the expression grammar reads
-#: them, each signed or not and with spaces around it, as ``int`` allows.
-_PRIMES_ARG = re.compile(r"\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*", re.ASCII)
-
-
 def cmd_implicitize(args: argparse.Namespace) -> int:
     try:
         P = _parse_param(args.x, args.y)
-        primes = _PRIMES_ARG.fullmatch(args.primes)
-        if not primes:
-            raise ValueError("--primes expects two comma-separated primes")
-        p1, p2 = map(int, primes.groups())
-        cfg = MethodConfig(method=CLI_METHODS[args.method], p1=p1, p2=p2)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    cfg = MethodConfig(method=CLI_METHODS[args.method])
     if P.was_reduced:
         print("note: components were reduced to lowest terms", file=sys.stderr)
     result = implicitize(P, cfg)
@@ -389,6 +389,9 @@ def _print_bench_table(report: dict) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    """PASS (exit 0) when the polynomial vanishes along the curve, else FAIL
+    (exit 4).  A cheap disproof, ``refutes``, settles most FAILs before the
+    exact proof of ``substitute_check`` runs; only the proof accepts."""
     try:
         P = _parse_param(args.x, args.y)
         F = _load_poly(args.poly)
@@ -397,7 +400,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if substitute_check(F, P):
+    if not refutes(F, P) and substitute_check(F, P):
         print("PASS: polynomial vanishes along the parametrization")
         return 0
     print("FAIL: polynomial does not vanish along the parametrization")
@@ -405,17 +408,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 #: A JSON string coefficient: an integer or a quotient of integers, as
-#: ``implicitize --json`` writes them.  Decimal strings are refused, since
-#: ``Fraction("1e2000000")`` would build a 2-million-digit integer, and so
-#: are JSON numbers other than ints: a float is a binary fraction.
+#: ``implicitize --json`` writes them, read at any length.  Decimal strings
+#: are refused, since ``Fraction("1e2000000")`` would build a 2-million-digit
+#: integer, and so are JSON numbers other than ints: a float is a binary
+#: fraction.
 _JSON_COEFF = re.compile(r"[+-]?\d+(/\d+)?", re.ASCII)
+
+
+def _json_number(text: str) -> int:
+    """A JSON int, of at most ``MAX_DIGITS`` digits."""
+    if len(text) - text.startswith("-") > MAX_DIGITS:
+        raise ValueError(f"JSON number of more than {MAX_DIGITS} digits; "
+                         "write the coefficient as a string")
+    return int(text)
+
+
+def _json_coeff(c: int | str) -> int | Fraction:
+    """A checked JSON coefficient; strings go through ``Decimal``, which
+    reads integers of any length, as :func:`coeff_text` writes them."""
+    if type(c) is int:
+        return c
+    p, _, q = c.partition("/")
+    return Fraction(int(Decimal(p)), int(Decimal(q))) if q else int(Decimal(p))
 
 
 def _load_poly(source: str) -> BiPoly:
     """A polynomial from an expression, from a JSON grid as ``implicitize
     --json`` writes it (each degree capped at ``MAX_EXPONENT`` as in an
-    expression, each coefficient a JSON int or a string ``p`` or ``p/q``),
-    or from a file holding either; bad input raises ``ValueError``."""
+    expression, each coefficient a JSON int of at most ``MAX_DIGITS`` digits
+    or a string ``p`` or ``p/q`` of any length), or from a file holding
+    either; bad input raises ``ValueError``."""
     text = source
     if os.path.isfile(source):
         with open(source) as fh:
@@ -424,7 +446,7 @@ def _load_poly(source: str) -> BiPoly:
     if not text.startswith("{"):
         return parse_poly_xy(text)
     try:
-        rows = json.loads(text).get("coeffs")
+        rows = json.loads(text, parse_int=_json_number).get("coeffs")
     except RecursionError:
         raise ValueError("JSON polynomial nested too deeply") from None
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -437,8 +459,7 @@ def _load_poly(source: str) -> BiPoly:
                 raise ValueError(f"bad JSON coefficient at row {i}, column {j}: "
                                  f"{reprlib.repr(c)} is not an int, p or p/q")
     try:
-        return BiPoly([[c if type(c) is int else Fraction(c) if "/" in c else int(c)
-                        for c in row] for row in rows])
+        return BiPoly([[_json_coeff(c) for c in row] for row in rows])
     except ZeroDivisionError as exc:
         raise ValueError(f"bad JSON coefficient: {exc}") from None
 
@@ -465,8 +486,6 @@ def _parser() -> _ArgumentParser:
     p_imp.add_argument("--x", required=True, metavar="RATFUN", help="x(t), e.g. '(1+t)/(2+t)'")
     p_imp.add_argument("--y", required=True, metavar="RATFUN", help="y(t), e.g. '(3+t)/(4+t)'")
     p_imp.add_argument("--method", choices=sorted(CLI_METHODS), default="kron")
-    p_imp.add_argument("--primes", default="2,3", metavar="P1,P2",
-                       help="node primes for dualvand (default 2,3)")
     p_imp.add_argument("--json", action="store_true", help="emit a JSON document")
     p_imp.add_argument("--out", metavar="PATH", help="write output to a file")
     p_imp.set_defaults(func=cmd_implicitize)

@@ -18,9 +18,9 @@ dictates the structure (and cost) of the linear algebra:
     accepts it.
 
 ``method_dual_vandermonde``
-    Nodes are geometric points (p1^k, p2^k) for two distinct primes.  The
+    Nodes are geometric points (2^k, 3^k) (``DUAL_NODE_PRIMES``).  The
     right-hand side holds Sylvester determinants there and the matrix is a
-    transposed Vandermonde in the composite nodes p1^i p2^j, solved by
+    transposed Vandermonde in the composite nodes 2^i 3^j, solved by
     quadratic-cost Björck-Pereyra elimination.
 
 ``method_kronecker``
@@ -49,9 +49,7 @@ from .polycore import (
     DegenerateParametrizationError,
     Rat,
     RatParam,
-    _MR_BASES,
     _horner,
-    _miller_rabin,
     bipoly_canonicalize,
     component_degrees,
     modular_primes,
@@ -72,9 +70,9 @@ METHOD_DUAL_VANDERMONDE = "dual-vandermonde"
 METHOD_KRONECKER = "kronecker"
 METHODS = (METHOD_UNSTRUCTURED, METHOD_DUAL_VANDERMONDE, METHOD_KRONECKER)
 
-#: Largest accepted node prime; it bounds the node sizes.  Primality is
-#: decided exactly by ``_miller_rabin``, which holds far beyond the cap.
-MAX_NODE_PRIME = 2**32
+#: The dual-Vandermonde node primes: any two distinct primes give the same
+#: canonical F, and the smallest two give the smallest data.
+DUAL_NODE_PRIMES = (2, 3)
 
 
 class DegenerateInputError(ValueError):
@@ -94,25 +92,13 @@ class DegreeBounds:
 
 @dataclass
 class MethodConfig:
-    """Pipeline selection plus the node primes ``p1``/``p2`` of the
-    dual-Vandermonde method (each at most ``MAX_NODE_PRIME``)."""
+    """Pipeline selection: one of ``METHODS``, checked on construction."""
 
     method: str = METHOD_KRONECKER
-    p1: int = 2
-    p2: int = 3
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not all(isinstance(p, int) and not isinstance(p, bool) for p in (self.p1, self.p2)):
-            raise ValueError("node primes p1 and p2 must be ints")
-        if max(self.p1, self.p2) > MAX_NODE_PRIME:
-            raise ValueError(f"node primes must not exceed {MAX_NODE_PRIME}")
-        if not all(p in _MR_BASES if p < 38 else p % 2 and _miller_rabin(p)
-                   for p in (self.p1, self.p2)):
-            raise ValueError("node primes p1 and p2 must both be prime")
-        if self.p1 == self.p2:
-            raise ValueError("node primes p1 and p2 must be distinct")
 
 
 @dataclass
@@ -188,7 +174,7 @@ def nodes_on_curve(P: RatParam, count: int) -> list[tuple[Rat, Rat]]:
     return [(Fraction(a, b), Fraction(c, e)) for a, b, c, e in islice(curve_points(P), count)]
 
 
-def method_unstructured(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
+def method_unstructured(P: RatParam) -> ImplicitResult:
     """Implicitize by interpolating zero values at points on the curve.
 
     A c = 0 over the first N curve points normally has a one-dimensional
@@ -351,25 +337,24 @@ def _rational_reconstruction(u: int, modulus: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def method_dual_vandermonde(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
+def method_dual_vandermonde(P: RatParam) -> ImplicitResult:
     """Implicitize from Sylvester determinants at prime-power nodes.
 
-    At the k-th node (p1^k, p2^k) the determinant of the evaluated
-    Sylvester matrix equals F there, and the collocation matrix row is
-    (alpha_0^k, ..., alpha_{N-1}^k) with composite nodes
-    alpha_(i,j) = p1^i p2^j — a transposed Vandermonde system, solved in
+    At the k-th node (2^k, 3^k) (``DUAL_NODE_PRIMES``) the determinant of
+    the evaluated Sylvester matrix equals F there, and the collocation
+    matrix row is (alpha_0^k, ..., alpha_{N-1}^k) with composite nodes
+    alpha_(i,j) = 2^i 3^j — a transposed Vandermonde system, solved in
     O(N^2) by ``vandermonde_solve_dual``.
     """
-    cfg = cfg or MethodConfig()
-    p1, p2 = cfg.p1, cfg.p2
+    a, b = DUAL_NODE_PRIMES
     bounds = degree_bounds(P)
-    alphas = [p1**i * p2**j for i in range(bounds.m + 1) for j in range(bounds.n + 1)]
-    lines = [(p1**k, [p2**k]) for k in range(bounds.N)]
+    alphas = [a**i * b**j for i in range(bounds.m + 1) for j in range(bounds.n + 1)]
+    lines = [(a**k, [b**k]) for k in range(bounds.N)]
     return _from_determinants(P, bounds, lines, [alphas],
                               lambda data, c: vandermonde_solve_dual(alphas, data, c))
 
 
-def method_kronecker(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
+def method_kronecker(P: RatParam) -> ImplicitResult:
     """Implicitize from Sylvester determinants on the integer grid.
 
     Nodes (i, j) for i = 0..m, j = 0..n make the collocation matrix the
@@ -385,8 +370,7 @@ def method_kronecker(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitRe
                               lambda data, c: kron_solve(x_nodes, y_nodes, data, c))
 
 
-#: The one dispatch: every method takes ``(P, cfg)``; only the
-#: dual-Vandermonde method reads ``cfg`` (its node primes).
+#: The one dispatch: every method takes ``P`` alone.
 _PIPELINES = {
     METHOD_UNSTRUCTURED: method_unstructured,
     METHOD_DUAL_VANDERMONDE: method_dual_vandermonde,
@@ -400,8 +384,7 @@ def implicitize(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
     Every method proves its result, so the F returned here vanishes along
     the parametrization.
     """
-    cfg = cfg or MethodConfig()
-    return _PIPELINES[cfg.method](P, cfg)
+    return _PIPELINES[(cfg or MethodConfig()).method](P)
 
 
 def _from_determinants(

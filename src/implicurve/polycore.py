@@ -13,9 +13,10 @@ with the degree rule every method applies (:func:`component_degrees`),
 the text form of both polynomial kinds (``format_*``), the 61-bit primes
 of the modular computations (:func:`modular_primes`), the integer
 :func:`resultant` behind lowest terms and the Sylvester determinants, the
-:class:`OpCounter` that tallies such work, and :func:`substitute_check`,
+:class:`OpCounter` that tallies such work, :func:`substitute_check`,
 the predicate that decides whether a bivariate polynomial vanishes
-identically along a parametrization.
+identically along a parametrization, and :func:`refutes`, its cheap
+one-point disproof.
 """
 
 from __future__ import annotations
@@ -464,6 +465,28 @@ def substitute_check(F: BiPoly, P: RatParam) -> bool:
     comps = [*P.int_pairs[0], *P.int_pairs[1]]
     bound = _numerator([list(map(abs, row)) for row in grid], [sum(map(abs, c)) for c in comps])
     return not _numerator(grid, [_horner(c, 1 << bound.bit_length()) for c in comps])
+
+
+#: The prime modulus of :func:`refutes`: above every one of
+#: :func:`modular_primes`, so that it divides no modulus of theirs.
+REFUTE_PRIME = (1 << 62) - 57
+#: The parameter value at which :func:`refutes` evaluates.
+REFUTE_POINT = 1 << 31
+
+
+def refutes(F: BiPoly, P: RatParam) -> bool:
+    """Whether F(x(t), y(t)) is shown not to vanish by one evaluation: the
+    numerator N(t) of :func:`substitute_check` at t0 = ``REFUTE_POINT``,
+    taken mod the prime ``REFUTE_PRIME``.  A nonzero residue means N(t0) is
+    not 0, so N is not the zero polynomial: a deterministic disproof.  A
+    zero residue decides nothing, and False leaves the verdict to the
+    proof.  Every factor is a residue mod q, so no product passes
+    62 * (m + n + 1) bits, whatever the size of F's coefficients.
+    """
+    q = REFUTE_PRIME
+    grid = [[v % q for v in row] for row in _cleared(F.coeffs)]
+    point = [_horner(c, REFUTE_POINT) % q for c in (*P.int_pairs[0], *P.int_pairs[1])]
+    return _numerator(grid, point) % q != 0
 
 
 def _numerator(grid: Sequence[Sequence[int]], point: Sequence[int]) -> int:

@@ -18,7 +18,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 from implicurve import (
-    METHOD_DUAL_VANDERMONDE,
     METHOD_KRONECKER,
     METHODS,
     BiPoly,
@@ -84,7 +83,6 @@ def _workload(tmp_path, monkeypatch):
     for P in curves:
         for method in METHODS:
             implicitize(P, MethodConfig(method=method))
-    implicitize(HYPERBOLA, MethodConfig(method=METHOD_DUAL_VANDERMONDE, p1=5, p2=7))
 
     hyperbola = ["--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)"]
     out = tmp_path / "f.json"

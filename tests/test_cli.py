@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-import time
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -23,9 +22,11 @@ from implicurve import (
     UniPoly,
     bipoly_canonicalize,
     implicitize,
+    substitute_check,
 )
 from implicurve.cli import (
     CLI_METHODS,
+    MAX_DIGITS,
     MAX_EXPONENT,
     ParseError,
     canonical_digest,
@@ -190,55 +191,20 @@ def test_cmd_implicitize_out_io_error_exits_1(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_cmd_implicitize_custom_primes(capsys):
-    code = main(
-        [
-            "implicitize",
-            "--x",
-            "(1+t)/(2+t)",
-            "--y",
-            "(3+t)/(4+t)",
-            "--method",
-            "dualvand",
-            "--primes",
-            "5,7",
-        ]
-    )
-    assert code == 0
-    assert capsys.readouterr().out.strip() == "2 - 3*y - x + 2*x*y"
-
-
 def test_cmd_implicitize_exit_codes(capsys):
     assert main(["implicitize", "--x", "t^", "--y", "t"]) == 1
     assert main(["implicitize", "--x", "1", "--y", "t"]) == 2  # constant component
-    assert main(
-        ["implicitize", "--x", "t", "--y", "t", "--primes", "4,3"]
-    ) == 1
     capsys.readouterr()
 
 
 @pytest.mark.parametrize("primes", [",", "2,x", "2", "2,3,5"])
 def test_cmd_implicitize_names_a_bad_primes_entry(primes, capsys):
-    assert main(["implicitize", "--x", "t", "--y", "t^2", "--primes", primes]) == 1
-    assert capsys.readouterr().err == "error: --primes expects two comma-separated primes\n"
-
-
-def test_cmd_implicitize_reads_primes_in_ascii_digits(monkeypatch, capsys):
-    # int() would read these as 5,7 and 11,3
-    argv = ["implicitize", "--x", "t", "--y", "t^2", "--method", "dualvand", "--primes"]
-    for primes in ("\u0665,\u0667", "1_1,3"):
-        assert main([*argv, primes]) == 1
-        assert capsys.readouterr().err == "error: --primes expects two comma-separated primes\n"
-    seen = []
-    real = cli.implicitize
-    monkeypatch.setattr(cli, "implicitize", lambda P, cfg: seen.append(cfg) or real(P, cfg))
-    for primes in ("5,7", " 5, +7 "):
-        assert main([*argv, primes]) == 0
-        assert capsys.readouterr().out == "y - x^2\n"
-    assert [(cfg.p1, cfg.p2) for cfg in seen] == [(5, 7), (5, 7)]
-    # a negative entry is read, and refused as not prime
-    assert main([*argv[:-1], "--primes=-5,7"]) == 1
-    assert capsys.readouterr().err == "error: node primes p1 and p2 must both be prime\n"
+    # the dual-Vandermonde nodes are fixed: any --primes is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["implicitize", "--x", "t", "--y", "t^2", "--primes", primes])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: implicurve") and f"unrecognized arguments: --primes {primes}" in err
 
 
 def test_cmd_implicitize_notes_reduction(capsys):
@@ -454,7 +420,7 @@ def test_only_bench_loads_hashlib():
 
 
 @pytest.mark.parametrize("method", ["kron", "dualvand"])
-def test_a_proven_F_past_the_str_digit_cap_is_written_exactly(method, capsys):
+def test_a_proven_F_past_the_str_digit_cap_is_written_exactly(method, tmp_path, capsys):
     # F's coefficients run past the 4300 digits CPython's str() writes of
     # an int; unstructured is left out, as it takes seconds on this curve
     digits = "7" * 2500
@@ -464,8 +430,14 @@ def test_a_proven_F_past_the_str_digit_cap_is_written_exactly(method, capsys):
     assert max(abs(v) for v in F.flat()) > 10**4300
     curve = ["--x", f"{digits}*t^2 + t", "--y", f"t^2 + {digits}*t"]
     assert main(["implicitize", "--method", method, "--json", *curve]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    doc = json.loads(text)
     assert BiPoly([[int(Decimal(s)) for s in row] for row in doc["coeffs"]]) == F
+    # verify reads the document back
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    assert main(["verify", *curve, "--poly", str(path)]) == 0
+    assert "PASS" in capsys.readouterr().out
     assert main(["implicitize", "--method", method, *curve]) == 0
     assert capsys.readouterr().out.strip() == format_bipoly(F)
     assert main(["bench", "--methods", f"kron,{method}", "--json", *curve]) == 0
@@ -492,6 +464,48 @@ def test_cli_rejects_exponents_over_the_cap(capsys):
     assert main(["verify", "--x", "t", "--y", "t", "--poly", f"x^{MAX_EXPONENT + 1}"]) == 1
     err = capsys.readouterr().err
     assert "exponent exceeds the maximum" in err and "Traceback" not in err
+
+
+def test_an_integer_past_the_digit_bound_is_an_input_error(capsys):
+    long = "7" * (MAX_DIGITS + 1)
+    for argv in (["implicitize", "--x", f"{long}*t", "--y", "t"],
+                 ["implicitize", "--x", f"t^{long}", "--y", "t"],
+                 ["verify", "--x", "t", "--y", "t", "--poly", f"x - {long}*y"],
+                 ["verify", "--x", "t", "--y", "t", "--poly", f'{{"coeffs": [[-{long}]]}}']):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert f"more than {MAX_DIGITS} digits" in err, argv
+        assert "set_int_max_str_digits" not in err and "Traceback" not in err
+    with pytest.raises(ParseError) as exc:
+        parse_rational_function(f"1 + {long}*t")
+    assert exc.value.position == 4
+    # the bound itself is accepted, with a sign in JSON too
+    at_bound = "7" * MAX_DIGITS
+    assert parse_rational_function(f"{at_bound}*t")[0] == UniPoly([0, int(at_bound)])
+    doc = f'{{"coeffs": [[-{at_bound}, -1], [1, 0]]}}'  # x - y - C along x = t + C, y = t
+    assert main(["verify", "--x", f"t + {at_bound}", "--y", "t", "--poly", doc]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_verify_refutes_before_the_proof(monkeypatch, capsys):
+    # degree-16 components and a 17 x 17 grid of 1000-digit coefficients:
+    # refuted at one point, so the proof never runs
+    monkeypatch.setattr(cli, "substitute_check", lambda F, P: pytest.fail("the proof ran"))
+    rng = random.Random(16)
+    x, y = (format_unipoly(rand_unipoly(rng, 16)) for _ in range(2))
+    grid = [[str(rng.randrange(10**999, 10**1000)) for _ in range(17)] for _ in range(17)]
+    assert main(["verify", "--x", x, "--y", y, "--poly", json.dumps({"coeffs": grid})]) == 4
+    assert "FAIL" in capsys.readouterr().out
+    # along x = (1+t)/(2+t), (t0 + 2) x - (t0 + 1) vanishes at t0 = 2^31, so
+    # it passes the disproof, and the proof rejects it
+    proofs = []
+    monkeypatch.setattr(cli, "substitute_check",
+                        lambda F, P: proofs.append(F) or substitute_check(F, P))
+    hyperbola = ["--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)"]
+    assert main(["verify", *hyperbola, "--poly", f"{2**31 + 2}*x - {2**31 + 1}"]) == 4
+    assert "FAIL" in capsys.readouterr().out and len(proofs) == 1
+    assert main(["verify", *hyperbola, "--poly", format_bipoly(HYPERBOLA_F)]) == 0
+    assert "PASS" in capsys.readouterr().out and len(proofs) == 2
 
 
 def test_internal_consistency_failure_exits_5(monkeypatch, capsys):
@@ -551,16 +565,6 @@ def test_one_parser_serves_every_call_without_carrying_options_over(capsys):
     assert exc.value.code == 1
     assert capsys.readouterr().err.startswith("usage: implicurve implicitize")
     assert main(base) == 0
-
-
-def test_cli_rejects_node_primes_over_the_cap_at_once(capsys):
-    # 100000000000031 is prime; the cap is checked before trial division
-    t0 = time.perf_counter()
-    argv = ["implicitize", "--x", "t", "--y", "t^2", "--method", "dualvand",
-            "--primes", "2,100000000000031"]
-    assert main(argv) == 1
-    assert time.perf_counter() - t0 < 1.0
-    assert "must not exceed" in capsys.readouterr().err
 
 
 def test_cmd_bench_disagreement_exits_3(monkeypatch, capsys):

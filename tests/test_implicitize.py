@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings, strategies as st
 import implicurve
 
 from implicurve import (
-    METHOD_DUAL_VANDERMONDE,
     METHOD_UNSTRUCTURED,
     BiPoly,
     DegenerateInputError,
@@ -38,7 +37,6 @@ from implicurve import (
 from implicurve import pipeline, structmat
 from implicurve.cli import main
 from implicurve.pipeline import (
-    MAX_NODE_PRIME,
     _counted_point,
     _observe_node_powers,
     _rational_reconstruction,
@@ -47,7 +45,7 @@ from implicurve.pipeline import (
     _scaled_reconstruction,
     curve_points,
 )
-from implicurve.polycore import COPRIME_PRIME, modular_primes
+from implicurve.polycore import COPRIME_PRIME, _miller_rabin, modular_primes
 
 from util import (
     CUBIC,
@@ -200,15 +198,6 @@ def test_method_dual_vandermonde_hyperbola():
     assert r.F == HYPERBOLA_F
     assert r.verified and r.degree_tight
     assert r.det_evals == 4
-    # swapping the primes lands on the same canonical polynomial
-    r2 = method_dual_vandermonde(
-        HYPERBOLA, MethodConfig(method=METHOD_DUAL_VANDERMONDE, p1=3, p2=2)
-    )
-    assert r2.F == HYPERBOLA_F
-    r3 = method_dual_vandermonde(
-        HYPERBOLA, MethodConfig(method=METHOD_DUAL_VANDERMONDE, p1=5, p2=11)
-    )
-    assert r3.F == HYPERBOLA_F
 
 
 def test_method_kronecker_hyperbola():
@@ -237,36 +226,18 @@ def test_kronecker_runs_one_vandermonde_solve_per_grid_line():
 def test_method_config_validation():
     with pytest.raises(ValueError):
         MethodConfig(method="resultant")
-    with pytest.raises(ValueError):
-        MethodConfig(p1=4, p2=3)
-    with pytest.raises(ValueError):
-        MethodConfig(p1=3, p2=3)
-    # 2^32 + 15 is prime but over the cap, which is checked before primality
-    with pytest.raises(ValueError, match="must not exceed"):
-        MethodConfig(p1=2, p2=MAX_NODE_PRIME + 15)
-    MethodConfig(p1=2, p2=MAX_NODE_PRIME - 5)
-    # a float or bool prime is refused up front, not deep in the solve
-    for p1, p2 in ((2.0, 3), (2, 3.0), (True, 3), (Fraction(2), 3)):
-        with pytest.raises(ValueError, match="must be ints"):
-            MethodConfig(method=METHOD_DUAL_VANDERMONDE, p1=p1, p2=p2)
 
 
 def test_node_primality_agrees_with_trial_division():
+    # _miller_rabin decides the modular primes; its contract is odd q > 37
     def is_prime(p):
-        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+        return all(p % d for d in range(2, math.isqrt(p) + 1))
 
-    def accepted(p):
-        try:
-            MethodConfig(p1=p, p2=3 if p == 2 else 2)
-        except ValueError:
-            return False
-        return True
-
-    assert [p for p in range(-5, 20000) if accepted(p) != is_prime(p)] == []
+    assert [q for q in range(39, 20000, 2) if _miller_rabin(q) != is_prime(q)] == []
     # 2047 and 3215031751 are strong pseudoprimes to the bases 2 and 2, 3, 5, 7;
     # 4294967291 is the largest prime below 2^32
-    for p in (2047, 3215031751, 4294967291):
-        assert accepted(p) == is_prime(p) == (p == 4294967291)
+    for q in (2047, 3215031751, 4294967291):
+        assert _miller_rabin(q) == is_prime(q) == (q == 4294967291)
 
 
 def test_implicitize_dispatch_and_merged_counter():

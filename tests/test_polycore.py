@@ -15,10 +15,14 @@ from implicurve import polycore
 from implicurve.cli import main
 from implicurve.polycore import (
     COPRIME_PRIME,
+    REFUTE_POINT,
+    REFUTE_PRIME,
     OpCounter,
     _cleared,
+    _miller_rabin,
     _prs,
     lowest_terms,
+    refutes,
     resultant,
 )
 
@@ -209,6 +213,21 @@ def test_substitute_check_rejects_wrong_equations():
     assert not substitute_check(HYPERBOLA_F, CUBIC)
 
 
+def test_refutes_is_a_disproof_that_never_accepts():
+    # q is prime and above every modular prime, so it divides no modulus of theirs
+    assert _miller_rabin(REFUTE_PRIME) and REFUTE_PRIME > COPRIME_PRIME
+    for F, P in ((HYPERBOLA_F, HYPERBOLA), (CUBIC_F_RAW, CUBIC)):
+        assert not refutes(F, P) and substitute_check(F, P)
+    assert refutes(BiPoly([[0], [1]]), HYPERBOLA) and refutes(HYPERBOLA_F, CUBIC)
+    # v1(t0) x - u1(t0) vanishes at the point P(t0), so N(t0) = 0 and only
+    # the proof can reject it
+    t0 = REFUTE_POINT
+    for P in (HYPERBOLA, CUBIC):
+        u1, v1 = P.int_pairs[0]
+        F = BiPoly([[-polycore._horner(u1, t0)], [polycore._horner(v1, t0)]])
+        assert not refutes(F, P) and not substitute_check(F, P)
+
+
 def test_substitute_check_rejects_zero_polynomial():
     with pytest.raises(ValueError):
         substitute_check(BiPoly([[0, 0], [0, 0]]), HYPERBOLA)
@@ -228,6 +247,7 @@ def _checked_verdict(F, P):
     points = ([polycore._horner(c, t) for c in comps] for t in range(D + 1))
     verdict = substitute_check(F, P)
     assert verdict == (not any(polycore._numerator(grid, pt) for pt in points)), (F, P)
+    assert not (verdict and refutes(F, P)), (F, P)  # the disproof never refutes a true F
     return verdict
 
 
@@ -250,6 +270,7 @@ def _assert_only_the_equation_vanishes(F, P):
             rows = [list(row) for row in F.coeffs]
             rows[i][j] += 1
             assert not _checked_verdict(BiPoly(rows), P), (P, i, j)
+            assert refutes(BiPoly(rows), P), (P, i, j)
 
 
 def test_substitute_check_rejects_every_one_coefficient_perturbation():
