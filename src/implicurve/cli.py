@@ -483,8 +483,10 @@ def _parser() -> _ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_imp = sub.add_parser("implicitize", help="compute the implicit polynomial")
-    p_imp.add_argument("--x", required=True, metavar="RATFUN", help="x(t), e.g. '(1+t)/(2+t)'")
-    p_imp.add_argument("--y", required=True, metavar="RATFUN", help="y(t), e.g. '(3+t)/(4+t)'")
+    p_imp.add_argument("--x", required=True, metavar="RATFUN",
+                       help="x(t), e.g. '(1+t)/(2+t)'; one that starts with '-' as --x=-t")
+    p_imp.add_argument("--y", required=True, metavar="RATFUN",
+                       help="y(t), e.g. '(3+t)/(4+t)'; one that starts with '-' as --y=-t")
     p_imp.add_argument("--method", choices=sorted(CLI_METHODS), default="kron")
     p_imp.add_argument("--json", action="store_true", help="emit a JSON document")
     p_imp.add_argument("--out", metavar="PATH", help="write output to a file")

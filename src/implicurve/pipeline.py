@@ -28,12 +28,12 @@ dictates the structure (and cost) of the linear algebra:
     data.  The matrix is the Kronecker product of two small Vandermonde
     matrices and splits into (m+1) + (n+1) independent primal solves.
 
-The two determinant schemes share one run, ``_from_determinants``, and
-differ only in their solver and their grid lines (x0, ys) of nodes: a
-Kronecker line holds n+1 nodes, a dual-Vandermonde line one.  Every method
-returns only an F that the exact vanishing proof of ``substitute_check``
-accepts, or raises ``InternalConsistencyError``, and reports operation
-counts split into a data stage (building the system) and a solve stage.
+Each method is one call of ``_certified`` with its node scheme, which
+yields batches of candidate vectors.  That one run counts a data stage and
+a solve stage, and returns only an F that the exact vanishing proof of
+``substitute_check`` accepts, or raises.  The determinant schemes share
+their data stage, ``_from_determinants``, and differ in their solver and
+grid lines (x0, ys): n+1 nodes on a Kronecker line, one on a dual line.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ class DegreeBounds:
     N: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodConfig:
     """Pipeline selection: one of ``METHODS``, checked on construction."""
 
@@ -109,9 +109,9 @@ class ImplicitResult:
     methods that is ``det_evals`` Sylvester determinants); ``solve_counter``
     covers the linear solve, summed over the ``primes`` of a modular solve.
     ``counter`` merges the two.  ``verified`` is the exact vanishing proof
-    of F along the parametrization, always True: a method raises rather
-    than return an unproven F.  ``degree_tight`` records whether F attains
-    both degree bounds.
+    of F along the parametrization, always True: the one run all methods
+    share builds a result only from a proven F, and raises otherwise.
+    ``degree_tight`` records whether F attains both degree bounds.
     """
 
     F: BiPoly
@@ -185,17 +185,20 @@ def method_unstructured(P: RatParam) -> ImplicitResult:
     2N more points extend its echelon form.  CRT and rational
     reconstruction rebuild each null vector v as the ints S * v, S the lcm
     of its denominators (:func:`_scaled_reconstruction`), so no
-    ``Fraction`` is built, and ``substitute_check`` must prove each.  As rank mod p <= rank over Q, a
-    nullity of 1 mod p then means F spans the nullspace; two proven vectors
-    raise ``DegenerateInputError``.  Past 2*H**2, H the product of the
-    integer rows' 1-norms (Hadamard, :func:`_row_norm`, computed once a
-    second prime is needed), reconstruction must have succeeded:
-    ``InternalConsistencyError``.
+    ``Fraction`` is built; these are the candidates that must be proven.
+    As rank mod p <= rank over Q, a nullity of 1 mod p then means F spans
+    the nullspace; two proven vectors raise ``DegenerateInputError``.  Past
+    2*H**2, H the product of the integer rows' 1-norms (Hadamard,
+    :func:`_row_norm`, computed once a second prime is needed),
+    reconstruction must have succeeded: ``InternalConsistencyError``.
     """
-    bounds = degree_bounds(P)
+    return _certified(P, _curve_point_batches)
+
+
+def _curve_point_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter):
+    """Yield, at each prime of the best key (nullity, free columns), the
+    null vectors that have a reconstruction, last when the nullity is 1."""
     m, n, N = bounds.m, bounds.n, bounds.N
-    data_c = OpCounter()
-    solve_c = OpCounter()
     sweep = curve_points(P)
     points = [_counted_point(next(sweep), m, n, data_c) for _ in range(N)]
     limit = best = None
@@ -215,13 +218,9 @@ def method_unstructured(P: RatParam) -> ImplicitResult:
             acc = _crt(acc, modulus, ech.null_vectors(), p)
             modulus *= p
         if key == best:
-            proven = list(islice(_proven(P, acc, modulus, bounds), 2))
-            if len(ech.free) == 1 and proven:
-                return ImplicitResult(proven[0], bounds, data_c, solve_c, True, primes=used)
-            if len(proven) == 2:
-                raise DegenerateInputError(
-                    f"two independent equations vanish on the curve at {len(points)} points"
-                )
+            ints = (_scaled_reconstruction(vec, modulus) for vec in acc)
+            yield ((v for v in ints if v is not None), len(ech.free) == 1, len(points),
+                   {"primes": used})
         if limit is None:
             limit = 2 * prod(_row_norm(pt, m, n) for pt in points) ** 2
         if modulus > limit:
@@ -282,17 +281,6 @@ def _crt(acc: list[list[int]], modulus: int, vecs: list[list[int]], p: int) -> l
     return [[a + modulus * ((v - a) * k % p) for a, v in zip(av, vv)] for av, vv in zip(acc, vecs)]
 
 
-def _proven(P: RatParam, vecs: list[list[int]], modulus: int, bounds: DegreeBounds):
-    """The canonical F of each vector in ``vecs`` that has a rational
-    reconstruction mod ``modulus``, when ``substitute_check`` proves it."""
-    for vec in vecs:
-        ints = _scaled_reconstruction(vec, modulus)
-        if ints is not None:  # F is nonzero at its free column
-            F = bipoly_canonicalize(BiPoly.from_flat(ints, bounds.m, bounds.n))
-            if substitute_check(F, P):
-                yield F
-
-
 def _scaled_reconstruction(vec: list[int], modulus: int) -> list[int] | None:
     """S * v as ints, v the :func:`_rational_reconstruction` of ``vec`` entry
     by entry and S the lcm of its denominators, or None if an entry has none.
@@ -346,12 +334,15 @@ def method_dual_vandermonde(P: RatParam) -> ImplicitResult:
     alpha_(i,j) = 2^i 3^j — a transposed Vandermonde system, solved in
     O(N^2) by ``vandermonde_solve_dual``.
     """
+    return _certified(P, _dual_batches)
+
+
+def _dual_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter):
+    """Yield one batch: the solve on N lines of one node each."""
     a, b = DUAL_NODE_PRIMES
-    bounds = degree_bounds(P)
     alphas = [a**i * b**j for i in range(bounds.m + 1) for j in range(bounds.n + 1)]
-    lines = [(a**k, [b**k]) for k in range(bounds.N)]
-    return _from_determinants(P, bounds, lines, [alphas],
-                              lambda data, c: vandermonde_solve_dual(alphas, data, c))
+    data = _from_determinants(P, [(a**k, [b**k]) for k in range(bounds.N)], [alphas], data_c)
+    yield [vandermonde_solve_dual(alphas, data, solve_c)], True, bounds.N, {"det_evals": bounds.N}
 
 
 def method_kronecker(P: RatParam) -> ImplicitResult:
@@ -362,12 +353,14 @@ def method_kronecker(P: RatParam) -> ImplicitResult:
     solve decomposes into (m+1) + (n+1) Björck-Pereyra eliminations and the
     interpolation data stays as small as the curve itself allows.
     """
-    bounds = degree_bounds(P)
-    x_nodes = list(range(bounds.m + 1))
-    y_nodes = list(range(bounds.n + 1))
-    lines = [(x0, y_nodes) for x0 in x_nodes]
-    return _from_determinants(P, bounds, lines, [x_nodes, y_nodes],
-                              lambda data, c: kron_solve(x_nodes, y_nodes, data, c))
+    return _certified(P, _kronecker_batches)
+
+
+def _kronecker_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter):
+    """Yield one batch: the solve on m+1 lines of n+1 nodes each."""
+    x_nodes, y_nodes = list(range(bounds.m + 1)), list(range(bounds.n + 1))
+    data = _from_determinants(P, [(x0, y_nodes) for x0 in x_nodes], [x_nodes, y_nodes], data_c)
+    yield [kron_solve(x_nodes, y_nodes, data, solve_c)], True, bounds.N, {"det_evals": bounds.N}
 
 
 #: The one dispatch: every method takes ``P`` alone.
@@ -387,44 +380,50 @@ def implicitize(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
     return _PIPELINES[(cfg or MethodConfig()).method](P)
 
 
-def _from_determinants(
-    P: RatParam,
-    bounds: DegreeBounds,
-    lines: Sequence[tuple[int, Sequence[int]]],
-    node_sets: Sequence[Sequence[int]],
-    solve: Callable[[list[int], OpCounter], list[Rat | int]],
-) -> ImplicitResult:
-    """The run the determinant schemes share: Sylvester determinants on the
-    grid ``lines`` (x0, ys), one ``sylvester_line_dets`` call per line,
-    ``solve(data, counter)`` for F's i-major coefficients, canonicalization
-    and the vanishing proof.
+def _certified(P: RatParam, scheme: Callable[..., Iterator[tuple]]) -> ImplicitResult:
+    """The run of every method: bounds and counters once, then the batches
+    (vectors, last, nodes, fields) of ``scheme(P, bounds, data_c, solve_c)``:
+    candidate i-major coefficient vectors, produced lazily; whether they
+    span the nullspace; the number of nodes used; the result fields set.
 
-    The Sylvester matrix of a rational curve has cleared integer bands,
-    which scales every datum, and so the solved F, by the constant
-    L1**d2 * L2**d1 that canonicalization removes.  ``node_sets`` are the
-    Vandermonde nodes whose powers the solve uses.  An F that fails
-    ``substitute_check`` raises ``InternalConsistencyError``: for a valid
-    parametrization only a bug can cause that, not bad input, and the
-    proof catches a wrong datum and a wrong solve alike.  Kernels are
-    called through this module's names, so rebinding one (as a tracer
-    does) takes effect.
+    Each candidate must be nonzero, and is canonicalized and proven.  A
+    second proven candidate raises ``DegenerateInputError``; the proven one
+    of a last batch is the result.  A scheme that runs out of batches raises
+    ``InternalConsistencyError``: only a bug causes that, and the proof
+    catches a wrong datum and a wrong solve alike.  Kernels are called
+    through this module's names, so rebinding one (as a tracer does) works.
     """
+    bounds = degree_bounds(P)
+    data_c, solve_c = OpCounter(), OpCounter()
+    for vectors, last, nodes, fields in scheme(P, bounds, data_c, solve_c):
+        found = None
+        for vec in vectors:
+            if not any(vec):
+                raise InternalConsistencyError("interpolation produced the zero polynomial")
+            F = bipoly_canonicalize(BiPoly.from_flat(vec, bounds.m, bounds.n))
+            if substitute_check(F, P):
+                if found is not None:
+                    raise DegenerateInputError(
+                        f"two independent equations vanish on the curve at {nodes} points")
+                found = F
+        if last and found is not None:
+            return ImplicitResult(found, bounds, data_c, solve_c, True, **fields)
+    raise InternalConsistencyError("computed polynomial does not vanish along the parametrization")
+
+
+def _from_determinants(P: RatParam, lines: Sequence[tuple[int, Sequence[int]]],
+                       node_sets: Sequence[Sequence[int]], counter: OpCounter) -> list[int]:
+    """The Sylvester determinants on the grid ``lines`` (x0, ys), one
+    ``sylvester_line_dets`` call per line, observed in ``counter`` with the
+    powers of the Vandermonde ``node_sets``.  The cleared integer bands
+    scale every datum, and so the solved F, by the constant L1**d2 * L2**d1
+    that canonicalization removes."""
     S = build_parametric_sylvester(P)
-    data_c = OpCounter()
-    solve_c = OpCounter()
-    data = [v for x0, ys in lines for v in sylvester_line_dets(S, x0, ys, data_c)]
-    data_c.observe_many(data)
+    data = [v for x0, ys in lines for v in sylvester_line_dets(S, x0, ys, counter)]
+    counter.observe_many(data)
     for nodes in node_sets:
-        _observe_node_powers(data_c, nodes)
-    F_raw = BiPoly.from_flat(solve(data, solve_c), bounds.m, bounds.n)
-    if F_raw.is_zero:
-        raise InternalConsistencyError("interpolation produced the zero polynomial")
-    F = bipoly_canonicalize(F_raw)
-    if not substitute_check(F, P):
-        raise InternalConsistencyError(
-            "computed polynomial does not vanish along the parametrization"
-        )
-    return ImplicitResult(F, bounds, data_c, solve_c, True, det_evals=bounds.N)
+        _observe_node_powers(counter, nodes)
+    return data
 
 
 def _observe_node_powers(counter: OpCounter, nodes: Sequence[int]) -> None:

@@ -197,6 +197,12 @@ def test_cmd_implicitize_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_a_component_with_a_leading_minus_takes_the_equals_form(capsys):
+    # argparse reads "--x -t" as two options; "--x=-t" is one
+    assert main(["implicitize", "--x=-t", "--y", "t"]) == 0
+    assert capsys.readouterr().out == "y + x\n"
+
+
 @pytest.mark.parametrize("primes", [",", "2,x", "2", "2,3,5"])
 def test_cmd_implicitize_names_a_bad_primes_entry(primes, capsys):
     # the dual-Vandermonde nodes are fixed: any --primes is a usage error

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -228,6 +229,13 @@ def test_method_config_validation():
         MethodConfig(method="resultant")
 
 
+def test_method_config_cannot_be_changed_past_its_check():
+    cfg = MethodConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.method = "bogus"
+    assert implicitize(HYPERBOLA, cfg).F == HYPERBOLA_F
+
+
 def test_node_primality_agrees_with_trial_division():
     # _miller_rabin decides the modular primes; its contract is odd q > 37
     def is_prime(p):
@@ -350,6 +358,45 @@ def test_a_candidate_that_fails_the_proof_is_never_returned(monkeypatch):
     for fn in (method_kronecker, method_dual_vandermonde):
         with pytest.raises(InternalConsistencyError, match="does not vanish"):
             fn(CUBIC)
+
+
+def test_improper_input_error_names_its_point_count():
+    # x = t^2, y = t^4 + t^2: m = 4, n = 2, so N = 15 points and 2N extra
+    t2, one = UniPoly([0, 0, 1]), UniPoly.one()
+    with pytest.raises(DegenerateInputError) as exc:
+        method_unstructured(RatParam(t2, one, UniPoly([0, 0, 1, 0, 1]), one))
+    assert str(exc.value) == "two independent equations vanish on the curve at 45 points"
+
+
+def test_a_zero_interpolant_is_an_internal_failure(monkeypatch, capsys):
+    # zero data solve to the zero polynomial, which vanishes everywhere and
+    # is never an implicit equation
+    monkeypatch.setattr(pipeline, "sylvester_line_dets", lambda S, x0, ys, c: [0] * len(ys))
+    for fn in (method_kronecker, method_dual_vandermonde):
+        with pytest.raises(InternalConsistencyError, match="zero polynomial"):
+            fn(CUBIC)
+    for method in ("kron", "dualvand"):
+        argv = ["implicitize", "--method", method, "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)"]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert err == ("error: internal consistency failure: "
+                       "interpolation produced the zero polynomial\n")
+
+
+def test_points_off_the_curve_give_full_rank(monkeypatch):
+    # F vanishes at every curve point, so only points off the curve can
+    # leave the unstructured system without a null vector
+    rng = random.Random(43)
+
+    def off_curve(P):
+        while True:
+            yield (rng.randint(-99, 99), rng.randint(1, 99),
+                   rng.randint(-99, 99), rng.randint(1, 99))
+
+    monkeypatch.setattr(pipeline, "curve_points", off_curve)
+    for P in (HYPERBOLA, CUBIC):
+        with pytest.raises(InternalConsistencyError, match="full rank mod p"):
+            method_unstructured(P)
 
 
 def test_constant_component_degenerate_for_determinant_methods():
