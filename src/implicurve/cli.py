@@ -19,7 +19,6 @@ import reprlib
 import statistics
 import sys
 import time
-from decimal import Decimal
 from fractions import Fraction
 
 # format_ratfun and format_unipoly belong to this module's text API with the parsers
@@ -424,12 +423,24 @@ def _json_number(text: str) -> int:
 
 
 def _json_coeff(c: int | str) -> int | Fraction:
-    """A checked JSON coefficient; strings go through ``Decimal``, which
-    reads integers of any length, as :func:`coeff_text` writes them."""
+    """A checked JSON coefficient; strings are read at any length, as
+    :func:`coeff_text` writes them."""
     if type(c) is int:
         return c
     p, _, q = c.partition("/")
-    return Fraction(int(Decimal(p)), int(Decimal(q))) if q else int(Decimal(p))
+    return Fraction(_read_int(p), _read_int(q)) if q else _read_int(p)
+
+
+def _read_int(text: str) -> int:
+    """The int of a signed digit string of any length, split in halves
+    combined as hi * 10**k + lo: subquadratic, and each ``int`` call reads
+    at most 3000 digits, under CPython's 4300-digit cap on ``int(str)``."""
+    if len(text) <= 3000:
+        return int(text)
+    if text[0] in "+-":
+        return -_read_int(text[1:]) if text[0] == "-" else _read_int(text[1:])
+    k = len(text) // 2
+    return _read_int(text[:-k]) * 10**k + _read_int(text[-k:])
 
 
 def _load_poly(source: str) -> BiPoly:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from typing import Callable, Iterator, Sequence
 
 from .polycore import (
@@ -179,18 +179,19 @@ def method_unstructured(P: RatParam) -> ImplicitResult:
 
     A c = 0 over the first N curve points normally has a one-dimensional
     nullspace, spanned by F.  Its rows, the monomials at the points, are
-    built mod each prime from the kept points, packed at the slot width of
-    the elimination (:func:`_residue_row`), and eliminated in that form
-    (``ModEchelon``); while the first prime leaves a nullity above 1, up to
-    2N more points extend its echelon form.  CRT and rational
-    reconstruction rebuild each null vector v as the ints S * v, S the lcm
-    of its denominators (:func:`_scaled_reconstruction`), so no
-    ``Fraction`` is built; these are the candidates that must be proven.
-    As rank mod p <= rank over Q, a nullity of 1 mod p then means F spans
-    the nullspace; two proven vectors raise ``DegenerateInputError``.  Past
-    2*H**2, H the product of the integer rows' 1-norms (Hadamard,
-    :func:`_row_norm`, computed once a second prime is needed),
-    reconstruction must have succeeded: ``InternalConsistencyError``.
+    built mod each prime, packed at the slot width of the elimination
+    (:func:`_residue_row`), and eliminated so (``ModEchelon``); while the
+    first prime leaves a nullity above 1, up to 2N more points extend it.
+    CRT and rational reconstruction rebuild each null vector v as the ints
+    S * v, S the lcm of its denominators (:func:`_scaled_reconstruction`):
+    the candidates to prove.  As rank mod p <= rank over Q, a nullity of 1
+    mod p means F spans the nullspace; two proven vectors raise
+    ``DegenerateInputError``.  B = (|u1|_1 + |v1|_1)**m * (|u2|_1 +
+    |v2|_1)**n on ``P.int_pairs``, the Sylvester rows' 1-norms' product,
+    bounds sum |R_ij|, R = det S(x, y) (``structmat._line_bound``); as a
+    proper curve has F = +-R/cont(R), past 2*B**2 with two primes or more
+    the run raises ``InternalConsistencyError``.  B does not bound an
+    improper curve's null vectors: one needing more primes raises it too.
     """
     return _certified(P, _curve_point_batches)
 
@@ -201,7 +202,9 @@ def _curve_point_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, s
     m, n, N = bounds.m, bounds.n, bounds.N
     sweep = curve_points(P)
     points = [_counted_point(next(sweep), m, n, data_c) for _ in range(N)]
-    limit = best = None
+    (u1, v1), (u2, v2) = P.int_pairs
+    B = sum(map(abs, u1 + v1)) ** m * sum(map(abs, u2 + v2)) ** n
+    limit, best = max(2 * B * B, 1 << 61), None  # two primes or more: each is < 2**61
     for used, p in enumerate(modular_primes(), 1):
         ech = ModEchelon(p, N, solve_c)
         for pt in points:
@@ -221,8 +224,6 @@ def _curve_point_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, s
             ints = (_scaled_reconstruction(vec, modulus) for vec in acc)
             yield ((v for v in ints if v is not None), len(ech.free) == 1, len(points),
                    {"primes": used})
-        if limit is None:
-            limit = 2 * prod(_row_norm(pt, m, n) for pt in points) ** 2
         if modulus > limit:
             raise InternalConsistencyError("no proven candidate within the Hadamard bound")
 
@@ -265,14 +266,6 @@ def _homogeneous_powers(a: int, b: int, d: int, p: int, stride: int) -> int:
         lo = lo * a % p
         packed |= (lo * hi[d - i] % p) << i * stride
     return packed
-
-
-def _row_norm(point: tuple[int, int, int, int], m: int, n: int) -> int:
-    """The 1-norm of the integer collocation row at (a, b, c, e): the
-    product of sum |a|^i |b|^(m-i) and sum |c|^j |e|^(n-j)."""
-    a, b, c, e = map(abs, point)
-    return sum(a**i * b ** (m - i) for i in range(m + 1)) * sum(
-        c**j * e ** (n - j) for j in range(n + 1))
 
 
 def _crt(acc: list[list[int]], modulus: int, vecs: list[list[int]], p: int) -> list[list[int]]:

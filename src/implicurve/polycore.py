@@ -41,9 +41,9 @@ def _coefficient(value: Rat | int) -> Rat | int:
 class InternalConsistencyError(RuntimeError):
     """Raised when a self-check that can only fail on an implementation bug
     fails: a nonexact division in the subresultant PRS or by its gcd, a packed
-    determinant beyond its coefficient bound, a modular solve with no
-    proven candidate within its Hadamard bound, or a computed F that does
-    not vanish along the input parametrization."""
+    determinant beyond its coefficient bound, a modular solve with no proven
+    candidate past its Sylvester cap (an improper curve can reach it too),
+    or a computed F that does not vanish along the input parametrization."""
 
 
 class OpCounter:

@@ -255,7 +255,16 @@ def test_cmd_verify_reads_json_and_files(tmp_path, capsys):
         )
         == 0
     )
-    capsys.readouterr()
+    # p/q strings: HYPERBOLA_F / 2 vanishes; 1 + 1/3 in place of 1 does not
+    half = {"coeffs": [["1", "-3/2"], ["-1/2", "1"]]}
+    assert main(["verify", "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)",
+                 "--poly", json.dumps(half)]) == 0
+    off = {"coeffs": [["4/3", "-3/2"], ["-1/2", "1"]]}
+    assert main(["verify", "--x", "(1+t)/(2+t)", "--y", "(3+t)/(4+t)",
+                 "--poly", json.dumps(off)]) == 4
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "PASS: polynomial vanishes along the parametrization",
+        "FAIL: polynomial does not vanish along the parametrization"]
 
 
 def test_implicitize_json_document_verifies(tmp_path, capsys):
@@ -312,6 +321,25 @@ def test_cmd_verify_accepts_json_grids_at_the_cap(capsys):
     argv = ["verify", "--x", f"t^{MAX_EXPONENT}", "--y", "t", "--poly", json.dumps(doc)]
     assert main(argv) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_long_json_coefficients_read_exactly(monkeypatch, capsys):
+    rng = random.Random(45)
+    for length in (1, 2, 2999, 3000, 3001, 4300, 4301, 10**4, 10**5):
+        digits = "".join(rng.choices("0123456789", k=length))
+        texts = ("-00" + digits,) if length == 10**5 else (  # Decimal's read is slow there
+            digits, "-" + digits, "+" + digits, "000" + digits, "-00" + digits)
+        for text in texts:
+            assert cli._json_coeff(text) == int(Decimal(text)), (length, text[:5])
+    assert cli._json_coeff("-0012/0000" + "3" * 3000) == Fraction(-12, int("3" * 3000))
+    # through main, 200000 digits: 1234567890 repeated 20000 times
+    value = 1234567890 * (10**200_000 - 1) // (10**10 - 1)
+    doc = {"coeffs": [["-000" + "1234567890" * 20_000, "1"], ["1", "0"]]}
+    seen = []
+    monkeypatch.setattr(cli, "refutes", lambda F, P: seen.append(F) or True)
+    assert main(["verify", "--x", "t", "--y", "t", "--poly", json.dumps(doc)]) == 4
+    assert "FAIL" in capsys.readouterr().out
+    assert seen == [BiPoly([[-value, 1], [1, 0]])]
 
 
 def test_cmd_verify_rejects_zero_polynomial(capsys):

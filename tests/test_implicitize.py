@@ -36,13 +36,12 @@ from implicurve import (
     sylvester_line_dets,
 )
 from implicurve import pipeline, structmat
-from implicurve.cli import main
+from implicurve.cli import main, parse_rational_function
 from implicurve.pipeline import (
     _counted_point,
     _observe_node_powers,
     _rational_reconstruction,
     _residue_row,
-    _row_norm,
     _scaled_reconstruction,
     curve_points,
 )
@@ -125,6 +124,30 @@ def test_sweep_poles_at_the_first_values_agree_across_methods():
                        for j, c in enumerate(row)) == 0
 
 
+@pytest.mark.parametrize("texts, nodes, want", [
+    # p's lead 2 - x vanishes on the Kronecker line x0 = 2
+    (("(2*t+1)/(t+3)", "(t^2+1)/(t^2+t+2)"), [(2, None)], None),
+    # the leads 4 - x of p and 9 - y of q both vanish at the dual node (2^2, 3^2)
+    (("(4*t^2+1)/(t^2+t+1)", "(9*t^2+2)/(t^2+t+5)"), [(4, 9)], None),
+    # p's lead 1 - x vanishes on the Kronecker line x0 = 1; t = 1/(y - 1)
+    # gives 1 - x (y^2 - 2y + 2)
+    (("t^2/(t^2+1)", "(t+1)/t"), [(1, None)], BiPoly([[1, 0, 0], [-2, 2, -1]])),
+], ids=["kronecker-line-2", "dual-node-4-9", "kronecker-line-1"])
+def test_a_vanishing_lead_on_a_node_gives_the_same_F_from_every_method(texts, nodes, want):
+    P = RatParam(*parse_rational_function(texts[0]), *parse_rational_function(texts[1]))
+    b = degree_bounds(P)
+    (u1, v1), (u2, v2) = P.int_pairs
+    for x0, y0 in nodes:  # the node lies on the grid of its method
+        assert u1[b.n] - x0 * v1[b.n] == 0
+        if y0 is None:
+            assert x0 <= b.m
+        else:
+            assert u2[b.m] - y0 * v2[b.m] == 0 and (x0, y0) in [(2**k, 3**k) for k in range(b.N)]
+    rs = [method_unstructured(P), method_dual_vandermonde(P), method_kronecker(P)]
+    assert rs[0].F == rs[1].F == rs[2].F and substitute_check(rs[0].F, P)
+    assert want is None or rs[0].F == want
+
+
 def test_nodes_on_curve_skips_duplicate_points():
     # x = y = t^2 - 3t + 2 revisits the same point at t = 2 and t = 3
     q = UniPoly([2, -3, 1])
@@ -176,7 +199,6 @@ def test_collocation_row_is_monomial_basis():
             assert _counted_point(point, m, n, c) == point
             assert c.muls == m + n + len(want)
             assert c.max_bits == max(abs(int(v)) for v in want).bit_length()
-            assert _row_norm(point, m, n) == sum(abs(int(v)) for v in want)
 
 
 def test_method_unstructured_hyperbola():
@@ -342,6 +364,35 @@ def test_wide_coefficients_need_several_primes():
     assert r.F == method_kronecker(P).F
 
 
+def _sylvester_cap(P):
+    """B = (|u1|_1 + |v1|_1)**m * (|u2|_1 + |v2|_1)**n, the product of the
+    Sylvester rows' 1-norms on the cleared pairs."""
+    b = degree_bounds(P)
+    (u1, v1), (u2, v2) = P.int_pairs
+    return sum(map(abs, u1 + v1)) ** b.m * sum(map(abs, u2 + v2)) ** b.n
+
+
+def test_proper_curves_have_F_within_the_sylvester_cap():
+    # the premise of the unstructured cap: |F_ij| <= B, as F = +-R/cont(R)
+    # and B bounds sum |R_ij|; rational coefficients only where the cleared
+    # pairs keep the unstructured run short
+    rng = random.Random(45)
+
+    def poly(degree, bits, rational):
+        top = 2**bits
+        cs = [rng.randint(-top, top) for _ in range(degree)] + [rng.randint(1, top)]
+        return UniPoly([Fraction(c, rng.randint(1, top)) for c in cs] if rational else cs)
+
+    for d, bits, rational in itertools.product(range(1, 7), (4, 8, 16, 32), (False, True)):
+        if rational and d * bits > 64:
+            continue
+        P = RatParam(*(poly(rng.randint(0, d), bits, rational) if k % 2 == 0
+                       else poly(d, bits, rational) for k in range(4)))
+        Fs = [fn(P).F for fn in (method_unstructured, method_dual_vandermonde, method_kronecker)]
+        assert Fs[0] == Fs[1] == Fs[2]
+        assert max(abs(c) for c in Fs[0].flat()) <= _sylvester_cap(P), (d, bits, rational)
+
+
 def test_a_candidate_that_fails_the_proof_is_never_returned(monkeypatch):
     real = pipeline._scaled_reconstruction
 
@@ -358,6 +409,29 @@ def test_a_candidate_that_fails_the_proof_is_never_returned(monkeypatch):
     for fn in (method_kronecker, method_dual_vandermonde):
         with pytest.raises(InternalConsistencyError, match="does not vanish"):
             fn(CUBIC)
+
+
+def test_the_unstructured_run_gives_up_at_the_sylvester_cap(monkeypatch):
+    # with every proof failing, the run raises once the modulus passes
+    # 2 * B**2 with two primes or more; each prime exceeds 2**60
+    primes = []
+
+    def spy(p, width, counter):
+        primes.append(p)
+        return structmat.ModEchelon(p, width, counter)
+
+    monkeypatch.setattr(pipeline, "ModEchelon", spy)
+    monkeypatch.setattr(pipeline, "substitute_check", lambda F, P: False)
+    with pytest.raises(InternalConsistencyError, match="Hadamard"):
+        method_unstructured(CUBIC)
+    assert (2 * _sylvester_cap(CUBIC) ** 2).bit_length() == 42 and len(primes) == 2
+    # the census's wide rational curve
+    wide = RatParam(*(UniPoly([Fraction(7**k + 3, 2**31 - k) for k in range(d + 1)])
+                      for d in (2, 3, 1, 3)))
+    primes.clear()
+    with pytest.raises(InternalConsistencyError, match="Hadamard"):
+        method_unstructured(wide)
+    assert 2 < len(primes) <= -(-(2 * _sylvester_cap(wide) ** 2).bit_length() // 60) + 1
 
 
 def test_improper_input_error_names_its_point_count():
