@@ -25,15 +25,14 @@ dictates the structure (and cost) of the linear algebra:
 
 ``method_kronecker``
     Nodes are the integer grid {0..m} x {0..n}, again with determinant
-    data.  The matrix is the Kronecker product of two small Vandermonde
-    matrices and splits into (m+1) + (n+1) independent primal solves.
+    data, and the matrix is V_x (x) V_y.  Each grid line packs into one
+    determinant at y = 2^s, so one primal solve of order m+1 remains.
 
 Each method is one call of ``_certified`` with its node scheme, which
 yields batches of candidate vectors.  That one run counts a data stage and
 a solve stage, and returns only an F that the exact vanishing proof of
 ``substitute_check`` accepts, or raises.  The determinant schemes share
-their data stage, ``_from_determinants``, and differ in their solver and
-grid lines (x0, ys): n+1 nodes on a Kronecker line, one on a dual line.
+their data stage, ``_from_determinants``, and differ in nodes and solver.
 """
 
 from __future__ import annotations
@@ -59,10 +58,11 @@ from .structmat import (
     InternalConsistencyError,
     ModEchelon,
     OpCounter,
+    _signed_digits,
     build_parametric_sylvester,
-    kron_solve,
     sylvester_line_dets,
     vandermonde_solve_dual,
+    vandermonde_solve_primal,
 )
 
 METHOD_UNSTRUCTURED = "unstructured"
@@ -186,9 +186,8 @@ def method_unstructured(P: RatParam) -> ImplicitResult:
     S * v, S the lcm of its denominators (:func:`_scaled_reconstruction`):
     the candidates to prove.  As rank mod p <= rank over Q, a nullity of 1
     mod p means F spans the nullspace; two proven vectors raise
-    ``DegenerateInputError``.  B = (|u1|_1 + |v1|_1)**m * (|u2|_1 +
-    |v2|_1)**n on ``P.int_pairs``, the Sylvester rows' 1-norms' product,
-    bounds sum |R_ij|, R = det S(x, y) (``structmat._line_bound``); as a
+    ``DegenerateInputError``.  B, the Sylvester cap
+    (:func:`_sylvester_cap`), bounds sum |R_ij|, R = det S(x, y); as a
     proper curve has F = +-R/cont(R), past 2*B**2 with two primes or more
     the run raises ``InternalConsistencyError``.  B does not bound an
     improper curve's null vectors: one needing more primes raises it too.
@@ -202,8 +201,7 @@ def _curve_point_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, s
     m, n, N = bounds.m, bounds.n, bounds.N
     sweep = curve_points(P)
     points = [_counted_point(next(sweep), m, n, data_c) for _ in range(N)]
-    (u1, v1), (u2, v2) = P.int_pairs
-    B = sum(map(abs, u1 + v1)) ** m * sum(map(abs, u2 + v2)) ** n
+    B = _sylvester_cap(P, bounds)
     limit, best = max(2 * B * B, 1 << 61), None  # two primes or more: each is < 2**61
     for used, p in enumerate(modular_primes(), 1):
         ech = ModEchelon(p, N, solve_c)
@@ -226,6 +224,13 @@ def _curve_point_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, s
                    {"primes": used})
         if modulus > limit:
             raise InternalConsistencyError("no proven candidate within the Hadamard bound")
+
+
+def _sylvester_cap(P: RatParam, bounds: DegreeBounds) -> int:
+    """B = (|u1|_1 + |v1|_1)**m * (|u2|_1 + |v2|_1)**n on ``P.int_pairs``,
+    the Sylvester rows' 1-norms' product, bounds sum |R_ij|, R = det S."""
+    (u1, v1), (u2, v2) = P.int_pairs
+    return sum(map(abs, u1 + v1)) ** bounds.m * sum(map(abs, u2 + v2)) ** bounds.n
 
 
 def _counted_point(
@@ -334,26 +339,40 @@ def _dual_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c:
     """Yield one batch: the solve on N lines of one node each."""
     a, b = DUAL_NODE_PRIMES
     alphas = [a**i * b**j for i in range(bounds.m + 1) for j in range(bounds.n + 1)]
-    data = _from_determinants(P, [(a**k, [b**k]) for k in range(bounds.N)], [alphas], data_c)
+    data = _from_determinants(P, [(a**k, b**k) for k in range(bounds.N)], alphas, data_c)
+    data_c.observe_many(data)
     yield [vandermonde_solve_dual(alphas, data, solve_c)], True, bounds.N, {"det_evals": bounds.N}
 
 
 def method_kronecker(P: RatParam) -> ImplicitResult:
     """Implicitize from Sylvester determinants on the integer grid.
 
-    Nodes (i, j) for i = 0..m, j = 0..n make the collocation matrix the
-    Kronecker product V_x (x) V_y of two small Vandermonde matrices, so the
-    solve decomposes into (m+1) + (n+1) Björck-Pereyra eliminations and the
-    interpolation data stays as small as the curve itself allows.
+    Nodes (i, j), i = 0..m, j = 0..n, make the matrix V_x (x) V_y.  Its
+    V_y half is Kronecker substitution (von zur Gathen & Gerhard, *Modern
+    Computer Algebra*, 8.4): the m+1 data det S(x0, 2**s), s = bitlen(B)
+    + 1 with B the Sylvester cap, are R(x0, Y) under the ring map Z[Y] ->
+    Z, Y -> 2**s.  Divided differences of R(x, Y) at integer nodes are
+    integer polynomials in Y, so one Björck-Pereyra solve of order m+1
+    divides exactly on the packed ints.  As sum |R_ij| <= B < 2**(s-1),
+    the signed base-2**s digits of its coefficients are R's; anything else
+    raises ``InternalConsistencyError``.  ``det_evals`` counts the N grid
+    values the m+1 packed data carry.
     """
     return _certified(P, _kronecker_batches)
 
 
 def _kronecker_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter):
-    """Yield one batch: the solve on m+1 lines of n+1 nodes each."""
-    x_nodes, y_nodes = list(range(bounds.m + 1)), list(range(bounds.n + 1))
-    data = _from_determinants(P, [(x0, y_nodes) for x0 in x_nodes], [x_nodes, y_nodes], data_c)
-    yield [kron_solve(x_nodes, y_nodes, data, solve_c)], True, bounds.N, {"det_evals": bounds.N}
+    """Yield one batch: R's i-major vector, from m+1 packed determinants."""
+    m, n, N = bounds.m, bounds.n, bounds.N
+    s, x_nodes = _sylvester_cap(P, bounds).bit_length() + 1, list(range(m + 1))
+    data = _from_determinants(P, [(x0, 1 << s) for x0 in x_nodes], x_nodes, data_c)
+    packed = vandermonde_solve_primal(x_nodes, data, solve_c)
+    if not all(type(c) is int for c in packed):
+        raise InternalConsistencyError("packed interpolant has a non-integer coefficient")
+    vec = [d for c in packed for d in _signed_digits(c, s, n + 1)]
+    data_c.count(adds=N)
+    data_c.observe_many(vec)
+    yield [vec], True, N, {"det_evals": N}
 
 
 #: The one dispatch: every method takes ``P`` alone.
@@ -404,18 +423,16 @@ def _certified(P: RatParam, scheme: Callable[..., Iterator[tuple]]) -> ImplicitR
     raise InternalConsistencyError("computed polynomial does not vanish along the parametrization")
 
 
-def _from_determinants(P: RatParam, lines: Sequence[tuple[int, Sequence[int]]],
-                       node_sets: Sequence[Sequence[int]], counter: OpCounter) -> list[int]:
-    """The Sylvester determinants on the grid ``lines`` (x0, ys), one
-    ``sylvester_line_dets`` call per line, observed in ``counter`` with the
-    powers of the Vandermonde ``node_sets``.  The cleared integer bands
-    scale every datum, and so the solved F, by the constant L1**d2 * L2**d1
-    that canonicalization removes."""
+def _from_determinants(P: RatParam, nodes: Sequence[tuple[int, int]],
+                       vandermonde: Sequence[int], counter: OpCounter) -> list[int]:
+    """The Sylvester determinants at the ``nodes`` (x0, y0), one
+    ``sylvester_line_dets`` call each, counted in ``counter``, which also
+    observes the powers of the ``vandermonde`` nodes.  The cleared integer
+    bands scale every datum, and so the solved F, by the constant
+    L1**d2 * L2**d1 that canonicalization removes."""
     S = build_parametric_sylvester(P)
-    data = [v for x0, ys in lines for v in sylvester_line_dets(S, x0, ys, counter)]
-    counter.observe_many(data)
-    for nodes in node_sets:
-        _observe_node_powers(counter, nodes)
+    data = [sylvester_line_dets(S, x0, [y0], counter)[0] for x0, y0 in nodes]
+    _observe_node_powers(counter, vandermonde)
     return data
 
 

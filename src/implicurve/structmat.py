@@ -7,10 +7,10 @@ its determinant at a point (x0, y0) is the implicit curve polynomial
 evaluated there.  The bands are integers from construction:
 `build_parametric_sylvester` reads the component pairs a `RatParam`
 cleared once, which scales every determinant by a known constant.  The
-pipelines call `sylvester_line_dets` per grid line x = x0: the determinant
-is the resultant of p = u1 - x0*v1 and q = u2 - y*v2, which the
-subresultant PRS of `polycore.resultant` computes once per line, its nodes
-packed into one by Kronecker substitution.
+pipelines call `sylvester_line_dets` per node (x0, y0): the determinant
+is the resultant of p = u1 - x0*v1 and q = u2 - y0*v2 by the subresultant
+PRS of `polycore.resultant`; the Kronecker pipeline's y0 = 2**s packs a
+grid line into one (Kronecker substitution), read back by `_signed_digits`.
 
 Each node scheme has its solver.  The unstructured scheme keeps the row
 echelon form mod a prime of its collocation rows (`ModEchelon`), grown a
@@ -20,9 +20,9 @@ reduced row is read back in one pass; the pipeline combines its null
 vectors over several primes.
 The determinant schemes solve structured systems: Björck-Pereyra
 elimination for primal and transposed Vandermonde systems
-(`vandermonde_solve_primal` / `vandermonde_solve_dual`), and a two-stage
-solver for systems whose matrix is the Kronecker product of two Vandermonde
-matrices (`kron_solve`), which never forms the product matrix.  Both
+(`vandermonde_solve_primal` / `vandermonde_solve_dual`), and the paper's
+two-stage solver for Kronecker products of two Vandermonde matrices
+(`kron_solve`), which never forms the product matrix.  Both
 Björck-Pereyra solves (and so `kron_solve`) keep int inputs in ints wherever
 a division is exact, and fall back to `Fraction` where it is not.
 
@@ -44,7 +44,6 @@ from .polycore import (
     OpCounter,
     Rat,
     RatParam,
-    _horner,
     component_degrees,
     resultant,
 )
@@ -115,11 +114,9 @@ def sylvester_line_dets(
     rule of its own: it leaves a**f * a**(d2 - f) = a**d2, and q_0 = 0
     gives 0 through q_0**e.  The :func:`resultant` is taken as (-1)**(m*n) *
     Res(q[f:], p[e:]), m and n their degrees, so that the PRS first reduces
-    the wide (packed) q by the narrow p.  A single y takes q directly.
-    Several y are packed into one, y = 2**s with s = bitlen(B) + 1, where B
-    (:func:`_line_bound`) bounds every coefficient of R(y) = det S(x0, y),
-    of degree <= d1: R's coefficients are the signed base-2**s digits of
-    R(2**s) (Kronecker substitution), and Horner gives the node values.
+    the wide q by the narrow p: the Kronecker pipeline passes one y = 2**s,
+    which packs every coefficient of R(x0, y) into one determinant.  p is
+    formed once per line, and each y runs one PRS.
     """
     p_band, q_band = S.p_band, S.q_band
     d1, d2 = len(p_band) - 1, len(q_band) - 1
@@ -128,29 +125,14 @@ def sylvester_line_dets(
     e = next((s for s, c in enumerate(p) if c), None)
     if e is None:
         return [0] * len(ys)
-    if len(ys) == 1:
-        at = ys[0]
-    else:
-        s = _line_bound(p, q_band).bit_length() + 1
-        at = 1 << s
-    q = [u - at * v for u, v in q_band]
-    counter.count(adds=d2 + 1, muls=d2 + 3)
-    f = next((s for s, c in enumerate(q) if c), d2 + 1)
-    det = (-1) ** ((d1 - e) * (d2 - f) % 2) * p[e] ** f * resultant(q[f:], p[e:], counter)
-    det *= (-q[0] if d2 % 2 else q[0]) ** e  # the e zero leads of p
-    if len(ys) == 1:
-        return [det]
-    coeffs = _signed_digits(det, s, d1 + 1)
-    counter.count(adds=(len(ys) + 1) * d1 + 1, muls=len(ys) * d1)
-    return [_horner(coeffs, y) for y in ys]
-
-
-def _line_bound(p: list[int], q_band: Sequence[tuple[int, int]]) -> int:
-    """B = |p|_1**d2 * (sum |u2_s| + |v2_s|)**d1, p the band at x0: expanding
-    the q rows u2 - y*v2 multilinearly, the coefficients of det S(x0, y)
-    sum to at most the product of the rows' 1-norms (Hadamard)."""
-    q_norm = sum(abs(u) + abs(v) for u, v in q_band)
-    return sum(map(abs, p)) ** (len(q_band) - 1) * q_norm ** (len(p) - 1)
+    dets = []
+    for y in ys:
+        q = [u - y * v for u, v in q_band]
+        counter.count(adds=d2 + 1, muls=d2 + 3)
+        f = next((s for s, c in enumerate(q) if c), d2 + 1)
+        det = (-1) ** ((d1 - e) * (d2 - f) % 2) * p[e] ** f * resultant(q[f:], p[e:], counter)
+        dets.append(det * (-q[0] if d2 % 2 else q[0]) ** e)  # the e zero leads of p
+    return dets
 
 
 def _signed_digits(value: int, s: int, count: int) -> list[int]:
@@ -163,7 +145,7 @@ def _signed_digits(value: int, s: int, count: int) -> list[int]:
         digits.append(d)
         value = (value - d) >> s
     if value:
-        raise InternalConsistencyError("packed determinant exceeds its coefficient bound")
+        raise InternalConsistencyError("packed value exceeds its coefficient bound")
     return digits
 
 
@@ -350,9 +332,9 @@ def kron_solve(
     V_x and V_y are the Vandermonde matrices of the two node lists; with
     i-major ordering the system splits into len(x_nodes) primal solves
     against V_y followed by len(y_nodes) primal solves against V_x — each a
-    quadratic-cost Björck-Pereyra elimination, so the whole solve is far
+    quadratic-cost Björck-Pereyra elimination, N(m+n) mul+div in all, far
     below the cubic cost of eliminating the product matrix.  Those solves
-    check the nodes.
+    check the nodes; ``method_kronecker`` packs the V_y stage away.
     """
     nx, ny = len(x_nodes), len(y_nodes)
     if len(b) != nx * ny:

@@ -45,6 +45,7 @@ KEPT = {
     "BiPoly.__eq__": "public API: comparing results",
     "BiPoly._trimmed_key": "behind BiPoly equality, for callers comparing results",
     "OpCounter.muldivs": "public API: the cost figure of the paper, for callers",
+    "structmat.kron_solve": "public API: the paper's Kronecker solve (criterion 4, demo)",
 }
 
 

@@ -15,7 +15,7 @@ import implicurve
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 HYPERBOLA_LINE = "2 - 3*y - x + 2*x*y"
 STDOUT_DIGESTS = {
-    "cost_scaling": "b6feeeed2e35d6d27f27515bfb4926110f0f5efac449b18206114556540edea2",
+    "cost_scaling": "a7a2c0e30215499399d2129c5d5a27262dca2e8c371676b6f7e87f8dbae178f8",
     "hyperbola_three_ways": "727e083262f7fc6c52f974206ca2029b9f7a13a3b252a7a33b58903afeede14f",
     "resultant_determinants": "50d66594b57f8bb7c83c4aaaba32e78b069f9916e8562fc4f218b2257f1bd81f",
     "structured_solver_kernels": "9a6e851425873c557fb9a5765c940cd8f1849202fc482c5e6d1d9e24dda437e3",

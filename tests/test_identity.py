@@ -25,7 +25,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from random import Random
 
 import implicurve
 from implicurve import (
@@ -37,16 +36,9 @@ from implicurve import (
 )
 from implicurve.cli import format_ratfun, main
 
-from util import CUBIC, HYPERBOLA, rand_ratparam
+from util import CUBIC, HYPERBOLA, identity_corpus
 
-IDENTITY_DIGEST = "50e0d782da80f92573631e983664bc98b8f2900cbf26fd226f71ae3cdbbd3ee3"
-
-
-def _corpus():
-    rng = Random(404)
-    curves = [(d, rand_ratparam(rng, d, exact=True)) for d in range(2, 9)]
-    curves += [(d, rand_ratparam(rng, d, exact=True, rational=True)) for d in range(1, 5)]
-    return curves + [(1, HYPERBOLA), (3, CUBIC)]
+IDENTITY_DIGEST = "66e52953bd15d3f095f7f1a3db5fba098252f79298c5d426c5063bc89a2ece41"
 
 
 def _configs(degree):
@@ -76,7 +68,7 @@ def _bench_line(P):
 
 def identity_lines():
     lines = []
-    for degree, P in _corpus():
+    for degree, P in identity_corpus():
         for cfg in _configs(degree):
             lines.append(_result_line(implicitize(P, cfg)))
     return lines + [_bench_line(P) for P in (HYPERBOLA, CUBIC)]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,15 +20,18 @@ from implicurve import (
     DegenerateInputError,
     DegenerateParametrizationError,
     InternalConsistencyError,
+    DegreeBounds,
     MethodConfig,
     ModEchelon,
     OpCounter,
+    PolyMat,
     RatParam,
     UniPoly,
     bipoly_canonicalize,
     build_parametric_sylvester,
     degree_bounds,
     implicitize,
+    kron_solve,
     method_dual_vandermonde,
     method_kronecker,
     method_unstructured,
@@ -53,6 +57,8 @@ from util import (
     HYPERBOLA,
     HYPERBOLA_F,
     euclid_gcd,
+    grid_values,
+    identity_corpus,
     poly_mul,
     rand_ratparam,
     rational_reconstruction,
@@ -238,12 +244,79 @@ def test_methods_agree_on_cubic():
 
 
 def test_kronecker_runs_one_vandermonde_solve_per_grid_line():
-    r = method_kronecker(CUBIC)
-    b = r.bounds
-    # (m+1) solves of size (n+1) and (n+1) of size (m+1), each s(s-1) mul+div
-    expected = (b.m + 1) * (b.n + 1) * b.n + (b.n + 1) * (b.m + 1) * b.m
-    assert r.solve_counter.muldivs == expected == b.N * (b.m + b.n)
-    assert r.det_evals == b.N
+    # each grid line x = x0 is one datum, det S(x0, 2**s), and one primal
+    # solve of order m+1 takes all m+1 of them: m(m+1) mul+div
+    for P, raw in ((HYPERBOLA, HYPERBOLA_F), (CUBIC, CUBIC_F_RAW)):
+        r = method_kronecker(P)
+        b = r.bounds
+        assert (r.solve_counter.muls, r.solve_counter.divs) == (b.m * (b.m + 1) // 2,) * 2
+        assert r.solve_counter.adds == 3 * b.m * (b.m + 1) // 2
+        assert r.det_evals == b.N
+        # the data stage: m+1 line kernels, then one add per decoded digit
+        want, S = OpCounter(), build_parametric_sylvester(P)
+        y = 1 << pipeline._sylvester_cap(P, b).bit_length() + 1
+        for x0 in range(b.m + 1):
+            sylvester_line_dets(S, x0, [y], want)
+        want.count(adds=b.N)
+        got = r.data_counter
+        assert (got.adds, got.muls, got.divs) == (want.adds, want.muls, want.divs)
+        # max_bits: the decoded coefficients, R's, and the x-node powers
+        assert r.F == bipoly_canonicalize(raw)
+        assert got.max_bits == max(max(map(abs, raw.flat())).bit_length(), (b.m**b.m).bit_length())
+
+
+def test_kron_solve_on_the_grid_values_gives_the_pipeline_F():
+    # the paper's kernel, two Björck-Pereyra stages on the N grid values,
+    # and the pipeline's one packed solve give the same canonical F; the
+    # last two curves have a vanishing lead of p on a Kronecker line (as in
+    # test_a_vanishing_lead_on_a_node_gives_the_same_F_from_every_method)
+    curves = [P for _, P in identity_corpus()]
+    curves += [RatParam(*parse_rational_function(x), *parse_rational_function(y)) for x, y in
+               (("(2*t+1)/(t+3)", "(t^2+1)/(t^2+t+2)"), ("t^2/(t^2+1)", "(t+1)/t"))]
+    for P in curves:
+        b = degree_bounds(P)
+        c = kron_solve(range(b.m + 1), range(b.n + 1), grid_values(P), OpCounter())
+        assert bipoly_canonicalize(BiPoly.from_flat(c, b.m, b.n)) == method_kronecker(P).F
+
+
+def test_packed_edge_lines_pass_the_decode(monkeypatch):
+    # the line kernel's packed edge cases, now read by the pipeline's decode
+    decoded = []
+    real = pipeline._signed_digits
+
+    def spy(value, s, count):
+        decoded.append(real(value, s, count))
+        return decoded[-1]
+
+    monkeypatch.setattr(pipeline, "_signed_digits", spy)
+    # R = +-(x - 7 -+ y^3): packed row 0 is a top digit over two zero
+    # digits, negative for one of the two curves; R = +-(x^3 - y^2) has two
+    # zero packed rows
+    t = UniPoly([0, 1])
+    for x, y, F in ((UniPoly([7, 0, 0, 1]), t, [[-7, 0, 0, -1], [1, 0, 0, 0]]),
+                    (UniPoly([7, 0, 0, -1]), t, [[7, 0, 0, -1], [-1, 0, 0, 0]]),
+                    (UniPoly([0, 0, 1]), UniPoly([0, 0, 0, 1]),
+                     [[0, 0, 1], [0, 0, 0], [0, 0, 0], [-1, 0, 0]])):
+        P = RatParam(x, UniPoly.one(), y, UniPoly.one())
+        assert method_kronecker(P).F == bipoly_canonicalize(BiPoly(F))
+    assert any(d[-1] < 0 and d[1:-1] == [0, 0] for d in decoded)
+    assert [0, 0, 0] in decoded
+    # no curve in lowest terms has a zero line, so run the scheme on the
+    # Sylvester matrices themselves: p = 0 at x0 = 2, and p = t^2 + t - 2 at
+    # x0 = 0 sharing the root t = 1 with u2 and v2, so R(0, y) = 0
+    for p_band, q_band, x0 in (([(2, 1), (4, 2), (-2, -1), (6, 3)], [(1, 2), (-3, 0), (5, 1)], 2),
+                               ([(1, 0), (1, 1), (-2, 3)], [(2, 1), (3, -5), (-5, 4)], 0)):
+        S = PolyMat(p_band, q_band)
+        m, n = len(q_band) - 1, len(p_band) - 1
+        ascending = [[list(c) for c in zip(*reversed(band))] for band in (p_band, q_band)]
+        monkeypatch.setattr(pipeline, "build_parametric_sylvester", lambda P, S=S: S)
+        batch = pipeline._kronecker_batches(SimpleNamespace(int_pairs=ascending),
+                                            DegreeBounds(m, n, (m + 1) * (n + 1)),
+                                            OpCounter(), OpCounter())
+        [vec], *_ = next(batch)
+        grid = [v for i in range(m + 1) for v in sylvester_line_dets(S, i, range(n + 1), OpCounter())]
+        assert grid[x0 * (n + 1):(x0 + 1) * (n + 1)] == [0] * (n + 1)
+        assert vec == kron_solve(range(m + 1), range(n + 1), grid, OpCounter())
 
 
 def test_method_config_validation():
@@ -588,34 +661,38 @@ def _perturbing(k, change, seen):
 def _every_perturbation_fails(monkeypatch, P):
     """Run both determinant solvers on ``P``, first unchanged and then with
     each datum moved by +1, -1, *2 (where nonzero) and +1/7, and assert that
-    every moved run ends in the vanishing proof's error."""
+    every moved run raises ``InternalConsistencyError``: a dual run from the
+    vanishing proof; a Kronecker run, whose m+1 data are packed
+    determinants, from the proof, from a non-integer packed coefficient or
+    from the decode, never with a ``TypeError`` and never with an F."""
     changes = (lambda v: v + 1, lambda v: v - 1, lambda v: 2 * v, lambda v: v + Fraction(1, 7))
-    want = method_unstructured(P).F
-    for fn in (method_kronecker, method_dual_vandermonde):
+    b, want = degree_bounds(P), method_unstructured(P).F
+    for fn, count, match in ((method_kronecker, b.m + 1, None),
+                             (method_dual_vandermonde, b.N, "does not vanish")):
         data = []
         with monkeypatch.context() as mp:
             mp.setattr(pipeline, "sylvester_line_dets", _perturbing(0, lambda v: v, data))
             assert fn(P).F == want
-        assert len(data) == degree_bounds(P).N
+        assert len(data) == count
         for k, datum in enumerate(data):
             for change in changes:
                 if change(datum) == datum:  # doubling a zero
                     continue
                 with monkeypatch.context() as mp:
                     mp.setattr(pipeline, "sylvester_line_dets", _perturbing(k, change, []))
-                    with pytest.raises(InternalConsistencyError, match="does not vanish"):
+                    with pytest.raises(InternalConsistencyError, match=match):
                         fn(P)
 
 
 def test_interpolation_check_compares_exactly_on_integer_nodes(monkeypatch):
     # the determinant run's only check of its interpolant is the exact
     # vanishing proof: on CUBIC's integer nodes a datum off by 1/7 is caught,
-    # and data scaled by 1/3 as a whole give the same canonical F
-    third = Fraction(1, 3)
-    for fn in (method_kronecker, method_dual_vandermonde):
+    # and data scaled as a whole give the same canonical F: the dual data by
+    # 1/3, the Kronecker data, whose decode takes int digits, by 3
+    for fn, factor in ((method_kronecker, 3), (method_dual_vandermonde, Fraction(1, 3))):
         with monkeypatch.context() as mp:
             mp.setattr(pipeline, "sylvester_line_dets",
-                       lambda S, x0, ys, c: [v * third for v in sylvester_line_dets(S, x0, ys, c)])
+                       lambda S, x0, ys, c: [v * factor for v in sylvester_line_dets(S, x0, ys, c)])
             r = fn(CUBIC)
         assert r.F == method_unstructured(CUBIC).F and r.verified
     _every_perturbation_fails(monkeypatch, CUBIC)

@@ -13,7 +13,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import implicurve
-from implicurve import structmat
+from implicurve import pipeline, structmat
 from implicurve.pipeline import _residue_row, nodes_on_curve
 from implicurve.polycore import COPRIME_PRIME, _cleared, resultant
 from implicurve.structmat import InternalConsistencyError
@@ -789,31 +789,36 @@ def test_line_kernel_prs_cases():
     assert sympy.degree(sympy.prem(p, t**3, t), t) == 0
 
 
-_SHRUNKEN_BOUND = (
-    "from implicurve import OpCounter, PolyMat, sylvester_line_dets, structmat\n"
-    "structmat._line_bound = lambda p, q_band: 1\n"
-    "S = PolyMat([(1, 0), (0, 0), (0, 0), (-7, 0)], [(9, 0), (0, 1)])\n"
+_SHRUNKEN_CAP = (
+    "from implicurve import RatParam, method_kronecker, pipeline, structmat\n"
+    "from implicurve.cli import parse_rational_function as parse\n"
+    "pipeline._sylvester_cap = lambda P, bounds: 1\n"
+    "P = RatParam(*parse('(2*t^2+2*t+1)/(t^3+5)'), *parse('(t^3-3*t^2+t-1)/(t^2-3)'))\n"
     "try:\n"
-    "    sylvester_line_dets(S, 0, [0, 1, 2], OpCounter())\n"
+    "    method_kronecker(P)\n"
     "except structmat.InternalConsistencyError as exc:\n"
     "    print('raised:', exc)\n"
 )
 
 
-def test_line_kernel_decode_checks_its_leftover(monkeypatch):
-    # det = 5103 - y^3 does not fit four digits in base 4: the leftover is not 0
-    monkeypatch.setattr(structmat, "_line_bound", lambda p, q_band: 1)
-    S = PolyMat([(1, 0), (0, 0), (0, 0), (-7, 0)], [(9, 0), (0, 1)])
+def test_kronecker_decode_checks_its_leftover(monkeypatch):
+    # 5103 - y^3 at y = 4 does not fit 4 signed digits in base 4: the
+    # leftover is not 0; 7 - y^3 at y = 16 fits, a negative top digit over
+    # two zero ones; CUBIC's packed interpolant under a cap of 1 leaves one
     with pytest.raises(InternalConsistencyError, match="coefficient bound"):
-        sylvester_line_dets(S, 0, [0, 1, 2], OpCounter())
+        structmat._signed_digits(5103 - 4**3, 2, 4)
+    assert structmat._signed_digits(7 - 16**3, 4, 4) == [7, 0, 0, -1]
+    monkeypatch.setattr(pipeline, "_sylvester_cap", lambda P, bounds: 1)
+    with pytest.raises(InternalConsistencyError, match="coefficient bound"):
+        implicurve.method_kronecker(CUBIC)
     src = str(Path(implicurve.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _SHRUNKEN_BOUND],
+        [sys.executable, "-O", "-c", _SHRUNKEN_CAP],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("raised: packed determinant exceeds its coefficient bound")
+    assert proc.stdout.startswith("raised: packed value exceeds its coefficient bound")
 
 
 # --- exact integer Björck-Pereyra -----------------------------------------------

@@ -6,7 +6,15 @@ import math
 import random
 from fractions import Fraction
 
-from implicurve import BiPoly, RatParam, UniPoly, degree_bounds
+from implicurve import (
+    BiPoly,
+    OpCounter,
+    RatParam,
+    UniPoly,
+    build_parametric_sylvester,
+    degree_bounds,
+    sylvester_line_dets,
+)
 
 
 def frac(a, b=1):
@@ -287,6 +295,24 @@ def rand_ratparam(
                 return P
         elif b.m >= 1 and b.n >= 1:
             return P
+
+
+def identity_corpus() -> list[tuple[int, RatParam]]:
+    """(degree, curve) pairs: ``rand_ratparam(Random(404), d, exact=True)``
+    for d = 2..8, four rational-coefficient curves, HYPERBOLA and CUBIC."""
+    rng = random.Random(404)
+    curves = [(d, rand_ratparam(rng, d, exact=True)) for d in range(2, 9)]
+    curves += [(d, rand_ratparam(rng, d, exact=True, rational=True)) for d in range(1, 5)]
+    return curves + [(1, HYPERBOLA), (3, CUBIC)]
+
+
+def grid_values(P: RatParam) -> list[int]:
+    """The N determinants R(i, j) on the grid {0..m} x {0..n}, i-major, as
+    ``kron_solve`` takes them: one ``sylvester_line_dets`` call per line."""
+    b = degree_bounds(P)
+    S = build_parametric_sylvester(P)
+    ys = list(range(b.n + 1))
+    return [v for i in range(b.m + 1) for v in sylvester_line_dets(S, i, ys, OpCounter())]
 
 
 def fit_loglog_slope(xs, ys) -> float:
