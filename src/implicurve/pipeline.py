@@ -29,10 +29,11 @@ dictates the structure (and cost) of the linear algebra:
     determinant at y = 2^s, so one primal solve of order m+1 remains.
 
 Each method is one call of ``_certified`` with its node scheme, which
-yields batches of candidate vectors.  That one run counts a data stage and
-a solve stage, and returns only an F that the exact vanishing proof of
-``substitute_check`` accepts, or raises.  The determinant schemes share
-their data stage, ``_from_determinants``, and differ in nodes and solver.
+yields batches of candidate vectors.  That one run counts a data and a
+solve stage, times them, canonicalization and the proof (``STAGES``), and
+returns only an F that the exact vanishing proof of ``substitute_check``
+accepts, or raises.  The determinant schemes share their data stage,
+``_from_determinants``, and differ in nodes and solver.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd, isqrt
+from time import perf_counter_ns
 from typing import Callable, Iterator, Sequence
 
 from .polycore import (
@@ -69,6 +71,9 @@ METHOD_UNSTRUCTURED = "unstructured"
 METHOD_DUAL_VANDERMONDE = "dual-vandermonde"
 METHOD_KRONECKER = "kronecker"
 METHODS = (METHOD_UNSTRUCTURED, METHOD_DUAL_VANDERMONDE, METHOD_KRONECKER)
+
+#: The timed stages of every run, the keys of ``ImplicitResult.stages``.
+STAGES = ("data", "solve", "canonicalize", "proof")
 
 #: The dual-Vandermonde node primes: any two distinct primes give the same
 #: canonical F, and the smallest two give the smallest data.
@@ -108,10 +113,13 @@ class ImplicitResult:
     ``data_counter`` covers building the linear system (for the determinant
     methods that is ``det_evals`` Sylvester determinants); ``solve_counter``
     covers the linear solve, summed over the ``primes`` of a modular solve.
-    ``counter`` merges the two.  ``verified`` is the exact vanishing proof
-    of F along the parametrization, always True: the one run all methods
-    share builds a result only from a proven F, and raises otherwise.
-    ``degree_tight`` records whether F attains both degree bounds.
+    ``counter`` merges the two.  ``stages`` holds the wall ns of each of
+    ``STAGES``: data (the Sylvester line kernels and the Kronecker decode,
+    or the point sweep and the residue rows), solve, canonicalize and proof.
+    ``verified`` is the exact vanishing proof of F along the parametrization,
+    always True: the one run all methods share builds a result only from a
+    proven F, and raises otherwise.  ``degree_tight`` records whether F
+    attains both degree bounds.
     """
 
     F: BiPoly
@@ -119,6 +127,7 @@ class ImplicitResult:
     data_counter: OpCounter
     solve_counter: OpCounter
     verified: bool
+    stages: dict[str, int]
     det_evals: int = 0
     primes: int = 0
 
@@ -195,7 +204,8 @@ def method_unstructured(P: RatParam) -> ImplicitResult:
     return _certified(P, _curve_point_batches)
 
 
-def _curve_point_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter):
+def _curve_point_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter,
+                         lap: Callable[[str], None]):
     """Yield, at each prime of the best key (nullity, free columns), the
     null vectors that have a reconstruction, last when the nullity is 1."""
     m, n, N = bounds.m, bounds.n, bounds.N
@@ -205,11 +215,17 @@ def _curve_point_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, s
     limit, best = max(2 * B * B, 1 << 61), None  # two primes or more: each is < 2**61
     for used, p in enumerate(modular_primes(), 1):
         ech = ModEchelon(p, N, solve_c)
-        for pt in points:
-            ech.add(_residue_row(pt, m, n, p, ech.slot))
+        rows = [_residue_row(pt, m, n, p, ech.slot) for pt in points]
+        lap("data")
+        for row in rows:
+            ech.add(row)
+        lap("solve")
         while used == 1 and len(ech.free) > 1 and len(points) < 3 * N:
             points.append(_counted_point(next(sweep), m, n, data_c))
-            ech.add(_residue_row(points[-1], m, n, p, ech.slot))
+            row = _residue_row(points[-1], m, n, p, ech.slot)
+            lap("data")
+            ech.add(row)
+            lap("solve")
         if not ech.free:  # rank mod p <= rank over Q < N, as F is a null vector
             raise InternalConsistencyError("interpolation system has full rank mod p")
         key = (-len(ech.free), ech.free)
@@ -219,9 +235,9 @@ def _curve_point_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, s
             acc = _crt(acc, modulus, ech.null_vectors(), p)
             modulus *= p
         if key == best:
-            ints = (_scaled_reconstruction(vec, modulus) for vec in acc)
-            yield ((v for v in ints if v is not None), len(ech.free) == 1, len(points),
-                   {"primes": used})
+            ints = [v for vec in acc if (v := _scaled_reconstruction(vec, modulus)) is not None]
+            lap("solve")
+            yield ints, len(ech.free) == 1, len(points), {"primes": used}
         if modulus > limit:
             raise InternalConsistencyError("no proven candidate within the Hadamard bound")
 
@@ -335,13 +351,17 @@ def method_dual_vandermonde(P: RatParam) -> ImplicitResult:
     return _certified(P, _dual_batches)
 
 
-def _dual_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter):
+def _dual_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter,
+                  lap: Callable[[str], None]):
     """Yield one batch: the solve on N lines of one node each."""
     a, b = DUAL_NODE_PRIMES
     alphas = [a**i * b**j for i in range(bounds.m + 1) for j in range(bounds.n + 1)]
     data = _from_determinants(P, [(a**k, b**k) for k in range(bounds.N)], alphas, data_c)
     data_c.observe_many(data)
-    yield [vandermonde_solve_dual(alphas, data, solve_c)], True, bounds.N, {"det_evals": bounds.N}
+    lap("data")
+    vec = vandermonde_solve_dual(alphas, data, solve_c)
+    lap("solve")
+    yield [vec], True, bounds.N, {"det_evals": bounds.N}
 
 
 def method_kronecker(P: RatParam) -> ImplicitResult:
@@ -361,17 +381,21 @@ def method_kronecker(P: RatParam) -> ImplicitResult:
     return _certified(P, _kronecker_batches)
 
 
-def _kronecker_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter):
+def _kronecker_batches(P: RatParam, bounds: DegreeBounds, data_c: OpCounter, solve_c: OpCounter,
+                       lap: Callable[[str], None]):
     """Yield one batch: R's i-major vector, from m+1 packed determinants."""
     m, n, N = bounds.m, bounds.n, bounds.N
     s, x_nodes = _sylvester_cap(P, bounds).bit_length() + 1, list(range(m + 1))
     data = _from_determinants(P, [(x0, 1 << s) for x0 in x_nodes], x_nodes, data_c)
+    lap("data")
     packed = vandermonde_solve_primal(x_nodes, data, solve_c)
+    lap("solve")
     if not all(type(c) is int for c in packed):
         raise InternalConsistencyError("packed interpolant has a non-integer coefficient")
     vec = [d for c in packed for d in _signed_digits(c, s, n + 1)]
     data_c.count(adds=N)
     data_c.observe_many(vec)
+    lap("data")
     yield [vec], True, N, {"det_evals": N}
 
 
@@ -393,10 +417,14 @@ def implicitize(P: RatParam, cfg: MethodConfig | None = None) -> ImplicitResult:
 
 
 def _certified(P: RatParam, scheme: Callable[..., Iterator[tuple]]) -> ImplicitResult:
-    """The run of every method: bounds and counters once, then the batches
-    (vectors, last, nodes, fields) of ``scheme(P, bounds, data_c, solve_c)``:
-    candidate i-major coefficient vectors, produced lazily; whether they
-    span the nullspace; the number of nodes used; the result fields set.
+    """The run of every method: bounds, counters and stage clock once, then
+    the batches (vectors, last, nodes, fields) of ``scheme(P, bounds,
+    data_c, solve_c, lap)``: candidate i-major coefficient vectors, all
+    computed; whether they span the nullspace; the number of nodes used;
+    the result fields set.  ``lap(stage)``, one clock read, adds the wall
+    ns since the last lap to the result's ``stages[stage]``: the scheme laps
+    at each end of its data and solve work, this run after each
+    canonicalization and proof.
 
     Each candidate must be nonzero, and is canonicalized and proven.  A
     second proven candidate raises ``DegenerateInputError``; the proven one
@@ -407,19 +435,30 @@ def _certified(P: RatParam, scheme: Callable[..., Iterator[tuple]]) -> ImplicitR
     """
     bounds = degree_bounds(P)
     data_c, solve_c = OpCounter(), OpCounter()
-    for vectors, last, nodes, fields in scheme(P, bounds, data_c, solve_c):
+    stages, since = dict.fromkeys(STAGES, 0), perf_counter_ns()
+
+    def lap(stage: str) -> None:
+        nonlocal since
+        now = perf_counter_ns()
+        stages[stage] += now - since
+        since = now
+
+    for vectors, last, nodes, fields in scheme(P, bounds, data_c, solve_c, lap):
         found = None
         for vec in vectors:
             if not any(vec):
                 raise InternalConsistencyError("interpolation produced the zero polynomial")
             F = bipoly_canonicalize(BiPoly.from_flat(vec, bounds.m, bounds.n))
-            if substitute_check(F, P):
+            lap("canonicalize")
+            proven = substitute_check(F, P)
+            lap("proof")
+            if proven:
                 if found is not None:
                     raise DegenerateInputError(
                         f"two independent equations vanish on the curve at {nodes} points")
                 found = F
         if last and found is not None:
-            return ImplicitResult(found, bounds, data_c, solve_c, True, **fields)
+            return ImplicitResult(found, bounds, data_c, solve_c, True, stages, **fields)
     raise InternalConsistencyError("computed polynomial does not vanish along the parametrization")
 
 

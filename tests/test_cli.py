@@ -195,6 +195,8 @@ def test_cmd_implicitize_exit_codes(capsys):
     assert main(["implicitize", "--x", "t^", "--y", "t"]) == 1
     assert main(["implicitize", "--x", "1", "--y", "t"]) == 2  # constant component
     capsys.readouterr()
+    assert main(["implicitize", "--x", "1/0*t", "--y", "t"]) == 1
+    assert capsys.readouterr() == ("", "error: zero denominator in coefficient (position 2)\n")
 
 
 def test_a_component_with_a_leading_minus_takes_the_equals_form(capsys):

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -312,11 +313,26 @@ def test_packed_edge_lines_pass_the_decode(monkeypatch):
         monkeypatch.setattr(pipeline, "build_parametric_sylvester", lambda P, S=S: S)
         batch = pipeline._kronecker_batches(SimpleNamespace(int_pairs=ascending),
                                             DegreeBounds(m, n, (m + 1) * (n + 1)),
-                                            OpCounter(), OpCounter())
+                                            OpCounter(), OpCounter(), lambda stage: None)
         [vec], *_ = next(batch)
         grid = [v for i in range(m + 1) for v in sylvester_line_dets(S, i, range(n + 1), OpCounter())]
         assert grid[x0 * (n + 1):(x0 + 1) * (n + 1)] == [0] * (n + 1)
         assert vec == kron_solve(range(m + 1), range(n + 1), grid, OpCounter())
+
+
+def test_every_run_times_its_four_stages():
+    """``stages`` holds the wall ns of data, solve, canonicalize and proof,
+    each spent, and together within the call's own wall time."""
+    runs = [(P, method) for P in (HYPERBOLA, CUBIC) for method in implicurve.METHODS]
+    runs.append((rand_ratparam(random.Random(404), 5, exact=True), METHOD_UNSTRUCTURED))
+    for P, method in runs:
+        start = time.perf_counter_ns()
+        r = implicitize(P, MethodConfig(method=method))
+        wall = time.perf_counter_ns() - start
+        assert tuple(r.stages) == ("data", "solve", "canonicalize", "proof")
+        assert all(type(ns) is int and ns > 0 for ns in r.stages.values()), (method, r.stages)
+        assert sum(r.stages.values()) <= wall
+    assert r.primes >= 2  # the stage clock runs across primes
 
 
 def test_method_config_validation():

@@ -138,6 +138,8 @@ def test_bipoly_grid_validation():
         BiPoly([])
     with pytest.raises(ValueError):
         BiPoly([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        BiPoly.from_flat([1, 2, 3], 1, 1)
 
 
 def test_bipoly_equality_ignores_padding():

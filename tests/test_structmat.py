@@ -456,6 +456,8 @@ def test_vandermonde_error_cases():
         vandermonde_solve_dual([Fraction(1, 2), Fraction(2, 4)], [1, 2], OpCounter())
     with pytest.raises(ValueError):
         vandermonde_solve_primal([1, 2], [1], OpCounter())
+    with pytest.raises(ValueError):
+        vandermonde_solve_dual([1, 2], [1], OpCounter())
 
 
 def test_vandermonde_quadratic_op_budget():
